@@ -496,7 +496,8 @@ def cmd_norm_growth(args) -> int:
         lines = [f"case {table.case} (grid n={grid.n}, window [{grid.xmin}, {grid.xmax}])"]
         for r in table.rows:
             lvl = "" if r.level is None else f" L={r.level}"
-            lines.append(f"  M={r.truncation}{lvl}: norm={r.norm:.6e} ratio={r.ratio:.6f}")
+            flag = "" if r.converged else f" (not converged after {r.iterations} iterations)"
+            lines.append(f"  M={r.truncation}{lvl}: norm={r.norm:.6e} ratio={r.ratio:.6f}{flag}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_BOUNDED
 

@@ -2,8 +2,8 @@
 
 Numbers, tolerances and time budgets are pinned here; nothing is deferred
 to later calibration.  The growth experiments run at the library defaults
-(grid window [-4, 4], n = 2048, Gauss-Legendre order 24, power iteration
-with the all-ones seed).
+(grid window [-4, 4], n = 2048, Gauss-Legendre order 24, and the
+Rayleigh-Ritz norm started from windowed plane waves at the symbol peaks).
 """
 
 import random

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from mpradon.bumps import (
     mollifier_derivative,
     tensor_bump,
 )
+from mpradon.cli import main
 
 
 def test_base_mollifier_normalized():
@@ -77,6 +79,22 @@ def test_moment_bump_postconditions_sweep():
                 assert abs(mb.moments[e]) < 1e-9
             scale = max(abs(c) for c, _, _ in mb.bump.atoms)
             assert abs(mb.moments[a1]) > 1e-6 * scale
+            # the reported moments are closed-form; adaptive quadrature is the oracle
+            for e, value in mb.moments.items():
+                assert moment(mb.bump, e) == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("a1, excluded", [(6, "4,5,7"), (7, "4,5,6")])
+def test_bump_cli_passes_where_quadrature_mass_nears_threshold(a1, excluded, capsys):
+    # adaptive quadrature reads these masses as -2.2e-10 and -1.1e-10, just
+    # outside the 1e-10 threshold; the closed form gives 0
+    argv = ["bump", "--a", "1.0", "--a1", str(a1), "--excluded", excluded, "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"]
+    bump = BumpCombination(tuple(tuple(atom) for atom in report["atoms"]))
+    for e, value in report["moments"].items():
+        assert moment(bump, int(e)) == pytest.approx(value, abs=1e-9)
 
 
 def test_moment_bump_rejects_bad_input():

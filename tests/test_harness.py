@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpradon.bumps import TensorBump
 from mpradon.harness import (
+    NORM_METHOD,
     DiscretizedOperator,
     Grid1D,
+    _TapGroup,
     build_operator,
     case_polynomial,
     dyadic_scales,
@@ -78,14 +82,59 @@ def test_adjoint_is_exact_transpose(mean_zero_tensor):
 
 def test_operator_norm_against_dense_svd(mean_zero_tensor):
     grid = Grid1D(n=384)
-    for p, scales in ((P("s*t"), dyadic_scales(2)), (P("s + s*t"), square_scales(2))):
+    cases = (
+        (P("s*t"), dyadic_scales(2)),
+        (P("s + s*t"), square_scales(2)),
+        # the band (369 taps) is about n: the finite section's norm sits more
+        # than 1% below the symbol sup, which is therefore not an answer here
+        (case_polynomial("know", 10), dyadic_scales(8)),
+    )
+    for p, scales in cases:
         op = build_operator(p, scales, grid, atom=mean_zero_tensor)
         sv = np.linalg.svd(op.as_matrix(), compute_uv=False)[0]
         res = operator_norm(op, max_iters=4000, tol=1e-14)
-        # the top of the spectrum is nearly degenerate for these convolution
-        # like operators, so plain power iteration closes in slowly
-        assert res.value == pytest.approx(sv, rel=1e-4)
+        assert res.converged
+        assert res.value == pytest.approx(sv, rel=1e-8)
         assert res.value <= sv * (1 + 1e-12)
+        default = operator_norm(op)
+        assert default.converged and default.iterations <= 80
+        assert sv * (1 - 1e-6) <= default.value <= sv * (1 + 1e-12)
+    # for the last (know) case, returning the symbol sup would fail the test
+    symbol_sup = np.abs(np.fft.rfft(op._taps, 1 << 16)).max()
+    assert symbol_sup > 1.01 * sv
+
+
+@st.composite
+def banded_sections(draw):
+    """Random tap profiles whose combined band spans at most n/2."""
+    n = draw(st.integers(2, 256))
+    span = max(1, n // 2)
+    shift = draw(st.integers(-n, n))
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        band = draw(st.integers(1, span))
+        lo = draw(st.integers(0, span - band))
+        taps = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=band, max_size=band))
+        groups.append(_TapGroup(draw(st.integers(1, 3)), shift + lo, np.array(taps)))
+    return DiscretizedOperator(Grid1D(n=n), groups)
+
+
+@settings(max_examples=80, deadline=None)
+@given(banded_sections())
+def test_operator_norm_matches_dense_svd_on_random_sections(op):
+    sv = np.linalg.svd(op.as_matrix(), compute_uv=False)[0]
+    # FFT application leaves absolute noise of order eps * sum |w| in both
+    # values, e.g. when every shift lands outside the grid and T = 0
+    noise = 1e-13 * np.abs(op._taps).sum()
+    res = operator_norm(op)
+    # a Rayleigh quotient never overshoots; a converged flag is never a lie
+    assert res.value <= sv * (1 + 1e-12) + noise
+    assert not res.converged or res.value >= sv * (1 - 1e-6) - noise
+    assert res.converged or res.iterations == 80
+    # with room for the whole space the stopping rule, not the cap, decides
+    full = operator_norm(op, max_iters=op.grid.n)
+    assert full.converged
+    assert sv * (1 - 1e-6) - noise <= full.value <= sv * (1 + 1e-12) + noise
 
 
 def test_kitty_terms_collapse_to_one_group(mean_zero_tensor):
@@ -137,6 +186,43 @@ def test_growth_table_output_formats():
     assert data["case"] == "kitty"
     assert [r["M"] for r in data["rows"]] == [0, 1]
     assert data["rows"][1]["ratio"] == pytest.approx(2.0, rel=1e-12)
+    assert data["norm_method"] == NORM_METHOD
+    assert f"norm_method={NORM_METHOD}" in csv_text.splitlines()[0]
+    assert all(r["converged"] for r in data["rows"])
+
+
+def test_growth_experiment_builds_each_operator_once(monkeypatch):
+    import mpradon.harness as harness
+
+    calls = {"build": 0, "bump": 0}
+    build, bump = harness.build_operator, harness.moment_bump
+
+    def counting_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    def counting_bump(*args, **kwargs):
+        calls["bump"] += 1
+        return bump(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_operator", counting_build)
+    monkeypatch.setattr(harness, "moment_bump", counting_bump)
+    with_base = growth_experiment("billy", [0, 1, 2], grid=Grid1D(n=256))
+    assert calls == {"build": 3, "bump": 1}
+    without_base = growth_experiment("billy", [1, 2], grid=Grid1D(n=256))
+    assert calls == {"build": 6, "bump": 2}
+    assert without_base.ratios() == with_base.ratios()[1:]
+
+
+def test_unconverged_rows_are_flagged_in_text(monkeypatch, capsys):
+    import functools
+
+    import mpradon.cli as cli
+
+    monkeypatch.setattr(cli, "growth_experiment", functools.partial(growth_experiment, max_iters=3))
+    assert cli.main(["norm-growth", "--case", "billy", "--M", "0 1", "--grid-n", "256"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith("(not converged after 3 iterations)") for line in lines[1:])
 
 
 def test_growth_experiment_determinism():
