@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import integrate_adaptive, tensor_nodes
+from .quadrature import integrate_adaptive, tensor_nodes, tensor_rule
 from .symbolic.poly import Polynomial
 
 GEOMETRIC_RATIO = 0.5
@@ -156,6 +156,8 @@ class BumpCombination:
 
     def moment_closed_form(self, m: int) -> float:
         """int t^m via the binomial expansion against the cached b_i (no quadrature)."""
+        if not 0 <= m <= MAX_MOMENT:
+            raise ValueError(f"moment order must be in [0, {MAX_MOMENT}]")
         total = 0.0
         for c, x, r in self.atoms:
             total += c * sum(comb(m, i) * base_moment(i) * r**i * x ** (m - i) for i in range(m + 1))
@@ -286,21 +288,15 @@ class TensorBump:
 
     def quadrature_rule(self, order: int, panels: int = 2) -> tuple[np.ndarray, np.ndarray]:
         """Tensor rule built from each factor's atom-aligned 1-D rule."""
-        axes = [f.quadrature_rule(order, panels) for f in self.factors]
-        grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
-        points = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        weights = axes[0][1]
-        for _, w in axes[1:]:
-            weights = np.multiply.outer(weights, w)
-        return points, weights.reshape(-1)
+        return tensor_rule([f.quadrature_rule(order, panels) for f in self.factors])
 
     def moment(self, alpha: Sequence[int]) -> float:
-        """int t^alpha * product, via the factorized 1-D moments."""
+        """int t^alpha * product, via each factor's closed-form 1-D moment."""
         if len(alpha) != self.dimension:
             raise ValueError("one exponent per axis required")
         total = 1.0
         for f, m in zip(self.factors, alpha):
-            total *= moment(f, m)
+            total *= f.moment_closed_form(m)
         return total
 
     def moment_by_grid(self, alpha: Sequence[int], order: int = 24, panels: int = 12) -> float:

@@ -20,10 +20,11 @@ Three decision procedures, all in rational arithmetic:
 
   * ``scalar_control_verdict`` -- the abelian case (all expansion fields
     parallel to one constant field): for nu = 2 this is the same sector
-    test with trivial brackets; for general nu it is membership of the
-    nonpure degree in the Newton polyhedron conv(pure degrees) + R_+^nu,
-    decided by enumerating the kink vertices of b |-> min_d b . (d - d0)
-    over the normal simplex.
+    test with trivial brackets; for nu >= 3 it is membership of the
+    nonpure degree in the Newton polyhedron conv(pure degrees) + R_+^nu.
+    Pure degrees lie on the coordinate axes, so that polyhedron is the
+    simplex {d : sum_mu d_mu / A_mu >= 1}, A_mu the least pure degree on
+    axis mu -- the same closed form as the Newton-line test.
 
 Verdicts carry machine-checkable data: an Unbounded verdict names the
 violating multi-index and a witnessing normal; a Bounded verdict carries,
@@ -35,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -153,24 +153,6 @@ def express_in_span(
     return {col: rows[row][m] for row, col in pivots if rows[row][m] != 0}
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Unique solution of a square rational system, or None if singular."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pr = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pr is None:
-            return None
-        a[col], a[pr] = a[pr], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [u - f * v for u, v in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
 # -- sector enumeration on the normal ray -----------------------------
 
 
@@ -211,6 +193,22 @@ def sector_normals(diffs: Iterable[Degree]) -> list[tuple[Fraction, Fraction]]:
 # -- Heisenberg criterion ----------------------------------------------
 
 
+def _split_pure(
+    expansion: WExpansion, scheme: ExponentScheme, prefix: str
+) -> tuple[tuple[ClosureEntry, ...], tuple[tuple[MultiIndex, ClosureEntry], ...]]:
+    """Pure entries and (alpha, entry) pairs for the nonpure ones, labelled ``{prefix}_{alpha}``."""
+    pure: list[ClosureEntry] = []
+    nonpure: list[tuple[MultiIndex, ClosureEntry]] = []
+    for alpha in expansion.support():
+        d = degree(alpha, scheme)
+        entry = ClosureEntry(expansion.terms[alpha], d, f"{prefix}_{alpha}")
+        if is_pure(d):
+            pure.append(entry)
+        else:
+            nonpure.append((alpha, entry))
+    return tuple(pure), tuple(nonpure)
+
+
 def pure_closure_heisenberg(
     xhat: WExpansion, scheme: ExponentScheme | None = None
 ) -> PowerSets:
@@ -223,15 +221,7 @@ def pure_closure_heisenberg(
     if xhat.basis != HEISENBERG_BASIS:
         raise ValueError("expansion must carry the Heisenberg basis tag {X, Y, T}")
     scheme = scheme or xhat.scheme
-    pure: list[ClosureEntry] = []
-    nonpure: list[tuple[MultiIndex, ClosureEntry]] = []
-    for alpha in xhat.support():
-        d = degree(alpha, scheme)
-        entry = ClosureEntry(xhat.terms[alpha], d, f"Xhat_{alpha}")
-        if is_pure(d):
-            pure.append(entry)
-        else:
-            nonpure.append((alpha, entry))
+    pure, nonpure = _split_pure(xhat, scheme, "Xhat")
     closure = list(pure)
     seen = {(e.vec.coords, e.degree) for e in closure}
     frontier = list(closure)
@@ -251,7 +241,7 @@ def pure_closure_heisenberg(
                     fresh.append(ClosureEntry(br, d, f"[{left.label}, {right.label}]"))
         closure.extend(fresh)
         frontier = fresh
-    return PowerSets(scheme, tuple(pure), tuple(nonpure), tuple(closure))
+    return PowerSets(scheme, pure, nonpure, tuple(closure))
 
 
 def supporting_line_condition(
@@ -295,6 +285,17 @@ def supporting_line_condition(
     return True, ControlCertificate(alpha0, d0, tuple(sectors))
 
 
+def _sweep_verdict(power_sets: PowerSets) -> Verdict:
+    """Supporting-line test for every nonpure index; the first failure is the witness."""
+    certificates = []
+    for alpha0, entry in power_sets.nonpure:
+        ok, payload = supporting_line_condition(alpha0, entry.vec, power_sets)
+        if not ok:
+            return Verdict(Outcome.UNBOUNDED, witness=payload)
+        certificates.append(payload)
+    return Verdict(Outcome.BOUNDED, certificates=tuple(certificates))
+
+
 def heisenberg_verdict(spec: GammaSpec) -> Verdict:
     """Theorem-level decision for left-invariant curves on H^1 (nu = 2 kernels)."""
     if spec.family != HEISENBERG:
@@ -310,18 +311,43 @@ def heisenberg_verdict(spec: GammaSpec) -> Verdict:
             Outcome.INCONCLUSIVE,
             diagnostics=f"supporting-line criterion is formulated for nu = 2, got nu = {nu}",
         )
-    xhat = xhat_expansion(spec)
-    power_sets = pure_closure_heisenberg(xhat)
-    certificates = []
-    for alpha0, entry in power_sets.nonpure:
-        ok, payload = supporting_line_condition(alpha0, entry.vec, power_sets)
-        if not ok:
-            return Verdict(Outcome.UNBOUNDED, witness=payload)
-        certificates.append(payload)
-    return Verdict(Outcome.BOUNDED, certificates=tuple(certificates))
+    return _sweep_verdict(pure_closure_heisenberg(xhat_expansion(spec)))
 
 
-# -- real line criterion ------------------------------------------------
+# -- Newton simplex: the real line and scalar control for nu >= 3 --------
+
+
+def _newton_simplex(
+    pure: Iterable[Degree], nonpure: Iterable[tuple[MultiIndex, Degree]], nu: int
+) -> tuple[tuple[Fraction | None, ...], tuple[MultiIndex, Degree, tuple[Fraction, ...]] | None]:
+    """Least pure degree A_mu per axis, and the nonpure index furthest below the simplex.
+
+    Pure degrees lie on the coordinate axes, so conv(pure) + R_+^nu is
+    {d : sum_mu d_mu / A_mu >= 1} with x / inf = 0 (A_mu is None when axis mu
+    carries no pure degree).  Of the nonpure (alpha, d) strictly below it,
+    the one with the least such sum wins, ties broken by |alpha|, then
+    alpha.  Its normal (1 / A_mu), scaled to coprime integers, is the unique
+    maximizer of b |-> min_d b . (d - d0) over normalized b >= 0; with no
+    pure degree at all every normal works and (1, ..., 1) is returned.
+    """
+    least: list[Fraction | None] = [None] * nu
+    for d in pure:
+        mu = next(i for i, v in enumerate(d) if v != 0)
+        if least[mu] is None or d[mu] < least[mu]:
+            least[mu] = d[mu]
+    below = []
+    for alpha, d in nonpure:
+        value = sum((v / a for v, a in zip(d, least) if a is not None), Fraction(0))
+        if value < 1:
+            below.append((value, sum(alpha), alpha, d))
+    if not below:
+        return tuple(least), None
+    _, _, alpha0, d0 = min(below, key=lambda t: t[:3])
+    if all(a is None for a in least):
+        normal = tuple(Fraction(1) for _ in range(nu))
+    else:
+        normal = _primitive([Fraction(0) if a is None else 1 / a for a in least])
+    return tuple(least), (alpha0, d0, normal)
 
 
 def real_line_verdict(p: Polynomial) -> Verdict:
@@ -330,95 +356,37 @@ def real_line_verdict(p: Polynomial) -> Verdict:
         raise ValueError("the real-line criterion expects a polynomial in (s, t)")
     if p.constant_term() != 0:
         raise ValueError("p must have zero constant term")
-    a = min((e for (e, f) in p.terms if f == 0), default=None)
-    b = min((f for (e, f) in p.terms if e == 0), default=None)
-
-    def line_value(e: int, f: int) -> Fraction:
-        v = Fraction(0)
-        if a is not None:
-            v += Fraction(e, a)
-        if b is not None:
-            v += Fraction(f, b)
-        return v
-
-    violators = sorted(
-        ((line_value(e, f), (e, f)) for (e, f) in p.terms if line_value(e, f) < 1),
-        key=lambda t: (t[0], sum(t[1]), t[1]),
+    # under the product scheme an exponent is its own degree
+    terms = [(alpha, tuple(map(Fraction, alpha))) for alpha in p.terms]
+    least, worst = _newton_simplex(
+        [d for _, d in terms if is_pure(d)], [t for t in terms if not is_pure(t[1])], 2
     )
-    scheme = ExponentScheme.product(2)
-    if not violators:
-        a_str = str(a) if a is not None else "inf"
-        b_str = str(b) if b is not None else "inf"
+    a, b = ("inf" if v is None else str(v) for v in least)
+    if worst is None:
         return Verdict(
             Outcome.BOUNDED,
-            diagnostics=f"every exponent lies on or above the line through ({a_str}, 0) and (0, {b_str})",
+            diagnostics=f"every exponent lies on or above the line through ({a}, 0) and (0, {b})",
         )
-    _, alpha0 = violators[0]
-    if a is None and b is None:
-        normal = (Fraction(1), Fraction(1))
-    else:
-        normal = _primitive(
-            (
-                Fraction(1, a) if a is not None else Fraction(0),
-                Fraction(1, b) if b is not None else Fraction(0),
-            )
-        )
-    return Verdict(
-        Outcome.UNBOUNDED,
-        witness=Witness(
-            alpha0,
-            degree(alpha0, scheme),
-            normal,
-            f"exponent {alpha0} lies strictly below the Newton line "
-            f"(a={a if a is not None else 'inf'}, b={b if b is not None else 'inf'})",
-        ),
-    )
+    alpha0, d0, normal = worst
+    reason = f"exponent {alpha0} lies strictly below the Newton line (a={a}, b={b})"
+    return Verdict(Outcome.UNBOUNDED, witness=Witness(alpha0, d0, normal, reason))
 
 
 # -- scalar (abelian) control -------------------------------------------
 
 
-def _abelian_violating_normal(
-    pure_degrees: list[Degree], d0: Degree, nu: int
-) -> tuple[Fraction, ...] | None:
-    """A normal b >= 0 with b.d > b.d0 for every pure degree d, if one exists.
-
-    Maximizes the concave piecewise-linear b |-> min_d b.(d - d0) over the
-    simplex; the maximum sits on a vertex of the kink arrangement, so it is
-    enough to scan solutions of nu-1 tight constraints plus normalization.
-    """
-    if not pure_degrees:
-        return tuple(Fraction(1) for _ in range(nu))
-    diffs = [tuple(x - y for x, y in zip(d, d0)) for d in pure_degrees]
-
-    def worst(b: Sequence[Fraction]) -> Fraction:
-        return min(sum(bi * di for bi, di in zip(b, diff)) for diff in diffs)
-
-    constraints: list[tuple[Fraction, ...]] = []
-    for i, j in combinations(range(len(diffs)), 2):
-        row = tuple(diffs[i][mu] - diffs[j][mu] for mu in range(nu))
-        if any(v != 0 for v in row):
-            constraints.append(row)
-    for mu in range(nu):
-        constraints.append(tuple(Fraction(1 if k == mu else 0) for k in range(nu)))
-
-    candidates: set[tuple[Fraction, ...]] = set()
-    for mu in range(nu):
-        candidates.add(tuple(Fraction(1 if k == mu else 0) for k in range(nu)))
-    ones = [Fraction(1)] * nu
-    for subset in combinations(range(len(constraints)), nu - 1):
-        matrix = [list(constraints[k]) for k in subset] + [ones]
-        sol = _solve_linear(matrix, [Fraction(0)] * (nu - 1) + [Fraction(1)])
-        if sol is not None and all(v >= 0 for v in sol):
-            candidates.add(tuple(sol))
-    best = max(candidates, key=worst)
-    return _primitive(best) if worst(best) > 0 else None
-
-
 def scalar_control_verdict(
     w: WExpansion, scheme: ExponentScheme | None = None
 ) -> Verdict:
-    """Control decision when every expansion field is parallel to one constant field."""
+    """Control decision when every expansion field is parallel to one constant field.
+
+    Parallel constant fields bracket to zero, so the closure is the pure set.
+    For nu = 2 the supporting-line sweep runs on it, which serves every
+    scheme and returns sector certificates.  For nu >= 3 a nonpure degree is
+    controlled iff it lies on or above the Newton simplex of the pure
+    degrees (see ``_newton_simplex``); the witness is the nonpure index
+    furthest below it, and bounded certificates carry no sectors.
+    """
     scheme = scheme or w.scheme
     support = w.support()
     if not support:
@@ -431,41 +399,20 @@ def scalar_control_verdict(
                 diagnostics=f"field at {alpha} is not parallel to the field at {support[0]}; "
                 "the scalar reduction does not apply",
             )
-    pure_entries: list[ClosureEntry] = []
-    nonpure_entries: list[tuple[MultiIndex, ClosureEntry]] = []
-    for alpha in support:
-        d = degree(alpha, scheme)
-        entry = ClosureEntry(w.terms[alpha], d, f"X_{alpha}")
-        if is_pure(d):
-            pure_entries.append(entry)
-        else:
-            nonpure_entries.append((alpha, entry))
-    nu = scheme.n_params
-    if not nonpure_entries:
+    pure, nonpure = _split_pure(w, scheme, "X")
+    if not nonpure:
         return Verdict(Outcome.BOUNDED, diagnostics="all degrees are pure")
+    nu = scheme.n_params
     if nu == 2:
-        # Parallel constant fields bracket to zero, so the closure is the pure set.
-        power_sets = PowerSets(scheme, tuple(pure_entries), tuple(nonpure_entries), tuple(pure_entries))
-        certificates = []
-        for alpha0, entry in nonpure_entries:
-            ok, payload = supporting_line_condition(alpha0, entry.vec, power_sets)
-            if not ok:
-                return Verdict(Outcome.UNBOUNDED, witness=payload)
-            certificates.append(payload)
-        return Verdict(Outcome.BOUNDED, certificates=tuple(certificates))
-    pure_degrees = [e.degree for e in pure_entries]
-    certificates = []
-    for alpha0, entry in nonpure_entries:
-        bad = _abelian_violating_normal(pure_degrees, entry.degree, nu)
-        if bad is not None:
-            return Verdict(
-                Outcome.UNBOUNDED,
-                witness=Witness(
-                    alpha0,
-                    entry.degree,
-                    bad,
-                    f"degree {entry.degree} lies outside the Newton polyhedron of the pure degrees",
-                ),
-            )
-        certificates.append(ControlCertificate(alpha0, entry.degree, ()))
-    return Verdict(Outcome.BOUNDED, certificates=tuple(certificates))
+        return _sweep_verdict(PowerSets(scheme, pure, nonpure, pure))
+    _, worst = _newton_simplex(
+        (e.degree for e in pure), ((alpha, e.degree) for alpha, e in nonpure), nu
+    )
+    if worst is None:
+        return Verdict(
+            Outcome.BOUNDED,
+            certificates=tuple(ControlCertificate(alpha, e.degree, ()) for alpha, e in nonpure),
+        )
+    alpha0, d0, normal = worst
+    reason = f"degree {d0} lies outside the Newton polyhedron of the pure degrees"
+    return Verdict(Outcome.UNBOUNDED, witness=Witness(alpha0, d0, normal, reason))

@@ -148,11 +148,6 @@ def dilate_point(
     return tuple(f * float(ti) for f, ti in zip(factors, t))
 
 
-def scale_jacobian(delta: Sequence[float], scheme: ExponentScheme) -> float:
-    """delta^{e_1 + ... + e_N}; the normalization making dilation mass-preserving."""
-    return prod(dilation_factors(delta, scheme))
-
-
 def scale_function(
     f: Callable[[Sequence[float]], float],
     delta: Sequence[float],

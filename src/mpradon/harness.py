@@ -76,10 +76,9 @@ class DiscretizedOperator:
     so results are reproducible bit-for-bit.
     """
 
-    def __init__(self, grid: Grid1D, groups: Sequence[_TapGroup], meta: dict | None = None):
+    def __init__(self, grid: Grid1D, groups: Sequence[_TapGroup]):
         self.grid = grid
         self.groups = tuple(groups)
-        self.meta = dict(meta or {})
         if self.groups:
             lo = min(g.lo for g in self.groups)
             hi = max(g.lo + g.taps.size for g in self.groups)
@@ -110,7 +109,6 @@ class DiscretizedOperator:
         grid: Grid1D,
         displacement_profiles: Sequence[np.ndarray],
         quad_values: np.ndarray,
-        meta: dict | None = None,
     ) -> "DiscretizedOperator":
         """Build from per-term displacement arrays and shared quadrature values.
 
@@ -149,7 +147,7 @@ class DiscretizedOperator:
             np.add.at(taps, base - lo, values * (1.0 - lam))
             np.add.at(taps, base - lo + 1, values * lam)
             groups.append(_TapGroup(count, lo, taps))
-        return cls(grid, groups, meta)
+        return cls(grid, groups)
 
     def _convolve(self, spectrum: np.ndarray, f_hat: np.ndarray, band: int, lo: int, n: int) -> np.ndarray:
         full = np.fft.irfft(f_hat * spectrum, self._nfft)[: n + band - 1]
@@ -343,7 +341,6 @@ def build_operator(
     atom: TensorBump | None = None,
     quad_order: int = 24,
     quad_panels: int = 2,
-    meta: dict | None = None,
 ) -> DiscretizedOperator:
     """T f(x) = sum_k int f(x - p(delta_k^{-1} u)) atom(u) du on the grid."""
     atom = atom or default_experiment_atom()
@@ -361,7 +358,7 @@ def build_operator(
         for coef, (e1, e2) in zip(terms, exps):
             profile += coef * u1**e1 * u2**e2
         profiles.append(profile)
-    return DiscretizedOperator.from_terms(grid, profiles, quad_values, meta)
+    return DiscretizedOperator.from_terms(grid, profiles, quad_values)
 
 
 def dyadic_scales(m: int) -> list[tuple[float, float]]:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .bumps import TensorBump
 from .dilations import ExponentScheme, dilation_factors
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_adaptive, tensor_grid
 
 
 class UnsupportedKernel(ValueError):
@@ -124,7 +124,7 @@ class KernelEntry:
         )
 
     def sup_norm_sampled(self, per_axis: int = 160) -> float:
-        pts = _sample_box(self.support_box(), per_axis)
+        pts = tensor_grid([np.linspace(lo, hi, per_axis) for lo, hi in self.support_box()])
         return float(np.max(np.abs(self(pts)))) if pts.size else 0.0
 
     def cm_norm_sampled(self, m: int, per_axis: int = 160) -> float:
@@ -133,7 +133,7 @@ class KernelEntry:
         The kernel class asks for boundedness in every C^m; this artifact
         verifies m <= 2 by sampling and leaves higher m unchecked.
         """
-        pts = _sample_box(self.support_box(), per_axis)
+        pts = tensor_grid([np.linspace(lo, hi, per_axis) for lo, hi in self.support_box()])
         if not pts.size:
             return 0.0
         worst = float(np.max(np.abs(self(pts))))
@@ -144,12 +144,6 @@ class KernelEntry:
 
     def c1_norm_sampled(self, per_axis: int = 160) -> float:
         return self.cm_norm_sampled(1, per_axis)
-
-
-def _sample_box(box: Sequence[tuple[float, float]], per_axis: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -255,10 +249,7 @@ def verify_cancellation(
                     )
                 reduced.append((weight, sa))
             if outer:
-                outer_axes = [np.linspace(box[i][0], box[i][1], grid_per_axis) for i in outer]
-                outer_pts = np.stack(
-                    [g.reshape(-1) for g in np.meshgrid(*outer_axes, indexing="ij")], axis=-1
-                )
+                outer_pts = tensor_grid([np.linspace(*box[i], grid_per_axis) for i in outer])
                 acc = np.zeros(outer_pts.shape[0])
                 for weight, sa in reduced:
                     factors, _ = entry._factors(sa)
@@ -295,8 +286,7 @@ def sample_product_kernel_bounds(
         raise ValueError("product-kernel bounds need the 2-parameter product scheme")
     if samples is None:
         mags = np.geomspace(1e-4, seq.support_radius, 24)
-        s, t = np.meshgrid(mags, mags, indexing="ij")
-        quadrant = np.stack([s.reshape(-1), t.reshape(-1)], axis=-1)
+        quadrant = tensor_grid([mags, mags])
         samples = np.concatenate([quadrant * sign for sign in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
     samples = np.asarray(samples, dtype=float)
     if np.any(samples == 0.0):

@@ -71,14 +71,22 @@ def composite_nodes(a: float, b: float, order: int, panels: int = 1) -> tuple[np
     return np.concatenate([x for x, _ in parts]), np.concatenate([w for _, w in parts])
 
 
+def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Points (m, dim) of the tensor grid over 1-D node arrays, the last axis varying fastest."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
+def tensor_rule(axes: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of 1-D (nodes, weights) rules: points (m, dim) and weights (m,)."""
+    weights = axes[0][1]
+    for _, w in axes[1:]:
+        weights = np.multiply.outer(weights, w)
+    return tensor_grid([x for x, _ in axes]), weights.reshape(-1)
+
+
 def tensor_nodes(
     boxes: Sequence[tuple[float, float]], order: int, panels: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre grid over a box: points (m, dim) and weights (m,)."""
-    axes = [composite_nodes(lo, hi, order, panels) for lo, hi in boxes]
-    grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    weights = axes[0][1]
-    for _, w in axes[1:]:
-        weights = np.multiply.outer(weights, w)
-    return points, weights.reshape(-1)
+    return tensor_rule([composite_nodes(lo, hi, order, panels) for lo, hi in boxes])

@@ -1,10 +1,19 @@
+import json
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mpradon.cli import EXIT_BOUNDED, EXIT_UNBOUNDED, main
 from mpradon.criteria import (
     Outcome,
+    _newton_simplex,
+    _primitive,
     express_in_span,
     heisenberg_verdict,
     pure_closure_heisenberg,
@@ -13,7 +22,7 @@ from mpradon.criteria import (
     sector_normals,
     supporting_line_condition,
 )
-from mpradon.dilations import ExponentScheme, degree
+from mpradon.dilations import Degree, ExponentScheme, degree
 from mpradon.symbolic import (
     BasisVector,
     GammaSpec,
@@ -212,6 +221,152 @@ def test_scalar_control_three_parameters():
     for pure in ((4, 0, 0), (0, 4, 0), (0, 0, 4)):
         d = degree(pure, scheme)
         assert sum(x * y for x, y in zip(b, d)) > sum(x * y for x, y in zip(b, d0))
+
+
+# -- Newton simplex against the kink-vertex enumeration --------------------------
+
+
+def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Unique solution of a square rational system, or None if singular."""
+    n = len(rhs)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pr = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pr is None:
+            return None
+        a[col], a[pr] = a[pr], a[col]
+        pv = a[col][col]
+        a[col] = [v / pv for v in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [u - f * v for u, v in zip(a[i], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def _abelian_violating_normal(
+    pure_degrees: list[Degree], d0: Degree, nu: int
+) -> tuple[Fraction, ...] | None:
+    """A normal b >= 0 with b.d > b.d0 for every pure degree d, if one exists.
+
+    Maximizes the concave piecewise-linear b |-> min_d b.(d - d0) over the
+    simplex; the maximum sits on a vertex of the kink arrangement, so it is
+    enough to scan solutions of nu-1 tight constraints plus normalization.
+    """
+    if not pure_degrees:
+        return tuple(Fraction(1) for _ in range(nu))
+    diffs = [tuple(x - y for x, y in zip(d, d0)) for d in pure_degrees]
+
+    def worst(b: Sequence[Fraction]) -> Fraction:
+        return min(sum(bi * di for bi, di in zip(b, diff)) for diff in diffs)
+
+    constraints: list[tuple[Fraction, ...]] = []
+    for i, j in combinations(range(len(diffs)), 2):
+        row = tuple(diffs[i][mu] - diffs[j][mu] for mu in range(nu))
+        if any(v != 0 for v in row):
+            constraints.append(row)
+    for mu in range(nu):
+        constraints.append(tuple(Fraction(1 if k == mu else 0) for k in range(nu)))
+
+    candidates: set[tuple[Fraction, ...]] = set()
+    for mu in range(nu):
+        candidates.add(tuple(Fraction(1 if k == mu else 0) for k in range(nu)))
+    ones = [Fraction(1)] * nu
+    for subset in combinations(range(len(constraints)), nu - 1):
+        matrix = [list(constraints[k]) for k in subset] + [ones]
+        sol = _solve_linear(matrix, [Fraction(0)] * (nu - 1) + [Fraction(1)])
+        if sol is not None and all(v >= 0 for v in sol):
+            candidates.add(tuple(sol))
+    best = max(candidates, key=worst)
+    return _primitive(best) if worst(best) > 0 else None
+
+
+_RATIONALS = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+
+
+@st.composite
+def _simplex_cases(draw):
+    """(nu, pure degrees on random axes, a nonpure d0 with >= 2 nonzero entries)."""
+    nu = draw(st.integers(2, 5))
+    pure = []
+    for _ in range(draw(st.integers(0, 7))):
+        mu = draw(st.integers(0, nu - 1))
+        value = draw(_RATIONALS)
+        pure.append(tuple(value if k == mu else Fraction(0) for k in range(nu)))
+    d0 = [draw(st.one_of(st.just(Fraction(0)), _RATIONALS)) for _ in range(nu)]
+    for mu in draw(st.lists(st.integers(0, nu - 1), min_size=2, max_size=2, unique=True)):
+        if d0[mu] == 0:
+            d0[mu] = draw(_RATIONALS)
+    return nu, pure, tuple(d0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_simplex_cases())
+def test_newton_simplex_matches_vertex_enumeration(case):
+    nu, pure, d0 = case
+    expected = _abelian_violating_normal(pure, d0, nu)
+    _, worst = _newton_simplex(pure, [((0,) * nu, d0)], nu)
+    assert (worst is not None) == (expected is not None)
+    if worst is not None:
+        assert worst[1] == d0
+        assert worst[2] == expected
+
+
+def _product_line_spec(rng: random.Random, pure_per_axis: int, nu: int, mixed: int, bounded: bool):
+    """A nu-parameter product-scheme line spec with a known outcome.
+
+    With a_mu the least pure power on axis mu, a mixed exponent alpha is
+    controlled iff sum alpha_mu / a_mu >= 1; an unbounded spec carries exactly
+    one mixed exponent below that plane, which is returned with the text.
+    """
+    names = [f"s{i + 1}" for i in range(nu)]
+    exponents: set[tuple[int, ...]] = set()
+    least = []
+    for mu in range(nu):
+        powers = rng.sample(range(3, 9), pure_per_axis)
+        least.append(min(powers))
+        exponents.update(tuple(e if k == mu else 0 for k in range(nu)) for e in powers)
+
+    def below(alpha):
+        return sum(Fraction(v, a) for v, a in zip(alpha, least)) < 1
+
+    target = len(exponents) + mixed
+    while len(exponents) < target:
+        alpha = tuple(rng.randint(0, 5) for _ in range(nu))
+        if sum(v > 0 for v in alpha) >= 2 and not below(alpha):
+            exponents.add(alpha)
+    planted = None
+    while not bounded and planted is None:
+        alpha = tuple(rng.randint(0, 2) for _ in range(nu))
+        if sum(v > 0 for v in alpha) >= 2 and alpha not in exponents and below(alpha):
+            planted = alpha
+            exponents.add(alpha)
+    p = " + ".join(
+        "*".join(f"{n}^{e}" for n, e in zip(names, alpha) if e) for alpha in sorted(exponents)
+    )
+    rows = " ; ".join(" ".join("1" if j == i else "0" for j in range(nu)) for i in range(nu))
+    text = (
+        f"[problem]\nfamily = translation_line\nvariables = {' '.join(names)}\n"
+        f"p = {p}\n[scheme]\ne = {rows}\n"
+    )
+    return text, planted
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_five_parameter_line_decides_quickly(tmp_path, capsys, bounded):
+    # 15 pure powers and 20 mixed terms: C(110, 4) vertex subsets for the
+    # enumeration, one pass over the terms for the simplex test
+    text, planted = _product_line_spec(random.Random(5), 3, 5, 20, bounded)
+    path = tmp_path / "nu5.spec"
+    path.write_text(text)
+    start = time.perf_counter()
+    code = main(["analyze", "--spec", str(path), "--format", "json", "--no-timestamp"])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == (EXIT_BOUNDED if bounded else EXIT_UNBOUNDED)
+    assert elapsed < 1.0
+    if not bounded:
+        assert report["verdict"]["witness"]["alpha0"] == list(planted)
 
 
 # -- heisenberg criterion ------------------------------------------------------
