@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import integrate_adaptive, tensor_nodes, tensor_rule
+from .quadrature import integrate_adaptive, tensor_rule
 from .symbolic.poly import Polynomial
 
 GEOMETRIC_RATIO = 0.5
@@ -299,9 +299,16 @@ class TensorBump:
             total *= f.moment_closed_form(m)
         return total
 
-    def moment_by_grid(self, alpha: Sequence[int], order: int = 24, panels: int = 12) -> float:
-        """Direct tensor-quadrature moment, the independent cross-check."""
-        points, weights = tensor_nodes(self.support_box(), order, panels)
+    def moment_by_grid(self, alpha: Sequence[int], order: int = 24, panels: int = 4) -> float:
+        """Direct tensor-quadrature moment, the independent cross-check.
+
+        The grid is ``quadrature_rule``'s, with panel edges at every atom
+        boundary, so the narrowest atoms are resolved at their own width.
+        Its float floor is about eps times the product over the factors of
+        sum_j |c_j|, i.e. eps * (sum_j |c_j|)^2 for two equal factors: the
+        atom coefficients can be large and cancel, their rounding does not.
+        """
+        points, weights = self.quadrature_rule(order, panels)
         mono = np.ones(points.shape[0])
         for i, m in enumerate(alpha):
             mono *= points[:, i] ** m

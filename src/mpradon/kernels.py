@@ -9,8 +9,9 @@ scheme-dilated tensor bumps.  The represented distribution is
 where f^{(delta)}(t) = delta^{e_1+...+e_N} f(delta t).  On top of this the
 module provides
 
-  * ``verify_cancellation`` -- sampled slice integrals int entry_k dt^mu
-    for every mu with k_mu != 0 (t^mu = coordinates with e_i^mu != 0);
+  * ``verify_cancellation`` -- exact slice masses int entry_k dt^mu for
+    every mu with k_mu != 0 (t^mu = coordinates with e_i^mu != 0), each
+    sampled on a grid of the remaining coordinates;
 
   * ``sample_product_kernel_bounds`` -- for 2-parameter product schemes,
     the weighted sup |d^alpha K| |s|^{1+a1} |t|^{1+a2} over samples off the
@@ -36,7 +37,7 @@ import numpy as np
 
 from .bumps import TensorBump
 from .dilations import ExponentScheme, dilation_factors
-from .quadrature import integrate_adaptive, tensor_grid
+from .quadrature import tensor_grid
 
 
 class UnsupportedKernel(ValueError):
@@ -79,38 +80,35 @@ class KernelEntry:
                 raise ValueError("atom delta arity disagrees with the scheme")
             if sa.atom.dimension != scheme.n_t:
                 raise ValueError("atom dimension disagrees with the scheme")
-
-    def _factors(self, sa: ScaledAtom) -> tuple[np.ndarray, float]:
-        f = np.array(dilation_factors(sa.delta, self.scheme), dtype=float)
-        return f, float(np.prod(f))
+        # per atom: coordinate factors delta^{e_i} and their product (the jacobian)
+        self.dilations: tuple[tuple[np.ndarray, float], ...] = tuple(
+            (f, float(np.prod(f)))
+            for f in (np.array(dilation_factors(sa.delta, scheme), dtype=float) for sa in self.atoms)
+        )
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         out = np.zeros(pts.shape[:-1])
-        for sa in self.atoms:
-            factors, jac = self._factors(sa)
+        for sa, (factors, jac) in zip(self.atoms, self.dilations):
             out += sa.coef * jac * sa.atom(pts * factors)
         return out
 
     def derivative_values(self, points, orders: Sequence[int]) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         out = np.zeros(pts.shape[:-1])
-        for sa in self.atoms:
-            factors, jac = self._factors(sa)
+        for sa, (factors, jac) in zip(self.atoms, self.dilations):
             chain = float(np.prod(factors ** np.array(orders, dtype=float)))
             out += sa.coef * jac * chain * sa.atom.derivative_values(pts * factors, orders)
         return out
 
     def support_box(self) -> list[tuple[float, float]]:
-        boxes = []
-        for i in range(self.scheme.n_t):
-            lo, hi = math.inf, -math.inf
-            for sa in self.atoms:
-                factors, _ = self._factors(sa)
-                alo, ahi = sa.atom.support_box()[i]
-                lo, hi = min(lo, alo / factors[i]), max(hi, ahi / factors[i])
-            boxes.append((lo, hi) if self.atoms else (0.0, 0.0))
-        return boxes
+        if not self.atoms:
+            return [(0.0, 0.0)] * self.scheme.n_t
+        lo, hi = [math.inf] * self.scheme.n_t, [-math.inf] * self.scheme.n_t
+        for sa, (factors, _) in zip(self.atoms, self.dilations):
+            for i, (alo, ahi) in enumerate(sa.atom.support_box()):
+                lo[i], hi[i] = min(lo[i], alo / factors[i]), max(hi[i], ahi / factors[i])
+        return list(zip(lo, hi))
 
     def scaled(self, delta: Sequence[float]) -> "KernelEntry":
         """entry^{(delta)}, composing dilations: (f^{(d)})^{(d')} = f^{(d d')}."""
@@ -198,28 +196,32 @@ class CancellationReport:
 
     @property
     def max_abs(self) -> float:
-        return max((c.max_abs for c in self.checks), default=0.0)
+        """The largest slice integral; nan when any slice reads nan."""
+        return float(np.max([c.max_abs for c in self.checks])) if self.checks else 0.0
 
     @property
     def passed(self) -> bool:
-        return self.max_abs <= self.tolerance and not self.support_violations
+        return not self.failing() and not self.support_violations
 
     def failing(self) -> list[SliceCheck]:
-        return [c for c in self.checks if c.max_abs > self.tolerance]
+        """Slices above the tolerance, and those whose integral is not finite."""
+        return [c for c in self.checks if not c.max_abs <= self.tolerance]
 
 
 def verify_cancellation(
     seq: DyadicKernelSeq,
     tolerance: float = 1e-9,
-    quad_order: int = 24,
     grid_per_axis: int = 9,
 ) -> CancellationReport:
     """Check int entry_k dt^mu == 0 (k_mu != 0) on a grid of the other variables.
 
     The slice integral of a dilated tensor atom factorizes into 1-D integrals
-    over the inner coordinates times the atom's values at the outer ones, so
-    each factor is quadratured over its own support and stays resolved no
-    matter how far apart the atom scales sit.
+    over the inner coordinates times the atom's values at the outer ones.
+    Each inner factor is a combination sum_j c_j psi_{x_j,r_j} of unit-mass
+    atoms, so its integral after the dilation u -> f u is (sum_j c_j) / f in
+    closed form: no quadrature, however far apart the atom scales sit.  Only
+    the outer coordinates are sampled, at ``grid_per_axis`` points per axis
+    of the entry's support box.  A slice whose integral is not finite fails.
     """
     checks: list[SliceCheck] = []
     violations: list[tuple[tuple[int, ...], float]] = []
@@ -232,34 +234,26 @@ def verify_cancellation(
         for mu in range(seq.scheme.n_params):
             if k[mu] == 0:
                 continue
-            inner = set(seq.scheme.slice_coordinates(mu))
+            inner = sorted(set(seq.scheme.slice_coordinates(mu)))
             outer = [i for i in range(seq.scheme.n_t) if i not in inner]
-            # per-atom: coefficient * jacobian * prod of inner 1-D integrals
-            reduced: list[tuple[float, ScaledAtom]] = []
-            for sa in entry.atoms:
-                factors, jac = entry._factors(sa)
+            # per atom: coefficient * jacobian * prod of inner 1-D masses
+            weights = []
+            for sa, (factors, jac) in zip(entry.atoms, entry.dilations):
                 weight = sa.coef * jac
-                for i in sorted(inner):
-                    lo, hi = sa.atom.support_box()[i]
-                    lo, hi = lo / factors[i], hi / factors[i]
-                    factor_fn = sa.atom.factors[i]
-                    f_i = factors[i]
-                    weight *= integrate_adaptive(
-                        lambda u: factor_fn(f_i * u), lo, hi, tol=1e-13, order=quad_order
-                    )
-                reduced.append((weight, sa))
+                for i in inner:
+                    weight *= sa.atom.factors[i].moment_closed_form(0) / factors[i]
+                weights.append(weight)
             if outer:
                 outer_pts = tensor_grid([np.linspace(*box[i], grid_per_axis) for i in outer])
                 acc = np.zeros(outer_pts.shape[0])
-                for weight, sa in reduced:
-                    factors, _ = entry._factors(sa)
+                for weight, sa, (factors, _) in zip(weights, entry.atoms, entry.dilations):
                     vals = np.full(outer_pts.shape[0], weight)
                     for col, i in enumerate(outer):
                         vals = vals * sa.atom.factors[i](factors[i] * outer_pts[:, col])
                     acc += vals
                 worst = float(np.max(np.abs(acc)))
             else:
-                worst = abs(sum(weight for weight, _ in reduced))
+                worst = float(abs(sum(weights)))
             checks.append(SliceCheck(k, mu, worst))
     return CancellationReport(tuple(checks), tuple(violations), tolerance)
 
@@ -295,13 +289,19 @@ def sample_product_kernel_bounds(
     for alpha in alphas:
         a1, a2 = alpha
         weight = np.abs(samples[:, 0]) ** (1 + a1) * np.abs(samples[:, 1]) ** (1 + a2)
-        for m_cut in truncations:
-            acc = np.zeros(samples.shape[0])
-            for k in seq.indices():
-                if sum(k) > m_cut:
-                    continue
-                acc += seq.entries[k].scaled([2.0**v for v in k]).derivative_values(samples, alpha)
-            out.append(ProductBoundEstimate((a1, a2), m_cut, float(np.max(np.abs(acc) * weight))))
+        # one pass over the entries in index order: each is evaluated once and
+        # added to the sum of every truncation that keeps it
+        accs = [np.zeros(samples.shape[0]) for _ in truncations]
+        for k in seq.indices():
+            keep = [acc for acc, m_cut in zip(accs, truncations) if sum(k) <= m_cut]
+            if keep:
+                vals = seq.entries[k].scaled([2.0**v for v in k]).derivative_values(samples, alpha)
+                for acc in keep:
+                    acc += vals
+        out += [
+            ProductBoundEstimate((a1, a2), m_cut, float(np.max(np.abs(acc) * weight)))
+            for m_cut, acc in zip(truncations, accs)
+        ]
     return out
 
 
@@ -528,18 +528,25 @@ def load_kernel_sequence(path) -> DyadicKernelSeq:
             for axis in axes_part.split("|"):
                 triples = []
                 for triple in axis.split(";"):
-                    c, x, r = (float(v) for v in triple.split(","))
+                    c, x, r = (_finite(v, "atom triple") for v in triple.split(","))
                     triples.append((c, x, r))
                 factors.append(BumpCombination(tuple(triples)))
             atoms.append(
                 ScaledAtom(
-                    float(coef_part),
+                    _finite(coef_part, "atom coefficient"),
                     TensorBump(tuple(factors)),
-                    tuple(float(v) for v in delta_part.split()),
+                    tuple(_finite(v, "atom delta") for v in delta_part.split()),
                 )
             )
         else:
             raise ValueError(f"unrecognized kernel file line: {line!r}")
         i += 1
     flush()
-    return DyadicKernelSeq(scheme, float(header["a"]), entries)
+    return DyadicKernelSeq(scheme, _finite(header["a"], "support radius a"), entries)
+
+
+def _finite(text: str, what: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"kernel file {what} must be finite, got {text.strip()!r}")
+    return value

@@ -83,10 +83,3 @@ def tensor_rule(axes: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarr
     for _, w in axes[1:]:
         weights = np.multiply.outer(weights, w)
     return tensor_grid([x for x, _ in axes]), weights.reshape(-1)
-
-
-def tensor_nodes(
-    boxes: Sequence[tuple[float, float]], order: int, panels: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre grid over a box: points (m, dim) and weights (m,)."""
-    return tensor_rule([composite_nodes(lo, hi, order, panels) for lo, hi in boxes])

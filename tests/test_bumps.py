@@ -168,10 +168,20 @@ def test_tensor_moment_factorization_vs_grid(mean_zero_bump):
 
 
 def test_tensor_moment_exact_on_small_support():
-    # adaptive quadrature reads the mass of this bump as -1.4e-8, and the
-    # tensor grid is worse still; the closed form gives exactly zero
+    # adaptive quadrature reads the mass of this bump as -1.4e-8; the closed
+    # form gives exactly zero
     b = moment_bump(0.5, 6, (4, 5, 7)).bump
     assert abs(tensor_bump([b, b]).moment((0, 6))) <= 1e-12
+
+
+def test_tensor_grid_moment_resolves_small_support():
+    # the atoms reach radius 1/64 with coefficients up to 6e7; a uniform grid
+    # over the support box read (0, 6) as -4e4, the atom-aligned one as 1e-8
+    b = moment_bump(0.5, 6, (4, 5, 7)).bump
+    tb = tensor_bump([b, b])
+    assert abs(tb.moment_by_grid((0, 6))) <= 1e-6
+    for alpha in ((1, 1), (2, 1), (6, 6)):
+        assert tb.moment_by_grid(alpha) == pytest.approx(tb.moment(alpha), rel=1e-9)
 
 
 def test_serialization_round_trip_bit_exact():

@@ -1,15 +1,21 @@
+import json
 import math
 from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpradon.bumps import BumpCombination, TensorBump, moment_bump, tensor_bump
-from mpradon.dilations import ExponentScheme
+from mpradon.cli import EXIT_BOUNDED, EXIT_ERROR, EXIT_UNBOUNDED, main
+from mpradon.dilations import ExponentScheme, dilation_factors
 from mpradon.kernels import (
+    CancellationReport,
     DyadicKernelSeq,
     KernelEntry,
     ScaledAtom,
+    SliceCheck,
     UnsupportedKernel,
     dirac_delta_sequence,
     dyadic_source_sum,
@@ -21,6 +27,7 @@ from mpradon.kernels import (
     telescope_source_sum,
     verify_cancellation,
 )
+from mpradon.quadrature import integrate_adaptive, tensor_grid
 
 PROD2 = ExponentScheme.product(2)
 
@@ -75,6 +82,190 @@ def test_cancellation_invariant_under_scaling(mean_zero_tensor, mean_one_bump, m
         base = verify_cancellation(seq).max_abs <= 1e-9
         scaled = verify_cancellation(seq.scaled((0.5, 3.0))).max_abs <= 1e-9
         assert base == scaled == expected
+
+
+def _factors(entry: KernelEntry, sa: ScaledAtom) -> tuple[np.ndarray, float]:
+    f = np.array(dilation_factors(sa.delta, entry.scheme), dtype=float)
+    return f, float(np.prod(f))
+
+
+def adaptive_cancellation(
+    seq: DyadicKernelSeq,
+    tolerance: float = 1e-9,
+    quad_order: int = 24,
+    grid_per_axis: int = 9,
+) -> CancellationReport:
+    """The reference: each inner 1-D factor integral by adaptive Gauss-Legendre."""
+    checks: list[SliceCheck] = []
+    violations: list[tuple[tuple[int, ...], float]] = []
+    for k in seq.indices():
+        entry = seq.entries[k]
+        box = entry.support_box()
+        radius = max(max(abs(lo), abs(hi)) for lo, hi in box)
+        if radius > seq.support_radius + 1e-12:
+            violations.append((k, radius))
+        for mu in range(seq.scheme.n_params):
+            if k[mu] == 0:
+                continue
+            inner = set(seq.scheme.slice_coordinates(mu))
+            outer = [i for i in range(seq.scheme.n_t) if i not in inner]
+            # per-atom: coefficient * jacobian * prod of inner 1-D integrals
+            reduced: list[tuple[float, ScaledAtom]] = []
+            for sa in entry.atoms:
+                factors, jac = _factors(entry, sa)
+                weight = sa.coef * jac
+                for i in sorted(inner):
+                    lo, hi = sa.atom.support_box()[i]
+                    lo, hi = lo / factors[i], hi / factors[i]
+                    factor_fn = sa.atom.factors[i]
+                    f_i = factors[i]
+                    weight *= integrate_adaptive(
+                        lambda u: factor_fn(f_i * u), lo, hi, tol=1e-13, order=quad_order
+                    )
+                reduced.append((weight, sa))
+            if outer:
+                outer_pts = tensor_grid([np.linspace(*box[i], grid_per_axis) for i in outer])
+                acc = np.zeros(outer_pts.shape[0])
+                for weight, sa in reduced:
+                    factors, _ = _factors(entry, sa)
+                    vals = np.full(outer_pts.shape[0], weight)
+                    for col, i in enumerate(outer):
+                        vals = vals * sa.atom.factors[i](factors[i] * outer_pts[:, col])
+                    acc += vals
+                worst = float(np.max(np.abs(acc)))
+            else:
+                worst = abs(sum(weight for weight, _ in reduced))
+            checks.append(SliceCheck(k, mu, worst))
+    return CancellationReport(tuple(checks), tuple(violations), tolerance)
+
+
+# (a, a1, excluded) of moment bumps on which both readings of the slice
+# integrals of a telescoped kernel stay below 1.3e-12.  Each reading's float
+# error grows with the atom coefficients times the outer values: for
+# (0.5, 2, (1, 4)) adaptive quadrature reads 1.9e-9 where the closed form
+# reads 0, and for (0.5, 3, (2, 4)) it does not converge.
+REFERENCE_BUMPS = ((0.5, 1, ()), (0.5, 2, ()), (1.0, 1, ()), (1.0, 2, ()), (1.0, 3, ()), (1.0, 1, (4,)))
+
+
+@st.composite
+def _kernel_sequences(draw):
+    """Regrouped or telescoped sequences, nu in {1, 2}, M <= 6; in about half
+    of them one axis carries a unit-mass atom, so its slices cannot cancel."""
+    nu = draw(st.sampled_from([1, 2]))
+    factors = [moment_bump(*draw(st.sampled_from(REFERENCE_BUMPS))).bump] * nu
+    if draw(st.booleans()):
+        x, r = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.05, 1.0))
+        factors[draw(st.integers(0, nu - 1))] = BumpCombination(((1.0, x, r),))
+    atom, scheme = tensor_bump(factors), ExponentScheme.product(nu)
+    m_max = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        direction = tuple(draw(st.sampled_from([1.0, 0.5, -0.5, -1.0])) for _ in range(nu))
+        # log2(tau) sits 0.05-0.45 past a multiple of 1/2, so no k n + log2(tau)
+        # falls on an integer, where rounding could misplace a bucket
+        tau = tuple(
+            2.0 ** (m_max * abs(n) + draw(st.integers(1, 3)) + draw(st.floats(0.05, 0.45)))
+            for n in direction
+        )
+        return regroup_to_dyadic(atom, tau, direction, m_max, scheme)
+    m_j = tuple(draw(st.integers(0, 3)) for _ in range(nu))
+    v = tuple(2.0 ** (m + 1) * draw(st.floats(1.0, 1.999)) for m in m_j)
+    return telescope_decompose(lambda k: atom, m_j, v, m_max, scheme)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_sequences())
+def test_exact_slice_masses_match_adaptive_quadrature(seq):
+    exact, reference = verify_cancellation(seq), adaptive_cancellation(seq)
+    assert [(c.index, c.mu) for c in exact.checks] == [(c.index, c.mu) for c in reference.checks]
+    for new, old in zip(exact.checks, reference.checks):
+        assert type(new.max_abs) is float
+        assert abs(new.max_abs - old.max_abs) <= 1e-11 + 1e-12 * abs(old.max_abs)
+    assert exact.passed == reference.passed
+    assert exact.support_violations == reference.support_violations
+
+
+@pytest.mark.parametrize("a1, excluded", [(2, (1, 4)), (3, (2, 4))])
+def test_exact_masses_pass_where_adaptive_quadrature_did_not(tmp_path, capsys, a1, excluded):
+    # with adaptive quadrature these cancelling kernels read 1.9e-9 (a false
+    # failure at tolerance 1e-9) and raised QuadratureError, respectively
+    b = moment_bump(0.5, a1, excluded).bump
+    seq = telescope_decompose(lambda k: tensor_bump([b, b]), (1, 1), (4.5, 6.1), 3)
+    path = tmp_path / "kernel.txt"
+    save_kernel_sequence(seq, path)
+    assert main(["kernel-check", "--kernel", str(path), "--format", "json"]) == EXIT_BOUNDED
+    cancel = json.loads(capsys.readouterr().out)["cancellation"]
+    assert cancel["passed"] is True
+    assert cancel["max_abs_slice_integral"] == 0.0
+
+
+def test_non_finite_slice_integral_fails(mean_zero_bump):
+    report = CancellationReport(
+        (SliceCheck((1,), 0, 0.0), SliceCheck((2,), 0, math.nan), SliceCheck((3,), 0, math.inf)),
+        (),
+        1e-9,
+    )
+    assert math.isnan(report.max_abs)
+    assert not report.passed
+    assert [c.index for c in report.failing()] == [(2,), (3,)]
+
+
+def _one_parameter_file(tmp_path, mean_zero_bump, mean_one_bump, huge: float):
+    """k=1 cancels; k=2 holds +-huge copies of a unit-mass atom."""
+    scheme = ExponentScheme.product(1)
+    seq = DyadicKernelSeq(
+        scheme,
+        1.0,
+        {
+            (1,): KernelEntry(scheme, [ScaledAtom(1.0, tensor_bump([mean_zero_bump]), (1.0,))]),
+            (2,): KernelEntry(
+                scheme,
+                [ScaledAtom(c, tensor_bump([mean_one_bump]), (4.0,)) for c in (huge, -huge)],
+            ),
+        },
+    )
+    path = tmp_path / "kernel.txt"
+    save_kernel_sequence(seq, path)
+    return path
+
+
+def test_kernel_check_fails_on_overflowing_slice(tmp_path, capsys, mean_zero_bump, mean_one_bump):
+    # coefficient * jacobian overflows to +-inf, and the slice mass reads nan
+    # behind a first slice that cancels
+    path = _one_parameter_file(tmp_path, mean_zero_bump, mean_one_bump, 1e308)
+    with np.errstate(invalid="ignore"):
+        code = main(["kernel-check", "--kernel", str(path), "--format", "json"])
+    assert code == EXIT_UNBOUNDED
+    cancel = json.loads(capsys.readouterr().out)["cancellation"]
+    assert cancel["passed"] is False
+    assert math.isnan(cancel["max_abs_slice_integral"])
+    assert [(f["k"], f["mu"]) for f in cancel["failures"]] == [([2], 0)]
+    assert math.isnan(cancel["failures"][0]["max_abs"])
+
+
+@pytest.mark.parametrize("field", ["coefficient", "delta", "triple", "radius"])
+def test_kernel_file_rejects_non_finite_numbers(tmp_path, capsys, mean_zero_tensor, field):
+    seq = regroup_to_dyadic(mean_zero_tensor, (700.0, 900.0), (1.0, -1.0), 3)
+    path = tmp_path / "kernel.txt"
+    save_kernel_sequence(seq, path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("atom "))
+    head, _, axes = lines[at].partition(" : ")
+    coef, _, delta = head[len("atom "):].partition(" @ ")
+    if field == "coefficient":
+        lines[at] = f"atom nan @ {delta} : {axes}"
+    elif field == "delta":
+        lines[at] = f"atom {coef} @ {delta.split()[0]} inf : {axes}"
+    elif field == "triple":
+        c, x, r = axes.split(";")[0].split(",")
+        lines[at] = lines[at].replace(f"{c},{x},{r}", f"{c},{x},nan", 1)
+    else:
+        lines = ["a = -inf" if ln.startswith("a = ") else ln for ln in lines]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_kernel_sequence(path)
+    assert main(["kernel-check", "--kernel", str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
 
 
 def test_dirac_is_rejected():
@@ -136,6 +327,20 @@ def test_bound_rejects_axis_samples(mean_zero_tensor):
     seq = single_entry_seq(mean_zero_tensor)
     with pytest.raises(ValueError):
         sample_product_kernel_bounds(seq, [0], samples=np.array([[0.0, 0.1]]))
+
+
+def test_bound_constants_match_per_truncation_evaluation(mean_zero_bump):
+    atom = tensor_bump([mean_zero_bump, mean_zero_bump])
+    seq = telescope_decompose(lambda k: atom, (2, 1), (2.0**3 * 1.3, 2.0**2 * 1.7), 4)
+    truncations, alphas = [0, 2, 4], [(0, 0), (1, 0), (0, 2)]
+    together = sample_product_kernel_bounds(seq, truncations, alphas)
+    apart = [
+        est
+        for alpha in alphas
+        for m_cut in truncations
+        for est in sample_product_kernel_bounds(seq, [m_cut], [alpha])
+    ]
+    assert together == apart
 
 
 # -- regrouping -----------------------------------------------------------------
