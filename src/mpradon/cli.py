@@ -45,7 +45,7 @@ from .criteria import (
     real_line_verdict,
     scalar_control_verdict,
 )
-from .dilations import ExponentScheme, degree, is_pure
+from .dilations import ExponentScheme, is_pure
 from .kernels import load_kernel_sequence, sample_product_kernel_bounds, verify_cancellation
 from .harness import CASES, Grid1D, growth_experiment
 from .bumps import TensorBump, moment_bump
@@ -302,15 +302,15 @@ def analyze_gamma(gamma: GammaSpec) -> Verdict:
 def analyze_report(gamma: GammaSpec, timestamp: bool = True) -> dict:
     verdict = analyze_gamma(gamma)
     w = w_expansion(gamma)
-    xhat = xhat_expansion(gamma)
+    xhat = _expansion_payload(xhat_expansion(gamma))
     report = {
         "tool": {"name": "mpradon", "version": __version__},
         "input": _gamma_input_echo(gamma),
         "verdict": _verdict_payload(verdict),
         "w_expansion": _expansion_payload(w),
-        "xhat_expansion": _expansion_payload(xhat),
-        "pure": [list(a) for a in xhat.support() if is_pure(degree(a, gamma.scheme))],
-        "nonpure": [list(a) for a in xhat.support() if not is_pure(degree(a, gamma.scheme))],
+        "xhat_expansion": xhat,
+        "pure": [list(t["alpha"]) for t in xhat if t["pure"]],
+        "nonpure": [list(t["alpha"]) for t in xhat if not t["pure"]],
     }
     if timestamp:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")

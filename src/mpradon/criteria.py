@@ -16,7 +16,12 @@ Three decision procedures, all in rational arithmetic:
     membership in H_pi is piecewise constant in the normal direction, the
     breakpoints are the directions orthogonal to degree differences, and a
     sector-endpoint H_pi contains both neighbours' H_pi, so a rational
-    midpoint per open sector is a complete check.
+    midpoint per open sector is a complete check.  Every bracket on H^1 is
+    central, so the closure is one round of pure x pure brackets.  Each
+    sector is an integer test: degrees with cleared denominators against
+    the integer normal, and a scan that keeps the first members raising the
+    rank (at most 3), which are the pivots Gauss-Jordan would pick, so only
+    those reach the rational solve.
 
   * ``scalar_control_verdict`` -- the abelian case (all expansion fields
     parallel to one constant field): for nu = 2 this is the same sector
@@ -36,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .dilations import Degree, ExponentScheme, MultiIndex, degree, is_pure
@@ -172,7 +177,7 @@ def _primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 def _critical_normals(diffs: Iterable[Degree]) -> list[tuple[Fraction, Fraction]]:
     """Interior normal directions where some half-plane membership flips."""
     out = set()
-    for d in diffs:
+    for d in set(diffs):
         d1, d2 = d
         if (d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0):
             n = (-d2, d1) if d1 > 0 else (d2, -d1)
@@ -214,9 +219,13 @@ def pure_closure_heisenberg(
 ) -> PowerSets:
     """Split Xhat into pure/nonpure and close the pure part under brackets.
 
-    Brackets use the structure relation [aX+bY+cT, a'X+b'Y+c'T] = (ab'-a'b)T;
-    since every bracket is central the closure stabilizes after one round,
-    but the loop below runs to an honest fixed point.
+    Brackets use the structure relation [aX+bY+cT, a'X+b'Y+c'T] = (ab'-a'b)T.
+    Every bracket is a multiple of the central field T, and T brackets to
+    zero with everything, so brackets of brackets vanish: one round of
+    pure x pure brackets is the whole closure.  The round visits the ordered
+    pairs (a, b) of pure entries and tries [a, b], then [b, a]; a bracket
+    whose (coords, degree) is already present is dropped, so each keeps the
+    first label reached.
     """
     if xhat.basis != HEISENBERG_BASIS:
         raise ValueError("expansion must carry the Heisenberg basis tag {X, Y, T}")
@@ -224,24 +233,56 @@ def pure_closure_heisenberg(
     pure, nonpure = _split_pure(xhat, scheme, "Xhat")
     closure = list(pure)
     seen = {(e.vec.coords, e.degree) for e in closure}
-    frontier = list(closure)
-    while frontier:
-        fresh: list[ClosureEntry] = []
-        for a in closure:
-            for b in frontier:
-                for left, right in ((a, b), (b, a)):
-                    br = left.vec.bracket(right.vec)
-                    if br.is_zero():
-                        continue
-                    d = tuple(x + y for x, y in zip(left.degree, right.degree))
-                    key = (br.coords, d)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    fresh.append(ClosureEntry(br, d, f"[{left.label}, {right.label}]"))
-        closure.extend(fresh)
-        frontier = fresh
+    gens = [(e, e.vec.coords[0], e.vec.coords[1]) for e in pure]
+    zero = Fraction(0)
+    for a, ax, ay in gens:
+        for b, bx, by in gens:
+            c = ax * by - bx * ay
+            if c == 0:
+                continue
+            d = tuple(x + y for x, y in zip(a.degree, b.degree))
+            for left, right, value in ((a, b, c), (b, a, -c)):
+                coords = (zero, zero, value)
+                if (coords, d) in seen:
+                    continue
+                seen.add((coords, d))
+                vec = BasisVector(coords, HEISENBERG_BASIS)
+                closure.append(ClosureEntry(vec, d, f"[{left.label}, {right.label}]"))
     return PowerSets(scheme, pure, nonpure, tuple(closure))
+
+
+def _cleared(values: Sequence[Fraction], scale: int | None = None) -> tuple[int, ...]:
+    """The rationals times scale (default: the lcm of their denominators), as ints."""
+    scale = scale or lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
+def _independent_prefix(vectors: Iterable[tuple[int, Sequence[int]]], dim: int) -> list[int]:
+    """Keys of the vectors, in order, that raise the rank of the ones before them.
+
+    Takes (key, vector) pairs and stops once ``dim`` vectors are kept.  A
+    vector raises the rank iff it is not in the span of its predecessors,
+    which is also the rule by which Gauss-Jordan over the columns in order
+    picks its pivot columns.  Fraction-free elimination: each kept vector is
+    stored reduced against the earlier ones, with its first nonzero entry
+    as pivot, so a vector is in the span iff it reduces to zero.
+    """
+    rows: list[tuple[int, list]] = []
+    kept: list[int] = []
+    for key, v in vectors:
+        w = list(v)
+        for p, r in rows:
+            if w[p]:
+                f, g = r[p], w[p]
+                w = [f * x - g * y for x, y in zip(w, r)]
+        p = next((i for i, x in enumerate(w) if x), None)
+        if p is None:
+            continue
+        rows.append((p, w))
+        kept.append(key)
+        if len(kept) == dim:
+            break
+    return kept
 
 
 def supporting_line_condition(
@@ -249,7 +290,17 @@ def supporting_line_condition(
     target: BasisVector,
     power_sets: PowerSets,
 ) -> tuple[bool, ControlCertificate | Witness]:
-    """Is the target spanned by H_pi for every supporting line through deg(alpha0)?"""
+    """Is the target spanned by H_pi for every supporting line through deg(alpha0)?
+
+    Degrees are scaled once by the lcm of their denominators, so "on or
+    below the line" is an integer dot product with the sector normal.  In
+    each sector the members are scanned in closure order and the first ones
+    that raise the rank are kept, at most dim(basis) of them: these are the
+    pivot columns that Gauss-Jordan on the full member list picks, so
+    ``express_in_span`` on them alone returns the same coefficients on the
+    same members (or None exactly when the full solve does).  A witness
+    still lists the whole H_pi.
+    """
     d0 = degree(alpha0, power_sets.scheme)
     if is_pure(d0):
         raise ValueError(f"alpha0={alpha0} has pure degree {d0}; only nonpure indices are tested")
@@ -257,28 +308,34 @@ def supporting_line_condition(
         raise ValueError("target field must be nonzero")
     if len(d0) != 2:
         raise ValueError("the supporting-line test needs a two-parameter scheme")
-    diffs = [tuple(x - y for x, y in zip(e.degree, d0)) for e in power_sets.closure]
+    closure = power_sets.closure
+    scale = lcm(*(v.denominator for v in d0), *(v.denominator for e in closure for v in e.degree))
+    degrees = [_cleared(e.degree, scale) for e in closure]
+    x0, y0 = _cleared(d0, scale)
+    coords = [_cleared(e.vec.coords) for e in closure]
+    dim = len(target.coords)
     sectors: list[SectorCertificate] = []
-    for normal in sector_normals(diffs):
-        bound = normal[0] * d0[0] + normal[1] * d0[1]
-        members = [
-            e
-            for e in power_sets.closure
-            if normal[0] * e.degree[0] + normal[1] * e.degree[1] <= bound
-        ]
-        combo = express_in_span([e.vec.coords for e in members], target.coords)
+    for normal in sector_normals([(x - x0, y - y0) for x, y in degrees]):
+        b1, b2 = int(normal[0]), int(normal[1])
+        bound = b1 * x0 + b2 * y0
+        members = (
+            (j, coords[j]) for j, (x, y) in enumerate(degrees) if b1 * x + b2 * y <= bound
+        )
+        kept = _independent_prefix(members, dim)
+        combo = express_in_span([closure[j].vec.coords for j in kept], target.coords)
         if combo is None:
+            h_pi = [e.label for e, (x, y) in zip(closure, degrees) if b1 * x + b2 * y <= bound]
             return False, Witness(
                 alpha0,
                 d0,
                 normal,
                 f"Xhat_{alpha0} is outside span(H_pi) for the line with normal {normal}; "
-                f"H_pi = {[e.label for e in members]}",
+                f"H_pi = {h_pi}",
             )
         sectors.append(
             SectorCertificate(
                 normal,
-                tuple(members[j].label for j in sorted(combo)),
+                tuple(closure[kept[j]].label for j in sorted(combo)),
                 tuple(combo[j] for j in sorted(combo)),
             )
         )

@@ -90,14 +90,19 @@ class ExponentScheme:
         return tuple(i for i, r in enumerate(self.rows) if r[mu] != 0)
 
 
-def degree(alpha: Sequence[int], scheme: ExponentScheme) -> Degree:
-    """deg(alpha) = sum_i alpha_i e_i, exact."""
+def check_multi_index(alpha: Sequence[int], scheme: ExponentScheme) -> None:
+    """Raise unless alpha has N = scheme.n_t nonnegative integer components."""
     if len(alpha) != scheme.n_t:
         raise DimensionMismatch(
             f"multi-index has {len(alpha)} components, scheme expects {scheme.n_t}"
         )
     if any((not isinstance(a, int)) or a < 0 for a in alpha):
         raise ValueError("multi-index components must be nonnegative integers")
+
+
+def degree(alpha: Sequence[int], scheme: ExponentScheme) -> Degree:
+    """deg(alpha) = sum_i alpha_i e_i, exact."""
+    check_multi_index(alpha, scheme)
     nu = scheme.n_params
     return tuple(
         sum((a * scheme.rows[i][mu] for i, a in enumerate(alpha)), Fraction(0))

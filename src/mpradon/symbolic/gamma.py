@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from ..dilations import Degree, ExponentScheme, MultiIndex, degree
+from ..dilations import Degree, ExponentScheme, MultiIndex, check_multi_index, degree
 from .fields import HEISENBERG_BASIS, LINE_BASIS, BasisVector
 from .poly import Polynomial
 
@@ -125,7 +125,7 @@ class WExpansion:
                 raise ValueError("term basis disagrees with the expansion basis")
             if not vec.is_zero():
                 clean[alpha] = vec
-                degree(alpha, self.scheme)  # validates arity
+                check_multi_index(alpha, self.scheme)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "basis", tuple(self.basis))
 

@@ -9,11 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpradon.cli import EXIT_BOUNDED, EXIT_UNBOUNDED, main
+from mpradon.cli import EXIT_BOUNDED, EXIT_UNBOUNDED, main, parse_problem_spec
 from mpradon.criteria import (
+    ClosureEntry,
+    ControlCertificate,
     Outcome,
+    PowerSets,
+    SectorCertificate,
+    Verdict,
+    Witness,
+    _cleared,
+    _independent_prefix,
     _newton_simplex,
     _primitive,
+    _split_pure,
     express_in_span,
     heisenberg_verdict,
     pure_closure_heisenberg,
@@ -22,7 +31,7 @@ from mpradon.criteria import (
     sector_normals,
     supporting_line_condition,
 )
-from mpradon.dilations import Degree, ExponentScheme, degree
+from mpradon.dilations import Degree, ExponentScheme, MultiIndex, degree, is_pure
 from mpradon.symbolic import (
     BasisVector,
     GammaSpec,
@@ -459,13 +468,263 @@ def test_heisenberg_mixed_direction_case():
     assert heisenberg_verdict(heis("s^2", "t^2", "s*t")).outcome is Outcome.UNBOUNDED
 
 
+# -- the fixed-point closure and full Gauss-Jordan sector test, as the oracle --------
+
+
+def _fixed_point_closure(xhat: WExpansion, scheme: ExponentScheme | None = None) -> PowerSets:
+    """Split Xhat into pure/nonpure and close the pure part under brackets.
+
+    Brackets use the structure relation [aX+bY+cT, a'X+b'Y+c'T] = (ab'-a'b)T;
+    since every bracket is central the closure stabilizes after one round,
+    but the loop below runs to an honest fixed point.
+    """
+    if xhat.basis != HEISENBERG_BASIS:
+        raise ValueError("expansion must carry the Heisenberg basis tag {X, Y, T}")
+    scheme = scheme or xhat.scheme
+    pure, nonpure = _split_pure(xhat, scheme, "Xhat")
+    closure = list(pure)
+    seen = {(e.vec.coords, e.degree) for e in closure}
+    frontier = list(closure)
+    while frontier:
+        fresh: list[ClosureEntry] = []
+        for a in closure:
+            for b in frontier:
+                for left, right in ((a, b), (b, a)):
+                    br = left.vec.bracket(right.vec)
+                    if br.is_zero():
+                        continue
+                    d = tuple(x + y for x, y in zip(left.degree, right.degree))
+                    key = (br.coords, d)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    fresh.append(ClosureEntry(br, d, f"[{left.label}, {right.label}]"))
+        closure.extend(fresh)
+        frontier = fresh
+    return PowerSets(scheme, pure, nonpure, tuple(closure))
+
+
+def _full_sector_test(
+    alpha0: MultiIndex,
+    target: BasisVector,
+    power_sets: PowerSets,
+) -> tuple[bool, ControlCertificate | Witness]:
+    """Is the target spanned by H_pi for every supporting line through deg(alpha0)?"""
+    d0 = degree(alpha0, power_sets.scheme)
+    if is_pure(d0):
+        raise ValueError(f"alpha0={alpha0} has pure degree {d0}; only nonpure indices are tested")
+    if target.is_zero():
+        raise ValueError("target field must be nonzero")
+    if len(d0) != 2:
+        raise ValueError("the supporting-line test needs a two-parameter scheme")
+    diffs = [tuple(x - y for x, y in zip(e.degree, d0)) for e in power_sets.closure]
+    sectors: list[SectorCertificate] = []
+    for normal in sector_normals(diffs):
+        bound = normal[0] * d0[0] + normal[1] * d0[1]
+        members = [
+            e
+            for e in power_sets.closure
+            if normal[0] * e.degree[0] + normal[1] * e.degree[1] <= bound
+        ]
+        combo = express_in_span([e.vec.coords for e in members], target.coords)
+        if combo is None:
+            return False, Witness(
+                alpha0,
+                d0,
+                normal,
+                f"Xhat_{alpha0} is outside span(H_pi) for the line with normal {normal}; "
+                f"H_pi = {[e.label for e in members]}",
+            )
+        sectors.append(
+            SectorCertificate(
+                normal,
+                tuple(members[j].label for j in sorted(combo)),
+                tuple(combo[j] for j in sorted(combo)),
+            )
+        )
+    return True, ControlCertificate(alpha0, d0, tuple(sectors))
+
+
+def _oracle_verdict(spec: GammaSpec) -> Verdict:
+    """heisenberg_verdict for nu = 2, on the fixed-point closure and full sector test."""
+    power_sets = _fixed_point_closure(xhat_expansion(spec))
+    certificates = []
+    for alpha0, entry in power_sets.nonpure:
+        ok, payload = _full_sector_test(alpha0, entry.vec, power_sets)
+        if not ok:
+            return Verdict(Outcome.UNBOUNDED, witness=payload)
+        certificates.append(payload)
+    return Verdict(Outcome.BOUNDED, certificates=tuple(certificates))
+
+
+_EXPONENTS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+@st.composite
+def _h1_specs(draw):
+    """Random nu = 2 H^1 specs: degree <= 6, density 0.3-1.0, rational coefficients.
+
+    P3 = 0 in a fifth of them (X/Y terms only) and P1 = P2 = 0 in another
+    fifth (central terms only); the scheme is the product one or a random
+    rational one, so degrees carry denominators.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    top = draw(st.integers(1, 6))
+    density = draw(st.floats(0.3, 1.0))
+    mode = draw(st.sampled_from(("mixed", "mixed", "mixed", "planar", "central")))
+    scheme = ExponentScheme.product(2)
+    if draw(st.booleans()):
+        rows = [[draw(st.sampled_from(_EXPONENTS)) for _ in range(2)] for _ in range(2)]
+        if all(any(r) for r in rows) and all(rows[0][mu] or rows[1][mu] for mu in range(2)):
+            scheme = ExponentScheme.from_rows(rows)
+    monomials = [(i, k - i) for k in range(1, top + 1) for i in range(k + 1)]
+    polys = []
+    for component in range(3):
+        terms = {}
+        if not ((mode == "central" and component < 2) or (mode == "planar" and component == 2)):
+            for alpha in monomials:
+                if rng.random() < density:
+                    terms[alpha] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+        polys.append(Polynomial(ST, terms))
+    return GammaSpec.heisenberg(*polys, scheme=scheme)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_h1_specs())
+def test_one_round_engine_matches_fixed_point_oracle(spec):
+    xh = xhat_expansion(spec)
+    engine = pure_closure_heisenberg(xh)
+    oracle = _fixed_point_closure(xh)
+    assert engine.closure == oracle.closure
+    assert (engine.pure, engine.nonpure) == (oracle.pure, oracle.nonpure)
+    assert heisenberg_verdict(spec) == _oracle_verdict(spec)
+
+
+def _gauss_jordan_pivots(vectors: Sequence[tuple[Fraction, ...]], dim: int) -> list[int]:
+    """The pivot columns of express_in_span's elimination over the full list."""
+    m = len(vectors)
+    rows = [[vectors[j][i] for j in range(m)] for i in range(dim)]
+    r = 0
+    pivots = []
+    for col in range(m):
+        pr = next((i for i in range(r, dim) if rows[i][col] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][col]
+        rows[r] = [v / pv for v in rows[r]]
+        for i in range(dim):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == dim:
+            break
+    return pivots
+
+
+_SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_NONZERO = _SMALL.filter(bool)
+
+
+@st.composite
+def _vector_lists(draw):
+    """(dim, vectors, target): 1- or 3-vectors with zeros, parallels and repeats."""
+    dim = draw(st.sampled_from((1, 3)))
+    vectors: list[tuple[Fraction, ...]] = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "parallel", "repeat")))
+        if kind == "zero":
+            vectors.append((Fraction(0),) * dim)
+        elif kind != "fresh" and vectors:
+            v = draw(st.sampled_from(vectors))
+            f = Fraction(1) if kind == "repeat" else draw(_NONZERO)
+            vectors.append(tuple(f * x for x in v))
+        else:
+            vectors.append(tuple(draw(_SMALL) for _ in range(dim)))
+    if vectors and draw(st.booleans()):
+        weights = [draw(_SMALL) for _ in vectors]
+        target = tuple(sum((w * v[i] for w, v in zip(weights, vectors)), Fraction(0)) for i in range(dim))
+    else:
+        target = tuple(draw(_SMALL) for _ in range(dim))
+    return dim, vectors, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vector_lists())
+def test_independent_prefix_is_the_gauss_jordan_pivot_choice(case):
+    dim, vectors, target = case
+    kept = _independent_prefix(enumerate(_cleared(v) for v in vectors), dim)
+    assert kept == _gauss_jordan_pivots(vectors, dim)
+    full = express_in_span(vectors, target)
+    sub = express_in_span([vectors[k] for k in kept], target)
+    if full is None:
+        assert sub is None
+    else:
+        assert {kept[j]: c for j, c in sub.items()} == full
+
+
+def _dense_h1_text(top: int) -> str:
+    """Every monomial of degree 1..top in P1, P2 and P3, with fixed rational coefficients."""
+    monomials = [(i, k - i) for k in range(1, top + 1) for i in range(k, -1, -1)]
+
+    def poly(seed: int) -> str:
+        terms = {
+            alpha: Fraction((seed * 7 + n * 3) % 11 - 5 or 1, (n + seed) % 4 + 1)
+            for n, alpha in enumerate(monomials)
+        }
+        return str(Polynomial(ST, terms))
+
+    return f"[problem]\nfamily = heisenberg\np1 = {poly(1)}\np2 = {poly(2)}\np3 = {poly(3)}\n"
+
+
+def test_dense_degree_ten_h1_decides_quickly(tmp_path, capsys):
+    # 65 monomials in each of P1, P2, P3: a closure of 388 entries, 45 nonpure
+    # indices and their sectors; the fixed-point closure and the full
+    # Gauss-Jordan in every sector took about 20 s here
+    text = _dense_h1_text(10)
+    path = tmp_path / "dense10.spec"
+    path.write_text(text)
+    start = time.perf_counter()
+    code = main(["analyze", "--spec", str(path), "--format", "json", "--no-timestamp"])
+    elapsed = time.perf_counter() - start
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert code in (EXIT_BOUNDED, EXIT_UNBOUNDED)
+    assert elapsed < 5.0
+    spec = parse_problem_spec(text).gamma
+    xh = xhat_expansion(spec)
+    oracle = _fixed_point_closure(xh)
+    entries = {e.label: e for e in oracle.closure}
+    nonpure = dict(oracle.nonpure)
+    assert [tuple(c["alpha0"]) for c in verdict["certificates"]] == list(nonpure)[
+        : len(verdict["certificates"])
+    ]
+    for cert in verdict["certificates"]:
+        alpha0 = tuple(cert["alpha0"])
+        d0 = nonpure[alpha0].degree
+        for sector in cert["sectors"]:
+            b = [Fraction(v) for v in sector["normal"]]
+            total = BasisVector((0, 0, 0), HEISENBERG_BASIS)
+            for coeff, label in zip(sector["coefficients"], sector["members"]):
+                e = entries[label]
+                assert b[0] * e.degree[0] + b[1] * e.degree[1] <= b[0] * d0[0] + b[1] * d0[1]
+                total = total + e.vec.scaled(Fraction(coeff))
+            assert total == xh.terms[alpha0]
+    if code == EXIT_UNBOUNDED:
+        w = verdict["witness"]
+        alpha0 = tuple(w["alpha0"])
+        ok, _ = _full_sector_test(alpha0, xh.terms[alpha0], oracle)
+        assert not ok
+
+
 # -- witness / certificate audits ------------------------------------------------
 
 
 def _brute_force_all_normals(spec: GammaSpec, grid: int = 1000) -> bool:
     """True iff the supporting-line condition holds on a fine normal grid."""
     xh = xhat_expansion(spec)
-    ps = pure_closure_heisenberg(xh)
+    ps = _fixed_point_closure(xh)
     for alpha0, entry in ps.nonpure:
         d0 = entry.degree
         for j in range(grid + 1):
@@ -503,7 +762,7 @@ def test_witness_validity_brute_force():
         if verdict.outcome is Outcome.UNBOUNDED:
             # the reported normal itself must witness the span failure
             w = verdict.witness
-            ps = pure_closure_heisenberg(xhat_expansion(spec))
+            ps = _fixed_point_closure(xhat_expansion(spec))
             d0 = degree(w.alpha0, ps.scheme)
             bound = w.normal[0] * d0[0] + w.normal[1] * d0[1]
             members = [
