@@ -16,13 +16,21 @@ Grid functions are nodal values with linear interpolation and zero
 extension; since p does not depend on x, interpolation at x - d is a
 fractional index shift, so one application of T is a short list of
 weighted integer shifts (a banded convolution) with a fixed summation
-order.  The operator norm is the largest singular value of this finite
-section (not the sup of its symbol, which can sit percents higher when
-the band is comparable to n).  It is found by Rayleigh-Ritz for T*T on a
-subspace that starts from sine-windowed plane waves at the peaks of the
-symbol |sum_m w_m e^{-i m theta}| of the combined taps, which lie close
-to the top singular vectors of a banded Toeplitz section, and grows by
-the residuals of the top two Ritz pairs.
+order, applied by real FFTs of the smallest 5-smooth length that holds
+the linear convolution, to one grid function or a block of them at once.
+The operator norm is the largest singular value of this finite section
+(not the sup of its symbol, which can sit percents higher when the band
+is comparable to n).  It is found by Rayleigh-Ritz for T*T on a subspace
+that starts from sine-windowed plane waves at the peaks of the symbol
+|sum_m w_m e^{-i m theta}| of the combined taps, which lie close to the
+top singular vectors of a banded Toeplitz section, and grows by the
+residuals of the top two Ritz pairs.
+
+A growth table builds its terms once, for its largest truncation M; each
+row's operator is the sub-sum of that row's scales.  A row whose terms
+share one profile is count x that profile's operator, so the profile's
+norm is computed once per table and scaled: kitty's ratios are exactly
+M + 1.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,18 +75,64 @@ class _TapGroup:
     taps: np.ndarray
 
 
+def _profile_taps(c: np.ndarray, n: int, quad_values: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, taps) of one term whose displacements are c grid steps at the nodes.
+
+    Linear interpolation splits each node's value between the shifts floor(c)
+    and floor(c) + 1; one bincount adds the floor shares, then the ceiling
+    shares, each in node order.
+    """
+    base = np.floor(c).astype(np.int64)
+    lam = c - base
+    # shifts beyond +-n never touch the grid (zero extension), so the
+    # corresponding quadrature nodes are dropped exactly
+    keep = (base >= -n) & (base <= n - 1)
+    base, lam, values = base[keep], lam[keep], quad_values[keep]
+    if base.size == 0:
+        return 0, np.zeros(1)
+    lo = int(base.min())
+    offsets = base - lo
+    return lo, np.bincount(
+        np.concatenate((offsets, offsets + 1)),
+        weights=np.concatenate((values * (1.0 - lam), values * lam)),
+        minlength=int(base.max()) - lo + 2,
+    )
+
+
+def smooth_fft_length(m: int) -> int:
+    """The smallest 5-smooth number 2^a 3^b 5^c >= m, a fast FFT length."""
+    best = 1 << max(m - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < m:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class DiscretizedOperator:
     """A grouped banded realization of the dyadic-term sum.
 
-    Application is linear convolution with each group's tap filter (computed
-    via real FFT with enough zero padding to reproduce zero extension
-    exactly), then an integer re-offset; all reductions have a fixed order,
-    so results are reproducible bit-for-bit.
+    Application is linear convolution with the combined tap filter (computed
+    via real FFT of a 5-smooth length with enough zero padding to reproduce
+    zero extension exactly), then an integer re-offset; all reductions have
+    a fixed order, so results are reproducible bit-for-bit.  ``apply`` and
+    ``apply_adjoint`` take one grid function of shape (n,) or a block of
+    shape (rows, n), transformed row by row in one call.
+
+    ``term_groups`` gives, for each term of the sum in the order
+    ``from_terms`` received them, the index of its group.
     """
 
-    def __init__(self, grid: Grid1D, groups: Sequence[_TapGroup]):
+    def __init__(self, grid: Grid1D, groups: Sequence[_TapGroup], term_groups: Sequence[int] = ()):
         self.grid = grid
         self.groups = tuple(groups)
+        self.term_groups = tuple(term_groups)
         if self.groups:
             lo = min(g.lo for g in self.groups)
             hi = max(g.lo + g.taps.size for g in self.groups)
@@ -89,25 +143,31 @@ class DiscretizedOperator:
             lo, combined = 0, np.zeros(1)
         self._lo = lo
         self._taps = combined
-        nfft = 1
-        while nfft < grid.n + combined.size - 1:
-            nfft *= 2
-        self._nfft = nfft
-        self._spectrum = np.fft.rfft(combined, nfft)
-        self._spectrum_rev = np.fft.rfft(combined[::-1], nfft)
+        self._nfft = smooth_fft_length(grid.n + combined.size - 1)
         if len(self.groups) == 1:
             # exact path: apply the single profile, then scale by its multiplicity,
             # so a sum of identical terms is literally count * (one term's output)
-            g = self.groups[0]
-            self._single = (g.count, g.lo, np.fft.rfft(g.taps, nfft), np.fft.rfft(g.taps[::-1], nfft), g.taps.size)
+            self._count, taps = self.groups[0].count, self.groups[0].taps
         else:
-            self._single = None
+            self._count, taps = 1, combined
+        self._spectrum = np.fft.rfft(taps, self._nfft)
+        self._spectrum_rev = np.fft.rfft(taps[::-1], self._nfft)
+
+    @property
+    def band(self) -> int:
+        """The number of combined taps."""
+        return self._taps.size
+
+    @property
+    def fft_length(self) -> int:
+        """The length of every FFT that applies the operator."""
+        return self._nfft
 
     @classmethod
     def from_terms(
         cls,
         grid: Grid1D,
-        displacement_profiles: Sequence[np.ndarray],
+        displacement_profiles: Iterable[np.ndarray],
         quad_values: np.ndarray,
     ) -> "DiscretizedOperator":
         """Build from per-term displacement arrays and shared quadrature values.
@@ -116,82 +176,61 @@ class DiscretizedOperator:
         term's profile holds p(delta_k^{-1} u) at the same nodes.  Terms with
         bit-identical profiles collapse into one group with a multiplicity,
         which keeps sum-of-equal-terms operators exactly proportional to
-        their single-term version.
+        their single-term version.  Groups follow the first appearance of
+        their profile; only the taps of each group are kept.
         """
-        h = grid.h
-        n = grid.n
-        grouped: dict[bytes, list] = {}
-        order: list[bytes] = []
+        index: dict[bytes, int] = {}
+        counts: list[int] = []
+        spans: list[tuple[int, np.ndarray]] = []
+        term_groups = []
         for profile in displacement_profiles:
             profile = np.asarray(profile, dtype=float)
-            key = profile.tobytes()
-            if key not in grouped:
-                grouped[key] = [0, profile]
-                order.append(key)
-            grouped[key][0] += 1
-        groups = []
-        for key in order:
-            count, profile = grouped[key]
-            c = profile / h
-            base = np.floor(c).astype(np.int64)
-            lam = c - base
-            # shifts beyond +-n never touch the grid (zero extension), so the
-            # corresponding quadrature nodes are dropped exactly
-            keep = (base >= -n) & (base <= n - 1)
-            base, lam, values = base[keep], lam[keep], quad_values[keep]
-            if base.size == 0:
-                groups.append(_TapGroup(count, 0, np.zeros(1)))
-                continue
-            lo = int(base.min())
-            taps = np.zeros(int(base.max()) - lo + 2)
-            np.add.at(taps, base - lo, values * (1.0 - lam))
-            np.add.at(taps, base - lo + 1, values * lam)
-            groups.append(_TapGroup(count, lo, taps))
-        return cls(grid, groups)
+            j = index.setdefault(profile.tobytes(), len(index))
+            if j == len(spans):
+                spans.append(_profile_taps(profile / grid.h, grid.n, quad_values))
+                counts.append(0)
+            counts[j] += 1
+            term_groups.append(j)
+        groups = [_TapGroup(count, lo, taps) for count, (lo, taps) in zip(counts, spans)]
+        return cls(grid, groups, term_groups)
 
-    def _convolve(self, spectrum: np.ndarray, f_hat: np.ndarray, band: int, lo: int, n: int) -> np.ndarray:
-        full = np.fft.irfft(f_hat * spectrum, self._nfft)[: n + band - 1]
-        out = np.zeros(n)
+    def restricted(self, terms: Iterable[int]) -> "DiscretizedOperator":
+        """The sum of the given terms alone, grouped as ``from_terms`` groups them.
+
+        Groups follow the first appearance of their profile among ``terms``
+        and share this operator's taps, so the result is bit-identical to
+        ``from_terms`` on those terms' profiles in that order.
+        """
+        counts: dict[int, int] = {}
+        for t in terms:
+            j = self.term_groups[t]
+            counts[j] = counts.get(j, 0) + 1
+        groups = [_TapGroup(c, self.groups[j].lo, self.groups[j].taps) for j, c in counts.items()]
+        return DiscretizedOperator(self.grid, groups)
+
+    def _convolve(self, spectrum: np.ndarray, f: np.ndarray, lo: int) -> np.ndarray:
+        f = np.asarray(f, dtype=float)
+        n = f.shape[-1]
+        band = self._taps.size
+        full = np.fft.irfft(np.fft.rfft(f, self._nfft) * spectrum, self._nfft)[..., : n + band - 1]
+        out = np.zeros(f.shape)
         start = max(0, lo)
         stop = min(n, lo + n + band - 1)
         if start < stop:
-            out[start:stop] = full[start - lo : stop - lo]
-        return out
+            out[..., start:stop] = full[..., start - lo : stop - lo]
+        return float(self._count) * out if self._count != 1 else out
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """T f at the grid nodes: out[i] = sum_g count_g sum_m w_m f[i - m]."""
-        f = np.asarray(f, dtype=float)
-        n = f.shape[0]
-        f_hat = np.fft.rfft(f, self._nfft)
-        if self._single is not None:
-            count, lo, spec, _, band = self._single
-            acc = self._convolve(spec, f_hat, band, lo, n)
-            return float(count) * acc if count != 1 else acc
-        return self._convolve(self._spectrum, f_hat, self._taps.size, self._lo, n)
+        """T f at the grid nodes: out[i] = sum_g count_g sum_m w_m f[i - m], row by row."""
+        return self._convolve(self._spectrum, f, self._lo)
 
     def apply_adjoint(self, f: np.ndarray) -> np.ndarray:
         """The transpose: reversed taps on the mirrored shift range."""
-        f = np.asarray(f, dtype=float)
-        n = f.shape[0]
-        f_hat = np.fft.rfft(f, self._nfft)
-        if self._single is not None:
-            count, lo, _, spec_rev, band = self._single
-            acc = self._convolve(spec_rev, f_hat, band, -(lo + band - 1), n)
-            return float(count) * acc if count != 1 else acc
-        return self._convolve(
-            self._spectrum_rev, f_hat, self._taps.size, -(self._lo + self._taps.size - 1), n
-        )
+        return self._convolve(self._spectrum_rev, f, -(self._lo + self._taps.size - 1))
 
     def as_matrix(self) -> np.ndarray:
-        """Dense matrix (column by column); for small-grid oracle checks only."""
-        n = self.grid.n
-        cols = []
-        basis = np.zeros(n)
-        for j in range(n):
-            basis[:] = 0.0
-            basis[j] = 1.0
-            cols.append(self.apply(basis))
-        return np.stack(cols, axis=1)
+        """Dense matrix; for small-grid oracle checks only."""
+        return self.apply(np.eye(self.grid.n)).T
 
 
 @dataclass(frozen=True)
@@ -264,9 +303,11 @@ def operator_norm(
     top singular values of the section come in near-degenerate pairs; with
     only the top residual the top Ritz value can settle on the lower one of
     a pair and look converged.  Every vector added costs one application of
-    T*T, counted as one iteration, up to min(max_iters, n).  Converged means
-    the top Ritz value moved by at most ``tol`` relative in the last step,
-    or the subspace became invariant.  The value never exceeds the largest
+    T*T, counted as one iteration, up to min(max_iters, n); the vectors
+    added in one step (the start block, then two residuals) go through T*T
+    as one block, and their inner products with the basis are one matrix
+    product.  Converged means the top Ritz value moved by at most ``tol``
+    relative in the last step, or the subspace became invariant.  The value never exceeds the largest
     singular value of the finite section (up to rounding): it is a Rayleigh
     quotient.
     """
@@ -284,12 +325,16 @@ def operator_norm(
     k = 0
     ritz_prev = None
     while True:
-        for q in fresh[: dim - k]:
-            basis[k] = q
-            images[k] = op.apply_adjoint(op.apply(q) / scale) / scale
-            projected[: k + 1, k] = projected[k, : k + 1] = basis[: k + 1] @ images[k]
-            k += 1
-        evals, evecs = np.linalg.eigh(projected[:k, :k])
+        block = np.array(fresh[: dim - k])
+        r = block.shape[0]
+        basis[k : k + r] = block
+        images[k : k + r] = op.apply_adjoint(op.apply(block) / scale) / scale
+        products = basis[: k + r] @ images[k : k + r].T
+        projected[: k + r, k : k + r] = products
+        projected[k : k + r, : k + r] = products.T
+        k += r
+        # the lower triangle pairs each earlier basis row with the later image
+        evals, evecs = np.linalg.eigh(projected[:k, :k], UPLO="L")
         ritz = max(float(evals[-1]), 0.0)
         top = evecs[:, :-3:-1]
         residuals = top.T @ images[:k] - evals[:-3:-1, None] * (top.T @ basis[:k])
@@ -325,6 +370,8 @@ def case_polynomial(case: str, level: int | None = None) -> Polynomial:
     if case == "know":
         if level is None:
             raise ValueError("the 'know' case needs the scale parameter L")
+        if level < 0:
+            raise ValueError(f"the scale parameter L must be >= 0, got {level}")
         eps = Fraction(1, 2**level)
         return Polynomial(
             variables, {(3, 0): eps, (0, 3): eps, (1, 1): Fraction(1)}
@@ -350,15 +397,18 @@ def build_operator(
     quad_values = weights * atom(points)
     terms = [float(c) for c, _ in p.float_terms()]
     exps = [e for _, e in p.float_terms()]
-    profiles = []
-    for d1, d2 in scales:
-        u1 = points[:, 0] / d1
-        u2 = points[:, 1] / d2
-        profile = np.zeros(points.shape[0])
-        for coef, (e1, e2) in zip(terms, exps):
-            profile += coef * u1**e1 * u2**e2
-        profiles.append(profile)
-    return DiscretizedOperator.from_terms(grid, profiles, quad_values)
+
+    def profiles():
+        # one term's profile at a time: only its taps outlive it
+        for d1, d2 in scales:
+            u1 = points[:, 0] / d1
+            u2 = points[:, 1] / d2
+            profile = np.zeros(points.shape[0])
+            for coef, (e1, e2) in zip(terms, exps):
+                profile += coef * u1**e1 * u2**e2
+            yield profile
+
+    return DiscretizedOperator.from_terms(grid, profiles(), quad_values)
 
 
 def dyadic_scales(m: int) -> list[tuple[float, float]]:
@@ -388,6 +438,8 @@ class GrowthRow:
     ratio: float
     iterations: int
     converged: bool
+    band: int  # combined taps of the row's operator
+    fft_length: int
 
 
 @dataclass(frozen=True)
@@ -425,6 +477,8 @@ class GrowthTable:
                     "ratio": r.ratio,
                     "iterations": r.iterations,
                     "converged": r.converged,
+                    "band": r.band,
+                    "fft_length": r.fft_length,
                 }
                 for r in self.rows
             ],
@@ -448,27 +502,57 @@ def growth_experiment(
     max_iters: int = 80,
     tol: float = 1e-8,
 ) -> GrowthTable:
-    """Operator norms and growth ratios (against M = 0) for the three model cases."""
+    """Operator norms and growth ratios (against M = 0) for the three model cases.
+
+    Every scale family of a smaller M is part of the family of the largest
+    M, so the terms are built once, for the largest M, and each row's
+    operator is the sub-sum of its own scales (``DiscretizedOperator.
+    restricted``), bit-identical to building it alone.  A row with a single
+    profile is count x that profile's operator, so its norm is count x the
+    profile's norm, computed once per table and reported with that norm's
+    iterations and convergence; the kitty ratios are then exactly M + 1.
+    """
+    if not m_list:
+        raise ValueError("norm-growth needs at least one truncation M")
+    if min(m_list) < 0:
+        raise ValueError(f"truncations M must be >= 0, got {min(m_list)}")
     grid = grid or Grid1D()
     atom = atom or default_experiment_atom()
     p = case_polynomial(case, level)
     scale_family = square_scales if case == "billy" else dyadic_scales
+    family = scale_family(max(m_list))
+    position = {scale: t for t, scale in enumerate(family)}
+    terms = build_operator(p, family, grid, atom=atom, quad_order=quad_order, quad_panels=quad_panels)
+    profile_norms: dict[tuple[int, bytes], NormResult] = {}
 
-    def norm_at(m: int) -> NormResult:
-        op = build_operator(p, scale_family(m), grid, atom=atom, quad_order=quad_order, quad_panels=quad_panels)
-        return operator_norm(op, max_iters=max_iters, tol=tol)
+    def norm_at(m: int) -> tuple[NormResult, int, DiscretizedOperator]:
+        """(norm of the row's sum, or of its one profile; that profile's count; the row operator)."""
+        op = terms.restricted(position[scale] for scale in scale_family(m))
+        if len(op.groups) != 1:
+            return operator_norm(op, max_iters=max_iters, tol=tol), 1, op
+        g = op.groups[0]
+        key = (g.lo, g.taps.tobytes())
+        if key not in profile_norms:
+            single = DiscretizedOperator(grid, [_TapGroup(1, g.lo, g.taps)])
+            profile_norms[key] = operator_norm(single, max_iters=max_iters, tol=tol)
+        return profile_norms[key], g.count, op
 
-    results = {m: norm_at(m) for m in m_list}
-    base_norm = (results[0] if 0 in results else norm_at(0)).value
-    rows = tuple(
-        GrowthRow(
+    results = {m: norm_at(m) for m in dict.fromkeys(m_list)}
+    base, base_count, _ = results[0] if 0 in results else norm_at(0)
+    base_norm = base_count * base.value
+
+    def row(m: int) -> GrowthRow:
+        res, count, op = results[m]
+        return GrowthRow(
             m,
             level if case == "know" else None,
-            results[m].value,
-            results[m].value / base_norm if base_norm else float("inf"),
-            results[m].iterations,
-            results[m].converged,
+            count * res.value,
+            # count x (profile / base) keeps kitty's ratios exact integers
+            count * (res.value / base_norm) if base_norm else float("inf"),
+            res.iterations,
+            res.converged,
+            op.band,
+            op.fft_length,
         )
-        for m in m_list
-    )
-    return GrowthTable(case, grid, quad_order, rows)
+
+    return GrowthTable(case, grid, quad_order, tuple(row(m) for m in m_list))

@@ -254,6 +254,22 @@ def test_norm_growth_requires_case_or_spec(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--case", "kitty", "--M", "-1"],
+        ["--case", "kitty", "--M", ""],
+        ["--case", "billy", "--M", "0..-2"],
+        ["--case", "know", "--M", "0 1", "--L", "-3"],
+    ],
+)
+def test_norm_growth_rejects_nonsense_truncations_and_levels(argv, capsys):
+    assert main(["norm-growth", *argv, "--grid-n", "256"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
 def test_norm_growth_know_level_passthrough(capsys):
     code = main(
         ["norm-growth", "--case", "know", "--M", "0..2", "--L", "10", "--grid-n", "512", "--format", "json"]

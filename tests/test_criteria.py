@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 import pytest
@@ -235,22 +236,29 @@ def test_scalar_control_three_parameters():
 # -- Newton simplex against the kink-vertex enumeration --------------------------
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Unique solution of a square rational system, or None if singular."""
+def _solve_linear(matrix: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """Unique solution of a square integer system, or None if singular.
+
+    Fraction-free (Bareiss) elimination keeps every entry an integer; only
+    the back substitution divides.
+    """
     n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    prev = 1
     for col in range(n):
         pr = next((i for i in range(col, n) if a[i][col] != 0), None)
         if pr is None:
             return None
         a[col], a[pr] = a[pr], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [u - f * v for u, v in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+        pivot = a[col]
+        for i in range(col + 1, n):
+            f = a[i][col]
+            a[i] = [(pivot[col] * u - f * v) // prev for u, v in zip(a[i], pivot)]
+        prev = pivot[col]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))) / Fraction(a[i][i])
+    return x
 
 
 def _abelian_violating_normal(
@@ -269,21 +277,24 @@ def _abelian_violating_normal(
     def worst(b: Sequence[Fraction]) -> Fraction:
         return min(sum(bi * di for bi, di in zip(b, diff)) for diff in diffs)
 
-    constraints: list[tuple[Fraction, ...]] = []
-    for i, j in combinations(range(len(diffs)), 2):
-        row = tuple(diffs[i][mu] - diffs[j][mu] for mu in range(nu))
-        if any(v != 0 for v in row):
-            constraints.append(row)
-    for mu in range(nu):
-        constraints.append(tuple(Fraction(1 if k == mu else 0) for k in range(nu)))
+    # a row and its nonzero multiples are one hyperplane, so keep one row per
+    # direction (coprime integers, leading entry positive): the vertex set
+    # does not change
+    constraints: dict[tuple[int, ...], None] = {}
+    rows = [tuple(diffs[i][mu] - diffs[j][mu] for mu in range(nu)) for i, j in combinations(range(len(diffs)), 2)]
+    rows += [tuple(Fraction(1 if k == mu else 0) for k in range(nu)) for mu in range(nu)]
+    for row in rows:
+        lead = next((v for v in row if v != 0), None)
+        if lead is not None:
+            scaled = [v / lead for v in row]
+            mult = lcm(*(v.denominator for v in scaled))
+            constraints[tuple(int(v * mult) for v in scaled)] = None
 
     candidates: set[tuple[Fraction, ...]] = set()
     for mu in range(nu):
         candidates.add(tuple(Fraction(1 if k == mu else 0) for k in range(nu)))
-    ones = [Fraction(1)] * nu
-    for subset in combinations(range(len(constraints)), nu - 1):
-        matrix = [list(constraints[k]) for k in subset] + [ones]
-        sol = _solve_linear(matrix, [Fraction(0)] * (nu - 1) + [Fraction(1)])
+    for subset in combinations(constraints, nu - 1):
+        sol = _solve_linear([*subset, [1] * nu], [0] * (nu - 1) + [1])
         if sol is not None and all(v >= 0 for v in sol):
             candidates.add(tuple(sol))
     best = max(candidates, key=worst)
