@@ -552,7 +552,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFileError, FileNotFoundError, ValueError) as exc:
+    except (SpecFileError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

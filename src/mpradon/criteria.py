@@ -1,6 +1,6 @@
 """Exact boundedness criteria.
 
-Three decision procedures, all in rational arithmetic:
+Three decision procedures, all exact (rational or integer arithmetic):
 
   * ``real_line_verdict`` -- the Newton-line test for gamma_(s,t)(x) = x - p(s,t)
     with product kernels: bounded iff every exponent (e, f) of p lies on or
@@ -17,11 +17,14 @@ Three decision procedures, all in rational arithmetic:
     breakpoints are the directions orthogonal to degree differences, and a
     sector-endpoint H_pi contains both neighbours' H_pi, so a rational
     midpoint per open sector is a complete check.  Every bracket on H^1 is
-    central, so the closure is one round of pure x pure brackets.  Each
-    sector is an integer test: degrees with cleared denominators against
-    the integer normal, and a scan that keeps the first members raising the
-    rank (at most 3), which are the pivots Gauss-Jordan would pick, so only
-    those reach the rational solve.
+    central, so the closure is one round of pure x pure brackets, computed
+    on integer numerators.  The closure is cleared to integers once; each
+    sector normal is a coprime integer pair, and each sector is an integer
+    test: cleared degrees against the normal, a scan that keeps the first
+    members raising the rank (at most 3, the pivots Gauss-Jordan would
+    pick), and Cramer's rule on those members at their pivot rows.
+    Fractions are built only for what a certificate reports (normals and
+    coefficients); no rational elimination runs on this path.
 
   * ``scalar_control_verdict`` -- the abelian case (all expansion fields
     parallel to one constant field): for nu = 2 this is the same sector
@@ -41,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -120,42 +124,33 @@ class PowerSets:
     nonpure: tuple[tuple[MultiIndex, ClosureEntry], ...]
     closure: tuple[ClosureEntry, ...]
 
+    @cached_property
+    def cleared(self) -> "ClearedClosure":
+        """The closure in integers, computed on first use and kept with these sets."""
+        scale = lcm(*(v.denominator for row in self.scheme.rows for v in row))
+        scales = [lcm(*(c.denominator for c in e.vec.coords)) for e in self.closure]
+        return ClearedClosure(
+            scale,
+            tuple(_cleared(e.degree, scale) for e in self.closure),
+            tuple(_cleared(e.vec.coords, s) for e, s in zip(self.closure, scales)),
+            tuple(scales),
+        )
 
-# -- rational linear algebra ------------------------------------------
 
+@dataclass(frozen=True)
+class ClearedClosure:
+    """Closure degrees times one common scale, and each field times its own scale.
 
-def express_in_span(
-    vectors: Sequence[tuple[Fraction, ...]], target: tuple[Fraction, ...]
-) -> dict[int, Fraction] | None:
-    """Coefficients lambda with sum lambda_j vectors[j] = target, or None.
-
-    Gaussian elimination over Q; free variables are set to zero, so the
-    support of the solution is a pivot subset (a minimal spanning witness).
+    The common scale is the lcm of the scheme's denominators, so it clears
+    every degree deg(alpha) = sum_i alpha_i e_i; a field's scale is the lcm
+    of its coordinates' denominators.  All entries are ints, in closure
+    order.
     """
-    dim = len(target)
-    m = len(vectors)
-    rows = [[vectors[j][i] for j in range(m)] + [target[i]] for i in range(dim)]
-    r = 0
-    pivots: list[tuple[int, int]] = []
-    for col in range(m):
-        pr = next((i for i in range(r, dim) if rows[i][col] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == dim:
-            break
-    for i in range(r, dim):
-        if rows[i][m] != 0:
-            return None
-    return {col: rows[row][m] for row, col in pivots if rows[row][m] != 0}
+
+    scale: int
+    degrees: tuple[tuple[int, ...], ...]
+    vectors: tuple[tuple[int, ...], ...]
+    vector_scales: tuple[int, ...]
 
 
 # -- sector enumeration on the normal ray -----------------------------
@@ -174,25 +169,34 @@ def _primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(n // g) for n in ints) if g else tuple(fracs)
 
 
-def _critical_normals(diffs: Iterable[Degree]) -> list[tuple[Fraction, Fraction]]:
-    """Interior normal directions where some half-plane membership flips."""
-    out = set()
-    for d in set(diffs):
-        d1, d2 = d
-        if (d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0):
-            n = (-d2, d1) if d1 > 0 else (d2, -d1)
-            out.add(_primitive(n))
-    return sorted(out, key=lambda n: Fraction(n[1], n[0]))
+def _by_slope(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """Compare two normals with positive first entries by slope, via the cross product."""
+    return u[1] * v[0] - v[1] * u[0]
 
 
 def sector_normals(diffs: Iterable[Degree]) -> list[tuple[Fraction, Fraction]]:
-    """One rational representative normal per open sector of [axis, axis]."""
-    boundary = [(Fraction(1), Fraction(0))] + _critical_normals(diffs) + [
-        (Fraction(0), Fraction(1))
-    ]
-    return [
-        _primitive((u[0] + v[0], u[1] + v[1])) for u, v in zip(boundary, boundary[1:])
-    ]
+    """One rational representative normal per open sector of [axis, axis].
+
+    The sector boundaries are the interior normals perpendicular to a
+    difference of mixed sign.  The differences are cleared to integers
+    (which moves no normal), each boundary is a coprime integer pair sorted
+    by slope through cross products, and each sector's representative is
+    the sum of its two boundaries, reduced.
+    """
+    diffs = set(diffs)
+    scale = lcm(*(v.denominator for d in diffs for v in d))
+    critical = set()
+    for d1, d2 in diffs:
+        if (d1 > 0 > d2) or (d1 < 0 < d2):
+            n1, n2 = _cleared((-d2, d1) if d1 > 0 else (d2, -d1), scale)
+            g = gcd(n1, n2)
+            critical.add((n1 // g, n2 // g))
+    boundary = [(1, 0), *sorted(critical, key=cmp_to_key(_by_slope)), (0, 1)]
+    normals = []
+    for (u1, u2), (v1, v2) in zip(boundary, boundary[1:]):
+        g = gcd(u1 + v1, u2 + v2)
+        normals.append((Fraction((u1 + v1) // g), Fraction((u2 + v2) // g)))
+    return normals
 
 
 # -- Heisenberg criterion ----------------------------------------------
@@ -226,27 +230,47 @@ def pure_closure_heisenberg(
     pairs (a, b) of pure entries and tries [a, b], then [b, a]; a bracket
     whose (coords, degree) is already present is dropped, so each keeps the
     first label reached.
+
+    The round runs in integers: each generator's X and Y coordinates are
+    cleared by their own lcm and the degrees by one common scale, so a
+    bracket's T coordinate is a reduced integer fraction and its dedupe key
+    holds only ints.  A Fraction is built only for an entry that is kept.
     """
     if xhat.basis != HEISENBERG_BASIS:
         raise ValueError("expansion must carry the Heisenberg basis tag {X, Y, T}")
     scheme = scheme or xhat.scheme
     pure, nonpure = _split_pure(xhat, scheme, "Xhat")
     closure = list(pure)
-    seen = {(e.vec.coords, e.degree) for e in closure}
-    gens = [(e, e.vec.coords[0], e.vec.coords[1]) for e in pure]
+    scale = lcm(*(v.denominator for e in pure for v in e.degree))
+    gens = []
+    # keys (T numerator, T denominator, cleared degree) of the central entries;
+    # an entry with an X or Y part never equals a bracket
+    seen = set()
+    for e in pure:
+        x, y, t = e.vec.coords
+        degree_key = _cleared(e.degree, scale)
+        if not x and not y:
+            seen.add((t.numerator, t.denominator, degree_key))
+        xy_scale = lcm(x.denominator, y.denominator)
+        gens.append((e, *_cleared((x, y), xy_scale), xy_scale, degree_key))
     zero = Fraction(0)
-    for a, ax, ay in gens:
-        for b, bx, by in gens:
-            c = ax * by - bx * ay
-            if c == 0:
+    for a, ax, ay, a_scale, a_key in gens:
+        for b, bx, by, b_scale, b_key in gens:
+            num = ax * by - bx * ay
+            if not num:
                 continue
-            d = tuple(x + y for x, y in zip(a.degree, b.degree))
-            for left, right, value in ((a, b, c), (b, a, -c)):
-                coords = (zero, zero, value)
-                if (coords, d) in seen:
+            den = a_scale * b_scale
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            degree_key = tuple(x + y for x, y in zip(a_key, b_key))
+            d = None
+            for left, right, value in ((a, b, num), (b, a, -num)):
+                key = (value, den, degree_key)
+                if key in seen:
                     continue
-                seen.add((coords, d))
-                vec = BasisVector(coords, HEISENBERG_BASIS)
+                seen.add(key)
+                d = d or tuple(x + y for x, y in zip(a.degree, b.degree))
+                vec = BasisVector((zero, zero, Fraction(value, den)), HEISENBERG_BASIS)
                 closure.append(ClosureEntry(vec, d, f"[{left.label}, {right.label}]"))
     return PowerSets(scheme, pure, nonpure, tuple(closure))
 
@@ -257,7 +281,9 @@ def _cleared(values: Sequence[Fraction], scale: int | None = None) -> tuple[int,
     return tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def _independent_prefix(vectors: Iterable[tuple[int, Sequence[int]]], dim: int) -> list[int]:
+def _independent_prefix(
+    vectors: Iterable[tuple[int, Sequence[int]]], dim: int
+) -> tuple[list[int], list[int]]:
     """Keys of the vectors, in order, that raise the rank of the ones before them.
 
     Takes (key, vector) pairs and stops once ``dim`` vectors are kept.  A
@@ -266,6 +292,10 @@ def _independent_prefix(vectors: Iterable[tuple[int, Sequence[int]]], dim: int) 
     picks its pivot columns.  Fraction-free elimination: each kept vector is
     stored reduced against the earlier ones, with its first nonzero entry
     as pivot, so a vector is in the span iff it reduces to zero.
+
+    Also returns each kept vector's pivot row.  A reduced vector is zero on
+    the pivot rows of the ones kept before it, so the kept vectors
+    themselves have a nonsingular minor on those rows.
     """
     rows: list[tuple[int, list]] = []
     kept: list[int] = []
@@ -282,7 +312,51 @@ def _independent_prefix(vectors: Iterable[tuple[int, Sequence[int]]], dim: int) 
         kept.append(key)
         if len(kept) == dim:
             break
-    return kept
+    return kept, [p for p, _ in rows]
+
+
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a small square integer matrix: closed forms up to 3 x 3,
+    cofactors along the first row above."""
+    n = len(m)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if n < 2:
+        return m[0][0] if n else 1
+    total = 0
+    for j, v in enumerate(m[0]):
+        if v:
+            total += (-1) ** j * v * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+    return total
+
+
+def _solve_on_pivots(
+    columns: Sequence[Sequence[int]],
+    scales: Sequence[int],
+    pivots: Sequence[int],
+    goal: Sequence[int],
+    goal_scale: int,
+) -> dict[int, Fraction] | None:
+    """lambda with sum_j lambda_j columns[j] / scales[j] = goal / goal_scale, or None.
+
+    The integer columns are independent and nonsingular on the pivot rows,
+    so a solution is unique if it exists.  Cramer's rule on that minor gives
+    integers n_j and det with sum_j n_j columns[j] = det * goal on the pivot
+    rows; the remaining rows confirm it.  Only the nonzero lambda_j =
+    n_j scales[j] / (det goal_scale) are returned, keyed by position.
+    """
+    # the minor is held by columns; a determinant does not see the transpose
+    minor = [[c[i] for i in pivots] for c in columns]
+    rhs = [goal[i] for i in pivots]
+    det = _det(minor)
+    nums = [_det(minor[:j] + [rhs] + minor[j + 1 :]) for j in range(len(minor))]
+    for i, g in enumerate(goal):
+        if i not in pivots and sum(n * c[i] for n, c in zip(nums, columns)) != det * g:
+            return None
+    return {j: Fraction(n * scales[j], det * goal_scale) for j, n in enumerate(nums) if n}
 
 
 def supporting_line_condition(
@@ -292,14 +366,17 @@ def supporting_line_condition(
 ) -> tuple[bool, ControlCertificate | Witness]:
     """Is the target spanned by H_pi for every supporting line through deg(alpha0)?
 
-    Degrees are scaled once by the lcm of their denominators, so "on or
-    below the line" is an integer dot product with the sector normal.  In
-    each sector the members are scanned in closure order and the first ones
-    that raise the rank are kept, at most dim(basis) of them: these are the
-    pivot columns that Gauss-Jordan on the full member list picks, so
-    ``express_in_span`` on them alone returns the same coefficients on the
-    same members (or None exactly when the full solve does).  A witness
-    still lists the whole H_pi.
+    Everything runs on ``power_sets.cleared``, the closure in integers, so
+    no step is rational until a coefficient is returned.  "On or below the
+    line" is an integer dot product of a cleared degree with the integer
+    sector normal.  In each sector the members are scanned in closure order
+    and the first ones that raise the rank are kept, at most dim(basis) of
+    them: these are the pivot columns that Gauss-Jordan on the full member
+    list picks.  They are independent, so the target has at most one
+    combination of them, and Cramer's rule on their minor at the
+    elimination's pivot rows finds it (or shows there is none) with
+    integer determinants; that is the combination, on the same members,
+    that Gauss-Jordan returns.  A witness still lists the whole H_pi.
     """
     d0 = degree(alpha0, power_sets.scheme)
     if is_pure(d0):
@@ -309,20 +386,23 @@ def supporting_line_condition(
     if len(d0) != 2:
         raise ValueError("the supporting-line test needs a two-parameter scheme")
     closure = power_sets.closure
-    scale = lcm(*(v.denominator for v in d0), *(v.denominator for e in closure for v in e.degree))
-    degrees = [_cleared(e.degree, scale) for e in closure]
-    x0, y0 = _cleared(d0, scale)
-    coords = [_cleared(e.vec.coords) for e in closure]
-    dim = len(target.coords)
+    view = power_sets.cleared
+    degrees, vectors, scales = view.degrees, view.vectors, view.vector_scales
+    x0, y0 = _cleared(d0, view.scale)
+    goal_scale = lcm(*(c.denominator for c in target.coords))
+    goal = _cleared(target.coords, goal_scale)
+    dim = len(goal)
     sectors: list[SectorCertificate] = []
     for normal in sector_normals([(x - x0, y - y0) for x, y in degrees]):
-        b1, b2 = int(normal[0]), int(normal[1])
+        b1, b2 = normal[0].numerator, normal[1].numerator
         bound = b1 * x0 + b2 * y0
         members = (
-            (j, coords[j]) for j, (x, y) in enumerate(degrees) if b1 * x + b2 * y <= bound
+            (j, vectors[j]) for j, (x, y) in enumerate(degrees) if b1 * x + b2 * y <= bound
         )
-        kept = _independent_prefix(members, dim)
-        combo = express_in_span([closure[j].vec.coords for j in kept], target.coords)
+        kept, pivots = _independent_prefix(members, dim)
+        combo = _solve_on_pivots(
+            [vectors[j] for j in kept], [scales[j] for j in kept], pivots, goal, goal_scale
+        )
         if combo is None:
             h_pi = [e.label for e, (x, y) in zip(closure, degrees) if b1 * x + b2 * y <= bound]
             return False, Witness(
@@ -334,9 +414,7 @@ def supporting_line_condition(
             )
         sectors.append(
             SectorCertificate(
-                normal,
-                tuple(closure[kept[j]].label for j in sorted(combo)),
-                tuple(combo[j] for j in sorted(combo)),
+                normal, tuple(closure[kept[j]].label for j in combo), tuple(combo.values())
             )
         )
     return True, ControlCertificate(alpha0, d0, tuple(sectors))

@@ -103,10 +103,10 @@ def check_multi_index(alpha: Sequence[int], scheme: ExponentScheme) -> None:
 def degree(alpha: Sequence[int], scheme: ExponentScheme) -> Degree:
     """deg(alpha) = sum_i alpha_i e_i, exact."""
     check_multi_index(alpha, scheme)
-    nu = scheme.n_params
+    terms = [(a, row) for a, row in zip(alpha, scheme.rows) if a]
     return tuple(
-        sum((a * scheme.rows[i][mu] for i, a in enumerate(alpha)), Fraction(0))
-        for mu in range(nu)
+        sum((a * row[mu] for a, row in terms if row[mu]), Fraction(0))
+        for mu in range(scheme.n_params)
     )
 
 

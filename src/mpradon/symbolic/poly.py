@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -55,6 +57,20 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap terms that are already valid, skipping the constructor's checks.
+
+        For results of arithmetic on valid polynomials: every key is a tuple
+        of len(variables) nonnegative ints and every value a nonzero
+        Fraction.  The caller drops zero coefficients and hands over the
+        dict.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -107,12 +123,12 @@ class Polynomial:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return Polynomial(self.variables, out)
+        return Polynomial._trusted(self.variables, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Polynomial) else -Fraction(other))
@@ -123,14 +139,24 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _coeff(other)
-            return Polynomial(self.variables, {e: c * other for e, c in self.terms.items()})
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return Polynomial._trusted(self.variables, terms)
         self._check_same_vars(other)
-        out: dict[Exponents, Fraction] = {}
+        # products of integer numerators over the two common denominators,
+        # with one Fraction per term of the result
+        dp = lcm(*(c.denominator for c in self.terms.values()))
+        dq = lcm(*(c.denominator for c in other.terms.values()))
+        qs = [(e2, c2.numerator * (dq // c2.denominator)) for e2, c2 in other.terms.items()]
+        out: dict[Exponents, int] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.variables, out)
+            n1 = c1.numerator * (dp // c1.denominator)
+            for e2, n2 in qs:
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + n1 * n2
+        den = dp * dq
+        return Polynomial._trusted(
+            self.variables, {e: Fraction(n, den) for e, n in out.items() if n}
+        )
 
     __rmul__ = __mul__
 
@@ -160,13 +186,14 @@ class Polynomial:
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
+            # e -> de is one-to-one on the terms with e[i] > 0
             de = tuple(v - 1 if j == i else v for j, v in enumerate(e))
-            out[de] = out.get(de, Fraction(0)) + c * e[i]
-        return Polynomial(self.variables, out)
+            out[de] = c * e[i]
+        return Polynomial._trusted(self.variables, out)
 
     def scaling_derivative(self) -> "Polynomial":
         """d/d(eps) p(eps * t) at eps = 1, i.e. sum |alpha| c_alpha t^alpha."""
-        return Polynomial(
+        return Polynomial._trusted(
             self.variables, {e: c * sum(e) for e, c in self.terms.items() if sum(e) > 0}
         )
 
@@ -182,7 +209,7 @@ class Polynomial:
                 scale *= f**a
             if scale != 0:
                 out[e] = c * scale
-        return Polynomial(self.variables, out)
+        return Polynomial._trusted(self.variables, out)
 
     def __call__(self, point: Sequence) -> Fraction | float:
         if len(point) != self.nvars:
@@ -254,7 +281,7 @@ def _parse(text: str, variables: tuple[str, ...]) -> Polynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty polynomial text")
-    result = Polynomial.zero(variables)
+    terms: dict[Exponents, Fraction] = {}
     i = 0
     while i < len(tokens):
         sign = 1
@@ -303,5 +330,12 @@ def _parse(text: str, variables: tuple[str, ...]) -> Polynomial:
             expect_factor = False
         if expect_factor:
             raise ValueError("dangling operator at end of term")
-        result = result + Polynomial(variables, {tuple(exps): coeff})
-    return result
+        # like terms are summed as they come; a sum that cancels is removed,
+        # so a term that appears again goes last, as it would under p + q
+        exps = tuple(exps)
+        total = terms.get(exps, 0) + coeff
+        if total:
+            terms[exps] = total
+        else:
+            terms.pop(exps, None)
+    return Polynomial(variables, terms)

@@ -115,6 +115,33 @@ def test_analyze_missing_file_is_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--spec", "{dir}"],
+        ["kernel-check", "--kernel", "{dir}"],
+        ["norm-growth", "--spec", "{dir}"],
+    ],
+)
+def test_directory_argument_is_one_line_error(argv, tmp_path, capsys):
+    code = main([a.format(dir=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unreadable_spec_is_one_line_error(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "locked.spec", KNOW_SPEC)
+
+    def denied(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", file)
+
+    monkeypatch.setattr("mpradon.cli.open", denied, raising=False)
+    assert main(["analyze", "--spec", path]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
+
+
 def test_analyze_nonproduct_scheme_uses_scalar_control(tmp_path, capsys):
     text = """
 [problem]

@@ -2,7 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
 from typing import Sequence
 
@@ -20,11 +20,12 @@ from mpradon.criteria import (
     Verdict,
     Witness,
     _cleared,
+    _det,
     _independent_prefix,
     _newton_simplex,
     _primitive,
+    _solve_on_pivots,
     _split_pure,
-    express_in_span,
     heisenberg_verdict,
     pure_closure_heisenberg,
     real_line_verdict,
@@ -479,6 +480,74 @@ def test_heisenberg_mixed_direction_case():
     assert heisenberg_verdict(heis("s^2", "t^2", "s*t")).outcome is Outcome.UNBOUNDED
 
 
+# -- the rational Gauss-Jordan solve and the Fraction-slope sector normals, as oracles --
+
+
+def _gauss_jordan(
+    vectors: Sequence[tuple[Fraction, ...]], target: tuple[Fraction, ...]
+) -> tuple[list[int], dict[int, Fraction] | None]:
+    """Gauss-Jordan over Q on the columns in order: the pivot columns, and
+    the coefficients lambda with sum lambda_j vectors[j] = target, or None.
+
+    Free variables are set to zero, so the support of the solution is a
+    pivot subset (a minimal spanning witness).  The pivot columns do not
+    depend on the target.  Row operations skip zero entries, whose
+    products are zero.
+    """
+    dim = len(target)
+    m = len(vectors)
+    rows = [[vectors[j][i] for j in range(m)] + [target[i]] for i in range(dim)]
+    r = 0
+    pivots: list[tuple[int, int]] = []
+    for col in range(m):
+        pr = next((i for i in range(r, dim) if rows[i][col] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][col]
+        rows[r] = [v / pv if v else v for v in rows[r]]
+        for i in range(dim):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == dim:
+            break
+    columns = [col for _, col in pivots]
+    if any(rows[i][m] != 0 for i in range(r, dim)):
+        return columns, None
+    return columns, {col: rows[row][m] for row, col in pivots if rows[row][m] != 0}
+
+
+def express_in_span(
+    vectors: Sequence[tuple[Fraction, ...]], target: tuple[Fraction, ...]
+) -> dict[int, Fraction] | None:
+    """Coefficients lambda with sum lambda_j vectors[j] = target, or None."""
+    return _gauss_jordan(vectors, target)[1]
+
+
+def test_express_in_span_basics():
+    basis = [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))]
+    combo = express_in_span(basis, (Fraction(3), Fraction(2)))
+    assert combo == {0: 1, 1: 2}
+    assert express_in_span([basis[0]], (Fraction(0), Fraction(1))) is None
+    assert express_in_span([], (Fraction(0), Fraction(0))) == {}
+
+
+def _fraction_sector_normals(diffs) -> list[tuple[Fraction, Fraction]]:
+    """The sector normals in rational arithmetic: critical normals by
+    _primitive, sorted by Fraction(n2, n1), and primitive midpoints."""
+    critical = set()
+    for d1, d2 in set(diffs):
+        if (d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0):
+            critical.add(_primitive((-d2, d1) if d1 > 0 else (d2, -d1)))
+    boundary = [(Fraction(1), Fraction(0))]
+    boundary += sorted(critical, key=lambda n: Fraction(n[1], n[0]))
+    boundary += [(Fraction(0), Fraction(1))]
+    return [_primitive((u[0] + v[0], u[1] + v[1])) for u, v in zip(boundary, boundary[1:])]
+
+
 # -- the fixed-point closure and full Gauss-Jordan sector test, as the oracle --------
 
 
@@ -501,6 +570,11 @@ def _fixed_point_closure(xhat: WExpansion, scheme: ExponentScheme | None = None)
         for a in closure:
             for b in frontier:
                 for left, right in ((a, b), (b, a)):
+                    # [aX+bY+cT, a'X+b'Y+c'T] = (ab'-a'b)T is zero when both
+                    # products have a zero factor: skip it before building it
+                    (lx, ly, _), (rx, ry, _) = left.vec.coords, right.vec.coords
+                    if not (lx and ry) and not (rx and ly):
+                        continue
                     br = left.vec.bracket(right.vec)
                     if br.is_zero():
                         continue
@@ -530,13 +604,12 @@ def _full_sector_test(
         raise ValueError("the supporting-line test needs a two-parameter scheme")
     diffs = [tuple(x - y for x, y in zip(e.degree, d0)) for e in power_sets.closure]
     sectors: list[SectorCertificate] = []
-    for normal in sector_normals(diffs):
-        bound = normal[0] * d0[0] + normal[1] * d0[1]
-        members = [
-            e
-            for e in power_sets.closure
-            if normal[0] * e.degree[0] + normal[1] * e.degree[1] <= bound
-        ]
+    # on or below the line: normal . (d - d0) <= 0, a sign that does not change
+    # when d - d0 is multiplied by its positive denominators
+    scaled = [(x.numerator * y.denominator, y.numerator * x.denominator) for x, y in diffs]
+    for normal in _fraction_sector_normals(diffs):
+        b1, b2 = int(normal[0]), int(normal[1])
+        members = [e for e, (x, y) in zip(power_sets.closure, scaled) if b1 * x + b2 * y <= 0]
         combo = express_in_span([e.vec.coords for e in members], target.coords)
         if combo is None:
             return False, Witness(
@@ -556,9 +629,8 @@ def _full_sector_test(
     return True, ControlCertificate(alpha0, d0, tuple(sectors))
 
 
-def _oracle_verdict(spec: GammaSpec) -> Verdict:
-    """heisenberg_verdict for nu = 2, on the fixed-point closure and full sector test."""
-    power_sets = _fixed_point_closure(xhat_expansion(spec))
+def _oracle_verdict(power_sets: PowerSets) -> Verdict:
+    """heisenberg_verdict for nu = 2, from the fixed-point closure, by the full sector test."""
     certificates = []
     for alpha0, entry in power_sets.nonpure:
         ok, payload = _full_sector_test(alpha0, entry.vec, power_sets)
@@ -608,31 +680,7 @@ def test_one_round_engine_matches_fixed_point_oracle(spec):
     oracle = _fixed_point_closure(xh)
     assert engine.closure == oracle.closure
     assert (engine.pure, engine.nonpure) == (oracle.pure, oracle.nonpure)
-    assert heisenberg_verdict(spec) == _oracle_verdict(spec)
-
-
-def _gauss_jordan_pivots(vectors: Sequence[tuple[Fraction, ...]], dim: int) -> list[int]:
-    """The pivot columns of express_in_span's elimination over the full list."""
-    m = len(vectors)
-    rows = [[vectors[j][i] for j in range(m)] for i in range(dim)]
-    r = 0
-    pivots = []
-    for col in range(m):
-        pr = next((i for i in range(r, dim) if rows[i][col] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == dim:
-            break
-    return pivots
+    assert heisenberg_verdict(spec) == _oracle_verdict(oracle)
 
 
 _SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -641,20 +689,28 @@ _NONZERO = _SMALL.filter(bool)
 
 @st.composite
 def _vector_lists(draw):
-    """(dim, vectors, target): 1- or 3-vectors with zeros, parallels and repeats."""
+    """(dim, vectors, target): 1- or 3-vectors with zeros, parallels, repeats and
+    sums of two earlier members; the target is zero, in the span, or drawn freely."""
     dim = draw(st.sampled_from((1, 3)))
     vectors: list[tuple[Fraction, ...]] = []
     for _ in range(draw(st.integers(0, 9))):
-        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "parallel", "repeat")))
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "parallel", "repeat", "sum")))
         if kind == "zero":
             vectors.append((Fraction(0),) * dim)
+        elif kind == "sum" and vectors:
+            u, v = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            f, g = draw(_NONZERO), draw(_NONZERO)
+            vectors.append(tuple(f * x + g * y for x, y in zip(u, v)))
         elif kind != "fresh" and vectors:
             v = draw(st.sampled_from(vectors))
             f = Fraction(1) if kind == "repeat" else draw(_NONZERO)
             vectors.append(tuple(f * x for x in v))
         else:
             vectors.append(tuple(draw(_SMALL) for _ in range(dim)))
-    if vectors and draw(st.booleans()):
+    target_kind = draw(st.sampled_from(("zero", "span", "free")))
+    if target_kind == "zero":
+        target = (Fraction(0),) * dim
+    elif vectors and target_kind == "span":
         weights = [draw(_SMALL) for _ in vectors]
         target = tuple(sum((w * v[i] for w, v in zip(weights, vectors)), Fraction(0)) for i in range(dim))
     else:
@@ -666,14 +722,41 @@ def _vector_lists(draw):
 @given(_vector_lists())
 def test_independent_prefix_is_the_gauss_jordan_pivot_choice(case):
     dim, vectors, target = case
-    kept = _independent_prefix(enumerate(_cleared(v) for v in vectors), dim)
-    assert kept == _gauss_jordan_pivots(vectors, dim)
-    full = express_in_span(vectors, target)
+    cleared = [_cleared(v) for v in vectors]
+    kept, pivots = _independent_prefix(enumerate(cleared), dim)
+    pivot_columns, full = _gauss_jordan(vectors, target)
+    assert kept == pivot_columns
     sub = express_in_span([vectors[k] for k in kept], target)
+    # the integer Cramer solve on the kept cleared vectors, at their pivot rows
+    scales = [lcm(*(c.denominator for c in vectors[k])) for k in kept]
+    goal_scale = lcm(*(c.denominator for c in target))
+    solved = _solve_on_pivots(
+        [cleared[k] for k in kept], scales, pivots, _cleared(target, goal_scale), goal_scale
+    )
     if full is None:
-        assert sub is None
+        assert sub is None and solved is None
     else:
         assert {kept[j]: c for j, c in sub.items()} == full
+        assert {kept[j]: c for j, c in solved.items()} == full
+        assert all(type(c) is Fraction for c in solved.values())
+
+
+def _square(n: int):
+    return st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(_square))
+def test_det_matches_the_leibniz_sum(m):
+    n = len(m)
+    expected = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        expected += term
+    assert _det(m) == expected
 
 
 def _dense_h1_text(top: int) -> str:
@@ -809,9 +892,17 @@ def test_sector_normals_cover_and_order():
     assert slopes == sorted(slopes)
 
 
-def test_express_in_span_basics():
-    basis = [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))]
-    combo = express_in_span(basis, (Fraction(3), Fraction(2)))
-    assert combo == {0: 1, 1: 2}
-    assert express_in_span([basis[0]], (Fraction(0), Fraction(1))) is None
-    assert express_in_span([], (Fraction(0), Fraction(0))) == {}
+_DIFF_ENTRIES = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_DIFF_ENTRIES, _DIFF_ENTRIES), max_size=12), st.integers(1, 50))
+def test_sector_normals_match_fraction_slopes_at_any_scale(diffs, factor):
+    expected = _fraction_sector_normals(diffs)
+    normals = sector_normals(diffs)
+    assert normals == expected
+    assert all(type(v) is Fraction for n in normals for v in n)
+    # clearing the differences to integers by any positive scale moves no normal
+    scale = factor * lcm(*(v.denominator for d in diffs for v in d))
+    assert sector_normals([tuple(int(v * scale) for v in d) for d in diffs]) == expected
+

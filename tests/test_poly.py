@@ -119,3 +119,23 @@ def test_ring_axioms_sample(p, q):
     assert p * q == q * p
     assert (p + q).partial(0) == p.partial(0) + q.partial(0)
     assert (p * q).partial(0) == p.partial(0) * q + p * q.partial(0)
+
+
+def _assert_valid(r: Polynomial) -> None:
+    """r is what the validating constructor makes of its own terms."""
+    assert r == Polynomial(r.variables, dict(r.terms))
+    assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    assert all(type(e) is tuple and len(e) == r.nvars for e in r.terms)
+    assert Polynomial.parse(str(r), r.variables) == r
+
+
+_SCALARS = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(), polynomials(), _SCALARS)
+def test_arithmetic_results_are_valid_polynomials(p, q, k):
+    results = [p + q, p - q, p - p, p * q, p * k, k * p, -p, p + k, k - p]
+    results += [p.partial(0), p.partial("t"), p.scaling_derivative(), (p * q).scaling_derivative()]
+    for r in results:
+        _assert_valid(r)
