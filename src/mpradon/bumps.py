@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -207,8 +207,8 @@ def moment_bump(a: float, a1: int, excluded: Sequence[int] = ()) -> MomentBump:
     it is provably nonsingular.
     """
     excluded = tuple(sorted(set(int(e) for e in excluded)))
-    if a <= 0:
-        raise ValueError("support length a must be positive")
+    if not isfinite(a) or a <= 0:
+        raise ValueError(f"support length a must be positive and finite, got {a!r}")
     if a1 <= 0 or any(e <= 0 for e in excluded):
         raise ValueError("moment exponents must be positive integers")
     if a1 in excluded:

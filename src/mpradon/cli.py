@@ -22,8 +22,9 @@ Problem spec files are sectioned key=value text::
     L = 20
 
 Exit codes: 0 bounded/pass, 2 unbounded/fail-with-witness, 3 inconclusive,
-1 input or internal error.  JSON reports are deterministic; the timestamp
-field is suppressed by --no-timestamp.
+1 input, usage or internal error (one ``error:`` line on stderr).  --help
+and --version exit 0.  JSON reports are deterministic; the timestamp field
+is suppressed by --no-timestamp.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .criteria import (
@@ -502,8 +504,19 @@ def cmd_norm_growth(args) -> int:
     return EXIT_BOUNDED
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, which reads as "unbounded" here
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """A fresh parser for the mpradon command line.
+
+    A usage error raises ValueError (``main`` reports it as one ``error:``
+    line and exit code 1); --help and --version exit 0.
+    """
+    parser = _ArgumentParser(
         prog="mpradon",
         description="boundedness criteria and numerics for multi-parameter singular Radon transforms",
     )
@@ -547,10 +560,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (SpecFileError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

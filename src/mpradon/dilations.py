@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Callable, Sequence
 
@@ -32,7 +33,10 @@ def _rat(value) -> Fraction:
         raise TypeError(
             "scheme exponents must be exact rationals (int, Fraction or 'p/q' string), got float"
         )
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"scheme exponent {value!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,11 @@ class ExponentScheme:
         """Indices i with e_i^mu != 0 (the coordinates grouped as t^mu)."""
         return tuple(i for i, r in enumerate(self.rows) if r[mu] != 0)
 
+    @cached_property
+    def _degrees(self) -> dict[MultiIndex, Degree]:
+        """``degree``'s results for this scheme, keyed by validated multi-index."""
+        return {}
+
 
 def check_multi_index(alpha: Sequence[int], scheme: ExponentScheme) -> None:
     """Raise unless alpha has N = scheme.n_t nonnegative integer components."""
@@ -101,13 +110,23 @@ def check_multi_index(alpha: Sequence[int], scheme: ExponentScheme) -> None:
 
 
 def degree(alpha: Sequence[int], scheme: ExponentScheme) -> Degree:
-    """deg(alpha) = sum_i alpha_i e_i, exact."""
+    """deg(alpha) = sum_i alpha_i e_i, exact.
+
+    Computed once per multi-index and scheme object: the result is kept on
+    the scheme.  The multi-index is validated on every call, before the
+    lookup, so an invalid one never matches a cached valid one.
+    """
     check_multi_index(alpha, scheme)
-    terms = [(a, row) for a, row in zip(alpha, scheme.rows) if a]
-    return tuple(
-        sum((a * row[mu] for a, row in terms if row[mu]), Fraction(0))
-        for mu in range(scheme.n_params)
-    )
+    key = tuple(alpha)
+    memo = scheme._degrees
+    d = memo.get(key)
+    if d is None:
+        terms = [(a, row) for a, row in zip(key, scheme.rows) if a]
+        d = memo[key] = tuple(
+            sum((a * row[mu] for a, row in terms if row[mu]), Fraction(0))
+            for mu in range(scheme.n_params)
+        )
+    return d
 
 
 def is_pure(d: Sequence[Fraction]) -> bool:

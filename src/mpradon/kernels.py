@@ -278,6 +278,8 @@ def sample_product_kernel_bounds(
     """
     if seq.scheme.n_t != 2 or seq.scheme.n_params != 2:
         raise ValueError("product-kernel bounds need the 2-parameter product scheme")
+    if any(m_cut < 0 for m_cut in truncations):
+        raise ValueError(f"truncations must be nonnegative, got {sorted(truncations)}")
     if samples is None:
         mags = np.geomspace(1e-4, seq.support_radius, 24)
         quadrant = tensor_grid([mags, mags])

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 from ..dilations import Degree, ExponentScheme, MultiIndex, check_multi_index, degree
@@ -106,6 +108,20 @@ class GammaSpec:
     def variables(self) -> tuple[str, ...]:
         return (self.p or self.exponents[0]).variables
 
+    # The expansions are computed on first use and kept on the (immutable)
+    # spec, so every caller of w_expansion / xhat_expansion shares one object.
+    @cached_property
+    def _w(self) -> "WExpansion":
+        if self.family == TRANSLATION_LINE:
+            return w_from_translation_gamma(self)
+        return w_from_heisenberg_gamma(self)
+
+    @cached_property
+    def _xhat(self) -> "WExpansion":
+        if self.family == TRANSLATION_LINE:
+            return _poly_coefficient_expansion((-self.p,), self.scheme, LINE_BASIS)
+        return _poly_coefficient_expansion(self.exponents, self.scheme, HEISENBERG_BASIS)
+
 
 @dataclass(frozen=True, eq=False)
 class WExpansion:
@@ -126,7 +142,8 @@ class WExpansion:
             if not vec.is_zero():
                 clean[alpha] = vec
                 check_multi_index(alpha, self.scheme)
-        object.__setattr__(self, "terms", clean)
+        # read-only: a spec hands the same expansion to every caller
+        object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "basis", tuple(self.basis))
 
     def __eq__(self, other):
@@ -196,9 +213,8 @@ def w_from_heisenberg_gamma(spec: GammaSpec) -> WExpansion:
 
 
 def w_expansion(spec: GammaSpec) -> WExpansion:
-    if spec.family == TRANSLATION_LINE:
-        return w_from_translation_gamma(spec)
-    return w_from_heisenberg_gamma(spec)
+    """W of the spec's family, computed once per spec object."""
+    return spec._w
 
 
 def xhat_expansion(spec: GammaSpec) -> WExpansion:
@@ -206,10 +222,9 @@ def xhat_expansion(spec: GammaSpec) -> WExpansion:
 
     Line: gamma_t(x) = x - p(t) = exp(-p(t) d/dx) x, so Xhat_alpha = -c_alpha d/dx.
     Heisenberg: Xhat_alpha = c^1_alpha X + c^2_alpha Y + c^3_alpha T.
+    Computed once per spec object.
     """
-    if spec.family == TRANSLATION_LINE:
-        return _poly_coefficient_expansion((-spec.p,), spec.scheme, LINE_BASIS)
-    return _poly_coefficient_expansion(spec.exponents, spec.scheme, HEISENBERG_BASIS)
+    return spec._xhat
 
 
 @dataclass(frozen=True)

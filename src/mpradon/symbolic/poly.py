@@ -28,6 +28,13 @@ def _coeff(value) -> Fraction:
     return Fraction(value)
 
 
+def _variables(names: Sequence[str]) -> tuple[str, ...]:
+    names = tuple(names)
+    if len(set(names)) != len(names) or not names:
+        raise ValueError("variables must be a nonempty list of distinct names")
+    return names
+
+
 def _term_sort_key(exps: Exponents):
     # graded lex, descending: used via sorted(..., reverse=True)
     return (sum(exps), exps)
@@ -39,9 +46,7 @@ class Polynomial:
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Fraction] | None = None):
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables) or not variables:
-            raise ValueError("variables must be a nonempty list of distinct names")
+        variables = _variables(variables)
         clean: dict[Exponents, Fraction] = {}
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
@@ -258,7 +263,7 @@ class Polynomial:
 
     @classmethod
     def parse(cls, text: str, variables: Sequence[str]) -> "Polynomial":
-        return _parse(text, tuple(variables))
+        return _parse(text, _variables(variables))
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^]))")
@@ -318,6 +323,8 @@ def _parse(text: str, variables: tuple[str, ...]) -> Polynomial:
                 coeff *= num
             else:
                 if tok not in variables:
+                    if tok in ("/", "^"):
+                        raise ValueError(f"misplaced {tok!r}")
                     raise ValueError(f"unknown variable {tok!r}; expected one of {list(variables)}")
                 power = 1
                 i += 1

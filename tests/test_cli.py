@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from mpradon import cli, criteria
 from mpradon.cli import (
     EXIT_BOUNDED,
     EXIT_ERROR,
@@ -14,6 +22,7 @@ from mpradon.cli import (
     parse_problem_spec,
 )
 from mpradon.symbolic import Polynomial
+from mpradon.symbolic import gamma as gamma_module
 
 KNOW_SPEC = """
 [problem]
@@ -39,6 +48,14 @@ P3 = s*t
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
+    return str(path)
+
+
+def kernel_file(tmp_path, tensor):
+    from mpradon.kernels import regroup_to_dyadic, save_kernel_sequence
+
+    path = tmp_path / "kernel.txt"
+    save_kernel_sequence(regroup_to_dyadic(tensor, (700.0, 900.0), (1.0, -1.0), 3), path)
     return str(path)
 
 
@@ -194,12 +211,7 @@ def test_bump_rejects_conflicting_exponents(capsys):
 
 
 def test_kernel_check_command(tmp_path, capsys, mean_zero_tensor):
-    from mpradon.kernels import regroup_to_dyadic, save_kernel_sequence
-
-    seq = regroup_to_dyadic(mean_zero_tensor, (700.0, 900.0), (1.0, -1.0), 3)
-    path = tmp_path / "kernel.txt"
-    save_kernel_sequence(seq, path)
-    assert main(["kernel-check", "--kernel", str(path)]) == EXIT_BOUNDED
+    assert main(["kernel-check", "--kernel", kernel_file(tmp_path, mean_zero_tensor)]) == EXIT_BOUNDED
     out = capsys.readouterr().out
     assert "PASS" in out
 
@@ -310,3 +322,175 @@ def test_norm_growth_know_level_passthrough(capsys):
 def test_experiment_section_rejects_unknown_case():
     with pytest.raises(SpecFileError):
         parse_problem_spec(KNOW_SPEC + "\n[experiment]\ncase = doggy\n")
+
+
+# -- usage and input errors ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["analyze"],
+        ["bogus"],
+        ["analyze", "--spec", "x.spec", "--format", "xml"],
+        ["analyze", "--spec", "x.spec", "stray"],
+        ["kernel-check", "--kernel", "k.txt", "--M", "abc"],
+        ["bump", "--a", "1.0"],
+        ["norm-growth", "--case", "doggy"],
+    ],
+)
+def test_usage_errors_exit_one_with_one_line(argv, capsys):
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mpradon") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["analyze", "--help"], ["norm-growth", "-h"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(("usage: mpradon", "mpradon ")) and captured.err == ""
+
+
+def test_zero_denominator_in_scheme_is_one_line_error(tmp_path, capsys):
+    text = KNOW_SPEC + "\n[scheme]\ne = 1/0 0 ; 0 1\n"
+    assert main(["analyze", "--spec", write(tmp_path, "z.spec", text)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scheme: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("a", ["nan", "inf", "-0.5", "0"])
+def test_bump_rejects_nonpositive_or_nonfinite_support(a, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bump", f"--a={a}", "--a1", "1"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: support length") and captured.err.count("\n") == 1
+
+
+def test_kernel_check_rejects_negative_truncation(tmp_path, capsys, mean_zero_tensor):
+    path = kernel_file(tmp_path, mean_zero_tensor)
+    assert main(["kernel-check", "--kernel", path, "--M", "-3"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: truncations") and captured.err.count("\n") == 1
+    assert main(["kernel-check", "--kernel", path, "--M", "0", "--format", "json"]) == EXIT_BOUNDED
+    rows = json.loads(capsys.readouterr().out)["product_bounds"]
+    assert [r["M"] for r in rows] == [0, 1]
+
+
+# -- one parser per process, one W and one Xhat per spec ---------------------
+
+
+def _run(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_in_process_calls_match_the_first(tmp_path, capsys, mean_zero_tensor):
+    kernel = kernel_file(tmp_path, mean_zero_tensor)
+    nonproduct = KNOW_SPEC.replace("s^3 + t^3 + s*t", "s + s*t^2") + "[scheme]\ne = 1 1 ; 0 1\n"
+    argvs = [
+        ["analyze", "--spec", write(tmp_path, "h.spec", HEIS_SPEC), "--format", "json", "--no-timestamp"],
+        ["analyze", "--spec", write(tmp_path, "k.spec", KNOW_SPEC)],
+        ["analyze", "--spec", write(tmp_path, "n.spec", nonproduct), "--no-timestamp"],
+        ["bump", "--a", "1.0", "--a1", "2", "--excluded", "1", "--format", "json"],
+        ["kernel-check", "--kernel", kernel, "--M", "4", "--format", "json"],
+        ["norm-growth", "--case", "kitty", "--M", "0 1", "--grid-n", "256", "--format", "csv"],
+        ["analyze", "--help"],
+        ["--version"],
+        ["analyze", "--spec", "x.spec", "--format", "xml"],
+        ["kernel-check", "--kernel", kernel, "--M", "-1"],
+    ]
+    cli._parser.cache_clear()
+    first = [_run(argv, capsys) for argv in argvs]
+    assert [code for code, _, _ in first] == [
+        EXIT_BOUNDED, EXIT_UNBOUNDED, EXIT_UNBOUNDED, EXIT_BOUNDED, EXIT_BOUNDED, EXIT_BOUNDED,
+        "SystemExit(0)", "SystemExit(0)", EXIT_ERROR, EXIT_ERROR,
+    ]
+    assert cli._parser.cache_info().currsize == 1
+    order = [i for pair in zip(range(len(argvs)), reversed(range(len(argvs)))) for i in pair]
+    for i in order:
+        assert _run(argvs[i], capsys) == first[i], argvs[i]
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_analyze_builds_w_and_xhat_once(tmp_path, capsys, monkeypatch):
+    built, closed, printed = [], [], []
+    expand, close, payload = (
+        gamma_module._poly_coefficient_expansion, criteria.pure_closure_heisenberg, cli._expansion_payload
+    )
+    monkeypatch.setattr(
+        gamma_module, "_poly_coefficient_expansion", lambda *args: built.append(expand(*args)) or built[-1]
+    )
+    monkeypatch.setattr(criteria, "pure_closure_heisenberg", lambda xhat: closed.append(xhat) or close(xhat))
+    monkeypatch.setattr(cli, "_expansion_payload", lambda exp: printed.append(exp) or payload(exp))
+
+    text = HEIS_SPEC.replace("P3 = s*t", "P3 = s*t + s^2*t^3")
+    assert main(["analyze", "--spec", write(tmp_path, "h.spec", text), "--format", "json"]) == EXIT_BOUNDED
+    capsys.readouterr()
+    xhat, w = printed  # the report lays out Xhat first, then W
+    assert w.basis == xhat.basis == ("X", "Y", "T") and w != xhat
+    # the verdict builds Xhat, the report builds W, and the report prints the Xhat the verdict closed
+    assert len(built) == 2 and built[0] is xhat and built[1] is w
+    assert len(closed) == 1 and closed[0] is xhat
+
+
+# Spec files from a small alphabet: section headers, known and unknown keys,
+# and values made of digits, variable names, ';', '^' and '/0'.  Most draws
+# keep the section layout, so that the values reach the parsers and the
+# criteria, not only the section splitter.
+_FACTORS = ("s", "t") * 4 + ("s^2", "t^3", "s^12", "t^2", "2", "3", "1/2", "/0", "^", "s1", "x", "")
+_EXPONENTS = ("0", "1") * 2 + ("2", "3", "1/2", "2/3", "1/0", "x", "")
+_FAMILY_KEYS = {"translation_line": ("p",), "heisenberg": ("p1", "P2", "p3"), "parabola": ("p",), "": ()}
+_EXTRA_KEYS = ("",) * 3 + (
+    "variables = s t", "variables = s1 s2", "variables = s s", "variables = s t u", "whut = 1", "p3 = s"
+)
+_SECTIONS = ("",) * 2 + ("[scheme]\ne = {}",) * 3 + (
+    "[scheme]\nf = 1", "[experiment]\ncase = know\nM = 0 1 2\nL = 12", "[bogus]\nx = 1", "x = 1", "[problem]"
+)
+
+
+def _joined(elements, sep, max_size):
+    return st.lists(elements, min_size=1, max_size=max_size).map(sep.join)
+
+
+_poly_text = _joined(_joined(st.sampled_from(_FACTORS), "*", 3), "+", 4)
+_scheme_text = _joined(_joined(st.sampled_from(_EXPONENTS), " ", 3), " ; ", 3)
+
+
+@st.composite
+def _spec_text(draw):
+    family = draw(st.sampled_from(("translation_line",) * 4 + ("heisenberg",) * 4 + ("parabola", "")))
+    problem = ["[problem]", f"family = {family}"]
+    problem += [f"{key} = {draw(_poly_text)}" for key in _FAMILY_KEYS[family]]
+    problem.append(draw(st.sampled_from(_EXTRA_KEYS)))
+    other = draw(st.sampled_from(_SECTIONS)).format(draw(_scheme_text))
+    return "\n".join([other, *problem] if draw(st.booleans()) else [*problem, other])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_spec_text())
+def test_fuzzed_spec_files_exit_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.spec")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--spec", path, "--no-timestamp"])
+    assert code in (EXIT_BOUNDED, EXIT_ERROR, EXIT_UNBOUNDED, EXIT_INCONCLUSIVE)
+    if code == EXIT_ERROR:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert err.getvalue() == "" and out.getvalue().startswith("mpradon ")

@@ -27,6 +27,8 @@ def test_scheme_validation():
         ExponentScheme.from_rows([[1, -1], [0, 1]])  # negative exponent
     with pytest.raises(TypeError):
         ExponentScheme.from_rows([[0.5, 0], [0, 1]])  # float is not exact
+    with pytest.raises(ValueError, match="zero denominator"):
+        ExponentScheme.from_rows([["1/0", 0], [0, 1]])
     assert ExponentScheme.from_rows([["1/2", 0], [0, 1]]).rows[0][0] == Fraction(1, 2)
 
 
@@ -47,6 +49,21 @@ def test_degree_general_scheme_hand_value():
 def test_degree_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         degree((1, 2, 3), PRODUCT2)
+
+
+def test_degree_validates_before_its_cached_lookup():
+    scheme = ExponentScheme.from_rows([["1/2", 1], [0, 2]])
+    assert degree((1, 0), scheme) == (Fraction(1, 2), 1)
+    # same key as (1, 0) under == and hash, or same length: each still raises
+    with pytest.raises(ValueError):
+        degree((1.0, 0), scheme)
+    with pytest.raises(ValueError):
+        degree((-1, 1), scheme)
+    with pytest.raises(DimensionMismatch):
+        degree((1,), scheme)
+    assert degree([1, 0], scheme) is degree((1, 0), scheme)
+    # the results live on the scheme object, not on equal schemes
+    assert degree((1, 0), ExponentScheme.from_rows([["1/2", 1], [0, 2]])) == (Fraction(1, 2), 1)
 
 
 def test_is_pure():

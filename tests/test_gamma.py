@@ -265,3 +265,15 @@ def test_w_expansion_zero_at_origin():
 def test_wexpansion_support_order():
     spec = GammaSpec.heisenberg(P("s + s*t"), P("t"), ZERO)
     assert xhat_expansion(spec).support() == [(1, 0), (0, 1), (1, 1)]
+
+
+def test_expansions_are_built_once_per_spec_and_read_only():
+    spec = GammaSpec.heisenberg(P("s + s*t"), P("t"), P("s^2*t"))
+    w, xhat = w_expansion(spec), xhat_expansion(spec)
+    assert w_expansion(spec) is w and xhat_expansion(spec) is xhat
+    # an equal spec is a separate object with its own, equal expansions
+    twin = GammaSpec.heisenberg(P("s + s*t"), P("t"), P("s^2*t"))
+    assert twin == spec and w_expansion(twin) is not w and w_expansion(twin) == w
+    with pytest.raises(TypeError):
+        w.terms[(5, 5)] = w.terms[(1, 0)]
+    assert w == w_from_heisenberg_gamma(spec)

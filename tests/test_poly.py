@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,18 @@ def test_parse_rejects_garbage():
     for bad in ("s t", "3s", "s^", "s^t", "*s", "s*", "q + t", "1/0", ""):
         with pytest.raises(ValueError):
             P(bad)
+
+
+def test_parse_names_a_misplaced_operator():
+    for bad, op in (("s*/0", "/"), ("s+/3", "/"), ("^2", "^"), ("s*^2", "^")):
+        with pytest.raises(ValueError, match=re.escape(f"misplaced '{op}'")):
+            P(bad)
+
+
+def test_parse_checks_the_variable_names_first():
+    for names in (("s", "s"), ()):
+        with pytest.raises(ValueError, match="distinct names"):
+            Polynomial.parse("t", names)
 
 
 def test_print_round_trip_examples():
