@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, isfinite
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import comb, fsum, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -122,6 +123,22 @@ class BumpCombination:
         if any(r <= 0 for _, _, r in atoms):
             raise ValueError("atom radii must be positive")
 
+    @cached_property
+    def exact_zero_mass(self) -> bool:
+        """True when the stored coefficients sum to exactly 0, so the mass is 0.
+
+        Every atom has unit mass, so the mass is sum_j c_j.  ``fsum`` rounds
+        the exact sum once, and a nonzero sum of floats never rounds to 0;
+        when a partial sum overflows, the sum is taken in ``Fraction``s.
+        """
+        coeffs = [c for c, _, _ in self.atoms]
+        if not all(map(isfinite, coeffs)):
+            return False
+        try:
+            return fsum(coeffs) == 0.0
+        except OverflowError:
+            return sum(map(Fraction, coeffs)) == 0
+
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
@@ -137,6 +154,10 @@ class BumpCombination:
         return out
 
     def support(self) -> tuple[float, float]:
+        return self._support
+
+    @cached_property
+    def _support(self) -> tuple[float, float]:
         los = [x for _, x, _ in self.atoms]
         his = [x + r for _, x, r in self.atoms]
         return (min(los), max(his)) if self.atoms else (0.0, 0.0)

@@ -430,6 +430,8 @@ def cmd_kernel_check(args) -> int:
             "max_abs_slice_integral": report.max_abs,
             "tolerance": report.tolerance,
             "passed": report.passed,
+            "slices": len(report.checks),
+            "exact_zero_slices": report.exact_zero_slices,
             "failures": [
                 {"k": list(c.index), "mu": c.mu, "max_abs": c.max_abs} for c in report.failing()
             ],
@@ -450,7 +452,8 @@ def cmd_kernel_check(args) -> int:
     else:
         lines = [
             f"cancellation: {'PASS' if report.passed else 'FAIL'} "
-            f"(max slice integral {report.max_abs:.3e}, tol {report.tolerance:.1e})"
+            f"(max slice integral {report.max_abs:.3e}, tol {report.tolerance:.1e}) "
+            f"({report.exact_zero_slices} of {len(report.checks)} slices exact zero)"
         ]
         for c in report.failing():
             lines.append(f"  violated at k={c.index}, mu={c.mu}: {c.max_abs:.3e}")

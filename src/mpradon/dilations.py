@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import inf, prod
 from typing import Callable, Sequence
 
 MultiIndex = tuple[int, ...]
@@ -98,6 +98,11 @@ class ExponentScheme:
         """``degree``'s results for this scheme, keyed by validated multi-index."""
         return {}
 
+    @cached_property
+    def _factors(self) -> dict[tuple[float, ...], tuple[float, ...]]:
+        """``dilation_factors``'s results for this scheme, keyed by validated delta."""
+        return {}
+
 
 def check_multi_index(alpha: Sequence[int], scheme: ExponentScheme) -> None:
     """Raise unless alpha has N = scheme.n_t nonnegative integer components."""
@@ -144,22 +149,34 @@ def _pow(base: float, exp: Fraction) -> float:
         return 1.0
     if base == 0.0:
         return 0.0
-    if exp.denominator == 1:
-        return float(base) ** int(exp)
-    return float(base) ** float(exp)
+    try:
+        if exp.denominator == 1:
+            return float(base) ** int(exp)
+        return float(base) ** float(exp)
+    except OverflowError:  # float ** raises where float * gives inf
+        return inf
 
 
 def dilation_factors(delta: Sequence[float], scheme: ExponentScheme) -> tuple[float, ...]:
-    """Per-coordinate factors delta^{e_i} = prod_mu delta_mu^{e_i^mu}."""
+    """Per-coordinate factors delta^{e_i} = prod_mu delta_mu^{e_i^mu}.
+
+    Computed once per delta and scheme object, like ``degree``: delta is
+    validated on every call, before the lookup.
+    """
     if len(delta) != scheme.n_params:
         raise DimensionMismatch(
             f"delta has {len(delta)} components, scheme expects {scheme.n_params}"
         )
     if any(d < 0 for d in delta):
         raise ValueError("dilation parameters must be nonnegative")
-    return tuple(
-        prod(_pow(float(d), e) for d, e in zip(delta, row)) for row in scheme.rows
-    )
+    key = tuple(delta)
+    memo = scheme._factors
+    factors = memo.get(key)
+    if factors is None:
+        factors = memo[key] = tuple(
+            prod(_pow(float(d), e) for d, e in zip(key, row)) for row in scheme.rows
+        )
+    return factors
 
 
 def dilate_point(

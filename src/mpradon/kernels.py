@@ -10,12 +10,15 @@ where f^{(delta)}(t) = delta^{e_1+...+e_N} f(delta t).  On top of this the
 module provides
 
   * ``verify_cancellation`` -- exact slice masses int entry_k dt^mu for
-    every mu with k_mu != 0 (t^mu = coordinates with e_i^mu != 0), each
-    sampled on a grid of the remaining coordinates;
+    every mu with k_mu != 0 (t^mu = coordinates with e_i^mu != 0).  A slice
+    whose every atom has an inner factor with coefficients summing to
+    exactly 0 is certified 0 outright; any other slice is sampled on a grid
+    of the remaining coordinates;
 
   * ``sample_product_kernel_bounds`` -- for 2-parameter product schemes,
     the weighted sup |d^alpha K| |s|^{1+a1} |t|^{1+a2} over samples off the
-    axes, the quantity whose finiteness characterizes product kernels;
+    axes, the quantity whose finiteness characterizes product kernels; each
+    1-D factor is evaluated once per distinct coordinate of its axis;
 
   * ``regroup_to_dyadic`` -- rewrites sum_{k<=M} bump^{(tau 2^{k n})} in
     dyadic normal form sum_i entry_i^{(2^i)} with per-entry scale factors
@@ -29,13 +32,14 @@ module provides
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bumps import TensorBump
+from .bumps import BumpCombination, TensorBump
 from .dilations import ExponentScheme, dilation_factors
 from .quadrature import tensor_grid
 
@@ -82,8 +86,8 @@ class KernelEntry:
                 raise ValueError("atom dimension disagrees with the scheme")
         # per atom: coordinate factors delta^{e_i} and their product (the jacobian)
         self.dilations: tuple[tuple[np.ndarray, float], ...] = tuple(
-            (f, float(np.prod(f)))
-            for f in (np.array(dilation_factors(sa.delta, scheme), dtype=float) for sa in self.atoms)
+            (np.array(f, dtype=float), math.prod(f))
+            for f in (dilation_factors(sa.delta, scheme) for sa in self.atoms)
         )
 
     def __call__(self, points) -> np.ndarray:
@@ -186,6 +190,7 @@ class SliceCheck:
     index: tuple[int, ...]
     mu: int
     max_abs: float
+    exact_zero: bool = False  # certified 0 without sampling
 
 
 @dataclass(frozen=True)
@@ -198,6 +203,10 @@ class CancellationReport:
     def max_abs(self) -> float:
         """The largest slice integral; nan when any slice reads nan."""
         return float(np.max([c.max_abs for c in self.checks])) if self.checks else 0.0
+
+    @property
+    def exact_zero_slices(self) -> int:
+        return sum(c.exact_zero for c in self.checks)
 
     @property
     def passed(self) -> bool:
@@ -213,47 +222,58 @@ def verify_cancellation(
     tolerance: float = 1e-9,
     grid_per_axis: int = 9,
 ) -> CancellationReport:
-    """Check int entry_k dt^mu == 0 (k_mu != 0) on a grid of the other variables.
+    """Check int entry_k dt^mu == 0 (k_mu != 0), exactly where the data allow.
 
     The slice integral of a dilated tensor atom factorizes into 1-D integrals
     over the inner coordinates times the atom's values at the outer ones.
     Each inner factor is a combination sum_j c_j psi_{x_j,r_j} of unit-mass
     atoms, so its integral after the dilation u -> f u is (sum_j c_j) / f in
-    closed form: no quadrature, however far apart the atom scales sit.  Only
-    the outer coordinates are sampled, at ``grid_per_axis`` points per axis
-    of the entry's support box.  A slice whose integral is not finite fails.
+    closed form: no quadrature, however far apart the atom scales sit.
+
+    An atom with an inner factor whose coefficients sum to exactly 0 (and a
+    finite coefficient * jacobian) contributes exactly 0 and is dropped.  A
+    slice with no atoms left is certified 0.0 (``exact_zero``) without
+    sampling.  Any other slice is sampled over its remaining atoms at
+    ``grid_per_axis`` points per outer axis of the entry's support box.  A
+    slice whose integral is not finite fails.
     """
     checks: list[SliceCheck] = []
     violations: list[tuple[tuple[int, ...], float]] = []
+    n_t = seq.scheme.n_t
+    slices = [sorted(set(seq.scheme.slice_coordinates(mu))) for mu in range(seq.scheme.n_params)]
     for k in seq.indices():
         entry = seq.entries[k]
         box = entry.support_box()
         radius = max(max(abs(lo), abs(hi)) for lo, hi in box)
         if radius > seq.support_radius + 1e-12:
             violations.append((k, radius))
-        for mu in range(seq.scheme.n_params):
+        for mu, inner in enumerate(slices):
             if k[mu] == 0:
                 continue
-            inner = sorted(set(seq.scheme.slice_coordinates(mu)))
-            outer = [i for i in range(seq.scheme.n_t) if i not in inner]
-            # per atom: coefficient * jacobian * prod of inner 1-D masses
-            weights = []
+            outer = [i for i in range(n_t) if i not in inner]
+            # per kept atom: coefficient * jacobian * prod of inner 1-D masses
+            kept = []
             for sa, (factors, jac) in zip(entry.atoms, entry.dilations):
                 weight = sa.coef * jac
+                if math.isfinite(weight) and any(sa.atom.factors[i].exact_zero_mass for i in inner):
+                    continue
                 for i in inner:
                     weight *= sa.atom.factors[i].moment_closed_form(0) / factors[i]
-                weights.append(weight)
+                kept.append((weight, sa, factors))
+            if not kept:
+                checks.append(SliceCheck(k, mu, 0.0, exact_zero=True))
+                continue
             if outer:
                 outer_pts = tensor_grid([np.linspace(*box[i], grid_per_axis) for i in outer])
                 acc = np.zeros(outer_pts.shape[0])
-                for weight, sa, (factors, _) in zip(weights, entry.atoms, entry.dilations):
+                for weight, sa, factors in kept:
                     vals = np.full(outer_pts.shape[0], weight)
                     for col, i in enumerate(outer):
                         vals = vals * sa.atom.factors[i](factors[i] * outer_pts[:, col])
                     acc += vals
                 worst = float(np.max(np.abs(acc)))
             else:
-                worst = float(abs(sum(weights)))
+                worst = float(abs(sum(weight for weight, _, _ in kept)))
             checks.append(SliceCheck(k, mu, worst))
     return CancellationReport(tuple(checks), tuple(violations), tolerance)
 
@@ -275,6 +295,12 @@ def sample_product_kernel_bounds(
 
     K_M sums the entries with |k|_1 <= M.  Samples must avoid the axes;
     the default grid is log-spaced in |s|, |t| with all four sign pairs.
+
+    Each atom is a product of 1-D factors, so each factor derivative is
+    evaluated only at the distinct coordinates of its axis (48 on the
+    default grid), once per (axis, factor, dilation factor, order) in the
+    call, and gathered to the samples.  The arithmetic per sample is that of
+    ``KernelEntry.derivative_values`` on the scaled entries.
     """
     if seq.scheme.n_t != 2 or seq.scheme.n_params != 2:
         raise ValueError("product-kernel bounds need the 2-parameter product scheme")
@@ -287,22 +313,41 @@ def sample_product_kernel_bounds(
     samples = np.asarray(samples, dtype=float)
     if np.any(samples == 0.0):
         raise ValueError("sample points must stay off the coordinate axes")
+    axes = [np.unique(samples[:, i], return_inverse=True) for i in range(2)]
+    values: dict[tuple, np.ndarray] = {}
+
+    def factor_values(i: int, factor, scale: float, order: int) -> np.ndarray:
+        coords, inverse = axes[i]
+        key = (i, factor, scale, order)
+        vals = values.get(key)
+        if vals is None:
+            vals = values[key] = factor.derivative_values(coords * scale, order)
+        return vals[inverse]
+
+    # one pass over the entries in index order: each is scaled once, evaluated
+    # once per alpha and added to the sum of every truncation that keeps it
+    accs = [[np.zeros(samples.shape[0]) for _ in truncations] for _ in alphas]
+    for k in seq.indices():
+        keep = [t for t, m_cut in enumerate(truncations) if sum(k) <= m_cut]
+        if not keep:
+            continue
+        entry = seq.entries[k].scaled([2.0**v for v in k])
+        for (a1, a2), alpha_accs in zip(alphas, accs):
+            orders = np.array((a1, a2), dtype=float)
+            vals = np.zeros(samples.shape[0])
+            for sa, (factors, jac) in zip(entry.atoms, entry.dilations):
+                chain = float(np.prod(factors**orders))
+                prod_vals = factor_values(0, sa.atom.factors[0], float(factors[0]), a1)
+                prod_vals = prod_vals * factor_values(1, sa.atom.factors[1], float(factors[1]), a2)
+                vals += sa.coef * jac * chain * prod_vals
+            for t in keep:
+                alpha_accs[t] += vals
     out: list[ProductBoundEstimate] = []
-    for alpha in alphas:
-        a1, a2 = alpha
+    for (a1, a2), alpha_accs in zip(alphas, accs):
         weight = np.abs(samples[:, 0]) ** (1 + a1) * np.abs(samples[:, 1]) ** (1 + a2)
-        # one pass over the entries in index order: each is evaluated once and
-        # added to the sum of every truncation that keeps it
-        accs = [np.zeros(samples.shape[0]) for _ in truncations]
-        for k in seq.indices():
-            keep = [acc for acc, m_cut in zip(accs, truncations) if sum(k) <= m_cut]
-            if keep:
-                vals = seq.entries[k].scaled([2.0**v for v in k]).derivative_values(samples, alpha)
-                for acc in keep:
-                    acc += vals
         out += [
             ProductBoundEstimate((a1, a2), m_cut, float(np.max(np.abs(acc) * weight)))
-            for m_cut, acc in zip(truncations, accs)
+            for m_cut, acc in zip(truncations, alpha_accs)
         ]
     return out
 
@@ -487,68 +532,127 @@ def save_kernel_sequence(seq: DyadicKernelSeq, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_kernel_sequence(path) -> DyadicKernelSeq:
-    from .bumps import BumpCombination
+_HEADER_KEYS = ("N", "nu", "e", "a")
 
+
+def load_kernel_sequence(path) -> DyadicKernelSeq:
+    """Read a kernel file written by ``save_kernel_sequence``.
+
+    Each distinct axes text (after ``:``) is parsed once per file, and the
+    atom lines that repeat it share one ``TensorBump``; each distinct delta
+    text is parsed once.  A malformed file raises ValueError, naming the
+    file line where it can: a header line that is not ``key = value`` with
+    a known key, a repeated key or ``[entry k]``, an index or an atom line
+    of the wrong arity, a number that is not finite, a support radius
+    ``a <= 0``.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "[kernel]":
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != "[kernel]":
         raise ValueError("kernel file must start with a [kernel] header")
-    header: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("[entry"):
-        key, _, value = lines[i].partition("=")
-        header[key.strip()] = value.strip()
-        i += 1
-    missing = {"N", "nu", "e", "a"} - set(header)
+    header: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
+    pos = 1
+    while pos < len(lines) and not lines[pos][1].startswith("[entry"):
+        n, line = lines[pos]
+        key, eq, value = (part.strip() for part in line.partition("="))
+        with _at_line(n):
+            if not eq or key not in _HEADER_KEYS:
+                raise ValueError(f"expected one of {', '.join(_HEADER_KEYS)} = <value>, got {line!r}")
+            if key in header:
+                raise ValueError(f"repeated header key {key!r} (first on line {header[key][0]})")
+        header[key] = (n, value)
+        pos += 1
+    missing = set(_HEADER_KEYS) - set(header)
     if missing:
         raise ValueError(f"kernel header is missing keys: {sorted(missing)}")
-    scheme = ExponentScheme.from_rows(
-        [row.split() for row in header["e"].split(";")]
-    )
-    if scheme.n_t != int(header["N"]) or scheme.n_params != int(header["nu"]):
-        raise ValueError("kernel header N/nu disagree with the scheme rows")
-    entries: dict[tuple[int, ...], KernelEntry] = {}
-    current: tuple[int, ...] | None = None
+    with _at_line(header["e"][0]):
+        scheme = ExponentScheme.from_rows([row.split() for row in header["e"][1].split(";")])
+    for key, size in (("N", scheme.n_t), ("nu", scheme.n_params)):
+        with _at_line(header[key][0]):
+            if int(header[key][1]) != size:
+                raise ValueError(f"kernel header {key} = {header[key][1]} disagrees with the scheme rows")
+    with _at_line(header["a"][0]):
+        radius = _finite(header["a"][1], "support radius a")
+        if radius <= 0:
+            raise ValueError(f"support radius a must be positive, got {header['a'][1]}")
+
+    entries: dict[tuple[int, ...], list[ScaledAtom]] = {}
+    first_line: dict[tuple[int, ...], int] = {}
+    shapes: dict[str, TensorBump] = {}
+    deltas: dict[str, tuple[float, ...]] = {}
     atoms: list[ScaledAtom] = []
+    n = 0
+    try:
+        for n, line in lines[pos:]:
+            if line.startswith("atom "):
+                coef_part, at, rest = line[len("atom ") :].partition("@")
+                delta_part, colon, axes_part = rest.partition(":")
+                if not (at and colon):
+                    raise ValueError("expected 'atom <coef> @ <delta...> : <axis atoms>'")
+                if delta_part not in deltas:
+                    delta = tuple(_finite(v, "atom delta") for v in delta_part.split())
+                    if len(delta) != scheme.n_params:
+                        raise ValueError(f"atom delta has {len(delta)} values, the scheme expects {scheme.n_params}")
+                    deltas[delta_part] = delta
+                if axes_part not in shapes:
+                    shapes[axes_part] = _tensor_bump(axes_part, scheme.n_t)
+                atoms.append(ScaledAtom(_finite(coef_part, "atom coefficient"), shapes[axes_part], deltas[delta_part]))
+            elif line.startswith("[entry"):
+                k = _entry_index(line, scheme.n_params)
+                if k in entries:
+                    raise ValueError(f"repeated [entry {','.join(map(str, k))}] (first on line {first_line[k]})")
+                atoms = entries[k] = []
+                first_line[k] = n
+            else:
+                raise ValueError(f"unrecognized kernel file line: {line!r}")
+    except ValueError as exc:
+        raise ValueError(f"kernel file line {n}: {exc}") from None
+    return DyadicKernelSeq(
+        scheme, radius, {k: KernelEntry(scheme, entry_atoms) for k, entry_atoms in entries.items()}
+    )
 
-    def flush():
-        if current is not None:
-            entries[current] = KernelEntry(scheme, atoms)
 
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("[entry"):
-            flush()
-            current = tuple(int(v) for v in line[len("[entry") : -1].strip().split(","))
-            atoms = []
-        elif line.startswith("atom "):
-            body = line[len("atom ") :]
-            coef_part, _, rest = body.partition("@")
-            delta_part, _, axes_part = rest.partition(":")
-            factors = []
-            for axis in axes_part.split("|"):
-                triples = []
-                for triple in axis.split(";"):
-                    c, x, r = (_finite(v, "atom triple") for v in triple.split(","))
-                    triples.append((c, x, r))
-                factors.append(BumpCombination(tuple(triples)))
-            atoms.append(
-                ScaledAtom(
-                    _finite(coef_part, "atom coefficient"),
-                    TensorBump(tuple(factors)),
-                    tuple(_finite(v, "atom delta") for v in delta_part.split()),
-                )
-            )
-        else:
-            raise ValueError(f"unrecognized kernel file line: {line!r}")
-        i += 1
-    flush()
-    return DyadicKernelSeq(scheme, _finite(header["a"], "support radius a"), entries)
+@contextmanager
+def _at_line(n: int):
+    """Prefix a ValueError raised in the block with the kernel file line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"kernel file line {n}: {exc}") from None
+
+
+def _entry_index(line: str, nu: int) -> tuple[int, ...]:
+    if not line.endswith("]"):
+        shape = ",".join(f"k{mu}" for mu in range(1, nu + 1))
+        raise ValueError(f"expected '[entry {shape}]', got {line!r}")
+    try:
+        k = tuple(int(v) for v in line[len("[entry") : -1].split(","))
+    except ValueError:
+        k = ()
+    if len(k) != nu or any(v < 0 for v in k):
+        raise ValueError(f"dyadic index must have {nu} nonnegative integer components, got {line!r}")
+    return k
+
+
+def _tensor_bump(text: str, n_axes: int) -> TensorBump:
+    """The axes text 'c,x,r;... | c,x,r;...' as a tensor bump with n_axes factors."""
+    axes = text.split("|")
+    if len(axes) != n_axes:
+        raise ValueError(f"atom has {len(axes)} axes, the scheme expects {n_axes}")
+    factors = []
+    for axis in axes:
+        triples = []
+        for triple in axis.split(";"):
+            values = triple.split(",")
+            if len(values) != 3:
+                raise ValueError(f"atom triple needs 3 values c,x,r, got {triple.strip()!r}")
+            triples.append(tuple(_finite(v, "atom triple") for v in values))
+        factors.append(BumpCombination(tuple(triples)))
+    return TensorBump(tuple(factors))
 
 
 def _finite(text: str, what: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"kernel file {what} must be finite, got {text.strip()!r}")
+        raise ValueError(f"{what} must be finite, got {text.strip()!r}")
     return value

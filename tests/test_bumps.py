@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,3 +191,23 @@ def test_serialization_round_trip_bit_exact():
     again = BumpCombination.from_json(text)
     assert again.atoms == mb.bump.atoms
     assert again.to_json() == text
+
+
+@pytest.mark.parametrize(
+    "coeffs, exact_zero",
+    [
+        ((1e16, 1.0, -1e16, -1.0), True),  # the float sum in order reads -1.0
+        ((0.1, 0.2, -0.3), False),  # the float sum reads 5.6e-17, the exact sum is not 0 either
+        ((1e308, 1e308, -1e308, -1e308), True),  # a partial sum overflows
+        ((1e308, 1e308, -1e308), False),
+        ((1.0, math.nan, -1.0), False),
+        ((math.inf, -math.inf), False),
+        ((), True),
+    ],
+)
+def test_exact_zero_mass_is_the_exact_coefficient_sum(coeffs, exact_zero):
+    bump = BumpCombination(tuple((c, 0.1 * j, 0.5) for j, c in enumerate(coeffs)))
+    assert bump.exact_zero_mass is exact_zero
+    if all(map(math.isfinite, coeffs)):
+        assert exact_zero == (sum(map(Fraction, coeffs)) == 0)
+

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from mpradon.dilations import (
     ExponentScheme,
     degree,
     dilate_point,
+    dilation_factors,
     is_pure,
     scale_function,
 )
@@ -64,6 +66,24 @@ def test_degree_validates_before_its_cached_lookup():
     assert degree([1, 0], scheme) is degree((1, 0), scheme)
     # the results live on the scheme object, not on equal schemes
     assert degree((1, 0), ExponentScheme.from_rows([["1/2", 1], [0, 2]])) == (Fraction(1, 2), 1)
+
+
+def test_dilation_factors_validate_before_their_cached_lookup():
+    scheme = ExponentScheme.from_rows([["1/2", 1], [0, 2]])
+    first = dilation_factors((4.0, 3.0), scheme)
+    assert first == (2.0 * 3.0, 9.0)
+    assert dilation_factors([4, 3], scheme) is first
+    with pytest.raises(ValueError):
+        dilation_factors((4.0, -3.0), scheme)
+    with pytest.raises(DimensionMismatch):
+        dilation_factors((4.0,), scheme)
+    assert dilation_factors((4.0, 3.0), ExponentScheme.from_rows([["1/2", 1], [0, 2]])) == first
+
+
+def test_dilation_factor_overflow_reads_inf():
+    scheme = ExponentScheme.from_rows([[2, 0], [0, "3/2"]])
+    assert dilation_factors((1e308, 1e308), scheme) == (math.inf, math.inf)
+    assert dilation_factors((1e300, 1e100), scheme) == (math.inf, 1e100**1.5)
 
 
 def test_is_pure():

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 from itertools import product as iter_product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpradon.bumps import BumpCombination, TensorBump, moment_bump, tensor_bump
@@ -14,6 +18,7 @@ from mpradon.kernels import (
     CancellationReport,
     DyadicKernelSeq,
     KernelEntry,
+    ProductBoundEstimate,
     ScaledAtom,
     SliceCheck,
     UnsupportedKernel,
@@ -89,13 +94,23 @@ def _factors(entry: KernelEntry, sa: ScaledAtom) -> tuple[np.ndarray, float]:
     return f, float(np.prod(f))
 
 
-def adaptive_cancellation(
+def _closed_form_mass(factor: BumpCombination, f: float) -> float:
+    return factor.moment_closed_form(0) / f
+
+
+def _adaptive_mass(factor: BumpCombination, f: float) -> float:
+    lo, hi = factor.support()
+    return integrate_adaptive(lambda u: factor(f * u), lo / f, hi / f, tol=1e-13, order=24)
+
+
+def sampled_cancellation(
     seq: DyadicKernelSeq,
     tolerance: float = 1e-9,
-    quad_order: int = 24,
     grid_per_axis: int = 9,
+    inner_mass=_closed_form_mass,
 ) -> CancellationReport:
-    """The reference: each inner 1-D factor integral by adaptive Gauss-Legendre."""
+    """The reference: every slice is sampled on the outer grid over all of
+    its atoms, each inner 1-D factor integral by ``inner_mass(factor, f)``."""
     checks: list[SliceCheck] = []
     violations: list[tuple[tuple[int, ...], float]] = []
     for k in seq.indices():
@@ -107,21 +122,15 @@ def adaptive_cancellation(
         for mu in range(seq.scheme.n_params):
             if k[mu] == 0:
                 continue
-            inner = set(seq.scheme.slice_coordinates(mu))
+            inner = sorted(set(seq.scheme.slice_coordinates(mu)))
             outer = [i for i in range(seq.scheme.n_t) if i not in inner]
-            # per-atom: coefficient * jacobian * prod of inner 1-D integrals
+            # per atom: coefficient * jacobian * prod of inner 1-D integrals
             reduced: list[tuple[float, ScaledAtom]] = []
             for sa in entry.atoms:
                 factors, jac = _factors(entry, sa)
                 weight = sa.coef * jac
-                for i in sorted(inner):
-                    lo, hi = sa.atom.support_box()[i]
-                    lo, hi = lo / factors[i], hi / factors[i]
-                    factor_fn = sa.atom.factors[i]
-                    f_i = factors[i]
-                    weight *= integrate_adaptive(
-                        lambda u: factor_fn(f_i * u), lo, hi, tol=1e-13, order=quad_order
-                    )
+                for i in inner:
+                    weight *= inner_mass(sa.atom.factors[i], factors[i])
                 reduced.append((weight, sa))
             if outer:
                 outer_pts = tensor_grid([np.linspace(*box[i], grid_per_axis) for i in outer])
@@ -134,7 +143,7 @@ def adaptive_cancellation(
                     acc += vals
                 worst = float(np.max(np.abs(acc)))
             else:
-                worst = abs(sum(weight for weight, _ in reduced))
+                worst = float(abs(sum(weight for weight, _ in reduced)))
             checks.append(SliceCheck(k, mu, worst))
     return CancellationReport(tuple(checks), tuple(violations), tolerance)
 
@@ -148,10 +157,10 @@ REFERENCE_BUMPS = ((0.5, 1, ()), (0.5, 2, ()), (1.0, 1, ()), (1.0, 2, ()), (1.0,
 
 
 @st.composite
-def _kernel_sequences(draw):
-    """Regrouped or telescoped sequences, nu in {1, 2}, M <= 6; in about half
+def _kernel_sequences(draw, nus=(1, 2)):
+    """Regrouped or telescoped sequences, nu in ``nus``, M <= 6; in about half
     of them one axis carries a unit-mass atom, so its slices cannot cancel."""
-    nu = draw(st.sampled_from([1, 2]))
+    nu = draw(st.sampled_from(nus))
     factors = [moment_bump(*draw(st.sampled_from(REFERENCE_BUMPS))).bump] * nu
     if draw(st.booleans()):
         x, r = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.05, 1.0))
@@ -175,13 +184,50 @@ def _kernel_sequences(draw):
 @settings(max_examples=60, deadline=None)
 @given(_kernel_sequences())
 def test_exact_slice_masses_match_adaptive_quadrature(seq):
-    exact, reference = verify_cancellation(seq), adaptive_cancellation(seq)
+    exact, reference = verify_cancellation(seq), sampled_cancellation(seq, inner_mass=_adaptive_mass)
     assert [(c.index, c.mu) for c in exact.checks] == [(c.index, c.mu) for c in reference.checks]
     for new, old in zip(exact.checks, reference.checks):
         assert type(new.max_abs) is float
         assert abs(new.max_abs - old.max_abs) <= 1e-11 + 1e-12 * abs(old.max_abs)
     assert exact.passed == reference.passed
     assert exact.support_violations == reference.support_violations
+
+
+def _dropped_atoms(seq: DyadicKernelSeq, k, mu) -> list[bool]:
+    """Per atom of slice (k, mu): an inner factor of exact mass 0 and a finite coef * jac."""
+    entry, inner = seq.entries[k], seq.scheme.slice_coordinates(mu)
+    return [
+        math.isfinite(sa.coef * jac) and any(sa.atom.factors[i].exact_zero_mass for i in inner)
+        for sa, (_, jac) in zip(entry.atoms, entry.dilations)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_sequences())
+def test_exact_zero_certificates_match_the_sampled_oracle(seq):
+    report, oracle = verify_cancellation(seq), sampled_cancellation(seq)
+    assert [(c.index, c.mu) for c in report.checks] == [(c.index, c.mu) for c in oracle.checks]
+    assert report.passed == oracle.passed
+    assert report.support_violations == oracle.support_violations
+    for check, reference in zip(report.checks, oracle.checks):
+        dropped = _dropped_atoms(seq, check.index, check.mu)
+        assert check.exact_zero == all(dropped)
+        if check.exact_zero:
+            assert check.max_abs == 0.0 and reference.max_abs <= report.tolerance
+        elif not any(dropped):
+            assert check.max_abs == reference.max_abs
+    assert report.exact_zero_slices == sum(c.exact_zero for c in report.checks)
+
+
+def test_exact_mass_certifies_where_the_float_sum_does_not(mean_zero_bump):
+    # the coefficients sum to exactly 0, but in float arithmetic, in order, to -1.0
+    cancelled = BumpCombination(((1e16, 0.0, 0.5), (1.0, 0.1, 0.25), (-1e16, 0.0, 0.5), (-1.0, 0.2, 0.25)))
+    assert cancelled.moment_closed_form(0) == -1.0 and cancelled.exact_zero_mass
+    seq = single_entry_seq(tensor_bump([cancelled, mean_zero_bump]), k=(1, 0))
+    report = verify_cancellation(seq)
+    assert report.passed
+    assert report.checks == (SliceCheck((1, 0), 0, 0.0, exact_zero=True),)
+    assert not sampled_cancellation(seq).passed
 
 
 @pytest.mark.parametrize("a1, excluded", [(2, (1, 4)), (3, (2, 4))])
@@ -240,6 +286,19 @@ def test_kernel_check_fails_on_overflowing_slice(tmp_path, capsys, mean_zero_bum
     assert math.isnan(cancel["max_abs_slice_integral"])
     assert [(f["k"], f["mu"]) for f in cancel["failures"]] == [([2], 0)]
     assert math.isnan(cancel["failures"][0]["max_abs"])
+
+
+def test_exact_zero_needs_a_finite_coefficient_times_jacobian(mean_zero_bump):
+    # 1e308 * 4 overflows, and inf * 0 is nan: the atom is sampled, not dropped
+    scheme = ExponentScheme.product(1)
+    atoms = [ScaledAtom(c, tensor_bump([mean_zero_bump]), (4.0,)) for c in (1e308, 1.0)]
+    seq = DyadicKernelSeq(scheme, 1.0, {(1,): KernelEntry(scheme, atoms)})
+    with np.errstate(invalid="ignore"):
+        report = verify_cancellation(seq)
+    assert not report.passed and report.exact_zero_slices == 0
+    assert math.isnan(report.checks[0].max_abs)
+    finite = DyadicKernelSeq(scheme, 1.0, {(1,): KernelEntry(scheme, atoms[1:])})
+    assert verify_cancellation(finite).checks == (SliceCheck((1,), 0, 0.0, exact_zero=True),)
 
 
 @pytest.mark.parametrize("field", ["coefficient", "delta", "triple", "radius"])
@@ -341,6 +400,45 @@ def test_bound_constants_match_per_truncation_evaluation(mean_zero_bump):
         for est in sample_product_kernel_bounds(seq, [m_cut], [alpha])
     ]
     assert together == apart
+
+
+def direct_product_bounds(seq, truncations, alphas, samples) -> list[ProductBoundEstimate]:
+    """The reference: each scaled entry's derivative at every sample point."""
+    out = []
+    for alpha in alphas:
+        weight = np.abs(samples[:, 0]) ** (1 + alpha[0]) * np.abs(samples[:, 1]) ** (1 + alpha[1])
+        accs = [np.zeros(samples.shape[0]) for _ in truncations]
+        for k in seq.indices():
+            keep = [acc for acc, m_cut in zip(accs, truncations) if sum(k) <= m_cut]
+            if keep:
+                vals = seq.entries[k].scaled([2.0**v for v in k]).derivative_values(samples, alpha)
+                for acc in keep:
+                    acc += vals
+        out += [
+            ProductBoundEstimate(tuple(alpha), m_cut, float(np.max(np.abs(acc) * weight)))
+            for m_cut, acc in zip(truncations, accs)
+        ]
+    return out
+
+
+def _default_samples(radius: float) -> np.ndarray:
+    mags = np.geomspace(1e-4, radius, 24)
+    quadrant = tensor_grid([mags, mags])
+    return np.concatenate([quadrant * sign for sign in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+
+
+@settings(max_examples=20, deadline=None)
+@given(_kernel_sequences(nus=(2,)))
+def test_factor_value_bounds_match_direct_evaluation(seq):
+    truncations, alphas = [0, 2, 4], [(0, 0), (1, 0), (0, 2)]
+    grid = _default_samples(seq.support_radius)
+    default = sample_product_kernel_bounds(seq, truncations, alphas)
+    assert default == sample_product_kernel_bounds(seq, truncations, alphas, samples=grid)
+    assert default == direct_product_bounds(seq, truncations, alphas, grid)
+    scattered = np.random.default_rng(0).uniform(-1.0, 1.0, (300, 2)) * seq.support_radius
+    assert sample_product_kernel_bounds(seq, truncations, alphas, samples=scattered) == direct_product_bounds(
+        seq, truncations, alphas, scattered
+    )
 
 
 # -- regrouping -----------------------------------------------------------------
@@ -491,3 +589,166 @@ def test_kernel_file_rejects_malformed(tmp_path):
     path.write_text("not a kernel\n")
     with pytest.raises(ValueError):
         load_kernel_sequence(path)
+
+
+_HEADER = "[kernel]\nN = 1\nnu = 1\ne = 1\na = 1.0\n"
+_UNIT = "atom 1.0 @ 1.0 : 1.0,0.125,0.5\n"  # a unit-mass atom, so its slices cannot cancel
+_CANCELLING = "atom 1.0 @ 1.0 : 1.0,0.0,0.25;-1.0,0.25,0.25\n"
+
+
+def _kernel_check(tmp_path, capsys, text: str, *extra: str):
+    path = tmp_path / "kernel.txt"
+    path.write_text(text)
+    code = main(["kernel-check", "--kernel", str(path), *extra])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_kernel_check_rejects_a_repeated_entry(tmp_path, capsys):
+    # the cancelling second [entry 1] used to replace the unit-mass first one
+    text = _HEADER + "[entry 1]\n" + _UNIT + "[entry 2]\n" + _CANCELLING + "[entry 1]\n" + _CANCELLING
+    code, out, err = _kernel_check(tmp_path, capsys, text)
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: kernel file line 10: repeated [entry 1] (first on line 6)\n"
+    fixed = text.replace("[entry 1]\n" + _CANCELLING, "[entry 3]\n" + _CANCELLING)
+    assert _kernel_check(tmp_path, capsys, fixed)[0] == EXIT_UNBOUNDED
+
+
+@pytest.mark.parametrize("radius", ["-1.0", "0", "-0.0"])
+def test_kernel_check_rejects_a_nonpositive_support_radius(tmp_path, capsys, radius):
+    text = _HEADER.replace("a = 1.0", f"a = {radius}") + "[entry 1]\n" + _CANCELLING
+    code, out, err = _kernel_check(tmp_path, capsys, text)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: kernel file line 5: support radius a must be positive, got {radius}\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("atom 1.0 @ 1.0 : 1.0,0.0", "atom triple needs 3 values c,x,r, got '1.0,0.0'"),
+        ("atom 1.0 @ 1.0 1.0 : 1.0,0.0,0.25", "atom delta has 2 values, the scheme expects 1"),
+        ("atom 1.0 @ 1.0 : 1.0,0.0,0.25 | 1.0,0.0,0.25", "atom has 2 axes, the scheme expects 1"),
+        ("atom 1.0 1.0 : 1.0,0.0,0.25", "expected 'atom <coef> @ <delta...> : <axis atoms>'"),
+        ("atom 1.0 @ 1.0 : 1.0,0.0,-0.25", "atom radii must be positive"),
+        ("[entry 2", "expected '[entry k1]', got '[entry 2'"),
+        ("[entry 2,3]", "dyadic index must have 1 nonnegative integer components, got '[entry 2,3]'"),
+        ("[entry -2]", "dyadic index must have 1 nonnegative integer components, got '[entry -2]'"),
+        ("entry 2", "unrecognized kernel file line: 'entry 2'"),
+    ],
+)
+def test_kernel_file_errors_name_the_line(tmp_path, capsys, line, message):
+    text = _HEADER + "[entry 1]\n" + _CANCELLING + "\n" + line + "\n"
+    code, out, err = _kernel_check(tmp_path, capsys, text)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: kernel file line 9: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("N 1", "line 2: expected one of N, nu, e, a = <value>, got 'N 1'"),
+        ("N = 2", "line 2: kernel header N = 2 disagrees with the scheme rows"),
+        ("b = 1", "line 2: expected one of N, nu, e, a = <value>, got 'b = 1'"),
+    ],
+)
+def test_kernel_header_errors_name_the_line(tmp_path, capsys, header, message):
+    text = _HEADER.replace("N = 1", header) + "[entry 1]\n" + _CANCELLING
+    code, out, err = _kernel_check(tmp_path, capsys, text)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: kernel file {message}\n"
+
+
+def test_kernel_check_fails_when_a_dilation_factor_overflows(tmp_path, capsys):
+    # (1e200)^2 is beyond float range: the factor reads inf and the slice nan
+    text = "[kernel]\nN = 1\nnu = 1\ne = 2\na = 1.0\n[entry 1]\n" + _UNIT.replace("@ 1.0", "@ 1e200")
+    with np.errstate(all="ignore"):
+        code, out, err = _kernel_check(tmp_path, capsys, text)
+    assert code == EXIT_UNBOUNDED and err == ""
+    assert "violated at k=(1,), mu=0: nan" in out
+
+
+def test_kernel_check_reports_exact_zero_slice_counts(tmp_path, capsys, mean_zero_bump):
+    # k = (1, 1): both slices of the first atom are exact zeros; the unit-mass
+    # first axis of the second atom leaves slice mu = 1 to the sampled grid
+    text = (
+        "[kernel]\nN = 2\nnu = 2\ne = 1 0 ; 0 1\na = 1.0\n[entry 1,1]\n"
+        "atom 1.0 @ 1.0 1.0 : 1.0,0.0,0.25;-1.0,0.25,0.25 | 1.0,0.0,0.25;-1.0,0.25,0.25\n"
+        "atom 1.0 @ 1.0 1.0 : 1.0,0.125,0.5 | 1.0,0.0,0.25;-1.0,0.25,0.25\n"
+    )
+    code, out, _ = _kernel_check(tmp_path, capsys, text, "--format", "json")
+    cancel = json.loads(out)["cancellation"]
+    assert code == EXIT_UNBOUNDED
+    assert (cancel["slices"], cancel["exact_zero_slices"]) == (2, 1)
+    assert [(f["k"], f["mu"]) for f in cancel["failures"]] == [([1, 1], 0)]
+    code, out, _ = _kernel_check(tmp_path, capsys, text)
+    assert out.splitlines()[0].endswith(" (1 of 2 slices exact zero)")
+
+
+# Kernel files from a small alphabet.  Half of the draws are well formed,
+# with coefficients and scales up to 1e308, so that they reach the
+# cancellation and bound checks; the other half carry one fault: a header
+# with a missing, repeated, unknown or bad key, a repeated or malformed
+# [entry line, an atom line of the wrong arity, or a number that is nan,
+# inf, negative or not a number.
+_SCHEMES = ("1", "1 0 ; 0 1", "1 0 ; 0 1", "2 0 ; 1 1", "1 1/2 ; 0 1", "1 0 ; 0 1 ; 1 1")
+_COEFS = ("1.0", "-1.0", "0.5", "2", "0", "1e308", "-1e308")
+_SCALES = ("1.0", "1.0", "0.5", "3", "1e308", "1e-300")
+_AXES = ("1.0,0.0,0.25;-1.0,0.25,0.25",) * 3 + ("1.0,0.125,0.5", "1e308,0.0,0.5;-1e308,0.5,0.5")
+_BAD_NUMBERS = ("nan", "inf", "-inf", "-1.0", "0", "x", "")
+
+
+@st.composite
+def _kernel_text(draw):
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+    fault = pick(("none",) * 4 + ("header", "entry", "atom", "number"))
+    scheme = pick(_SCHEMES)
+    n_t, nu = scheme.count(";") + 1, len(scheme.split(";")[0].split())
+    header = [f"N = {n_t}", f"nu = {nu}", f"e = {scheme}", f"a = {pick(('1.0', '2.5', '1e308'))}"]
+    if fault == "header":
+        at = draw(st.integers(0, 3))
+        header[at] = pick((
+            "", header[at].replace(" = ", " "), "x = 1", header[at] + " 1", header[at].split("=")[0] + "= 3",
+            "e = 1/0 0 ; 0 1", "e = 0 ; 1", "a = -1.0", "a = 0",
+        ))
+        header.append(pick(("", "a = 2.0", "N = 1", "[kernel]")))
+    lines = ["[kernel]", *header]
+    indices = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nu), max_size=4, unique=True))
+    for k in indices:
+        lines.append(f"[entry {','.join(map(str, k))}]")
+        for _ in range(draw(st.integers(0, 3))):
+            delta = " ".join(pick(_SCALES) for _ in range(nu))
+            axes = " | ".join(pick(_AXES) for _ in range(n_t))
+            lines.append(f"atom {pick(_COEFS)} @ {delta} : {axes}")
+    if fault == "entry":
+        k = ",".join(map(str, indices[0])) if indices else "0"
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, pick((f"[entry {k}]", f"[entry {k}", "[entry ]", f"[entry -{k}]", f"[entry {k},x]", "entry 1")))
+    elif fault == "atom" and len(lines) > 5:
+        at = draw(st.integers(5, len(lines) - 1))
+        head, _, axes = lines[at].partition(" : ")
+        lines[at] = pick((
+            f"{head} : {axes} | {axes}", f"{head} 1.0 : {axes}", head.replace(" @ ", " ") + " : " + axes,
+            f"{head} : {axes.replace(',0.25;', ';', 1)}", f"{head} : {axes},1.0", f"{head} :", "atom",
+        ))
+    elif fault == "number" and len(lines) > 5:
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at] = lines[at].replace(pick(("1.0", "0.25", "0.5", "1e308")), pick(_BAD_NUMBERS), 1)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_kernel_text(), st.sampled_from([(), (), ("--M", "2"), ("--format", "json")]))
+def test_fuzzed_kernel_files_exit_cleanly(text, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.kernel")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            code = main(["kernel-check", "--kernel", path, *extra])
+    assert code in (EXIT_BOUNDED, EXIT_ERROR, EXIT_UNBOUNDED)
+    if code == EXIT_ERROR:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert err.getvalue() == "" and out.getvalue().startswith(("cancellation: ", "{"))
