@@ -86,6 +86,8 @@ def _derivative_coeffs(order: int) -> np.ndarray:
 
 def mollifier_derivative(t, order: int) -> np.ndarray:
     """Closed-form psi^(order); exactly zero off (0, 1), clamped at the edges."""
+    if order < 0:
+        raise ValueError(f"derivative order must be nonnegative, got {order}")
     if order == 0:
         return base_mollifier(t)
     t = np.asarray(t, dtype=float)
@@ -140,11 +142,7 @@ class BumpCombination:
             return sum(map(Fraction, coeffs)) == 0
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for c, x, r in self.atoms:
-            out += (c / r) * base_mollifier((t - x) / r)
-        return out
+        return self.derivative_values(t, 0)
 
     def derivative_values(self, t, order: int) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -194,18 +192,6 @@ class BumpCombination:
     def from_json(cls, text: str) -> "BumpCombination":
         data = json.loads(text)
         return cls(tuple((float(c), float(x), float(r)) for c, x, r in data["atoms"]))
-
-
-def moment(f, m: int, tol: float = 1e-12, order: int = 24) -> float:
-    """int t^m f(t) dt over the support, by adaptive Gauss-Legendre."""
-    if not 0 <= m <= MAX_MOMENT:
-        raise ValueError(f"moment order must be in [0, {MAX_MOMENT}]")
-    if isinstance(f, BumpCombination):
-        lo, hi = f.support()
-        hi = max(hi, lo + 1e-12)
-        return integrate_adaptive(lambda t: t**m * f(t), lo, hi, tol=tol, order=order)
-    # a bare callable: assume support within (0, 1) like the base mollifier
-    return integrate_adaptive(lambda t: t**m * np.asarray(f(t), dtype=float), 0.0, 1.0, tol=tol, order=order)
 
 
 @dataclass(frozen=True)
@@ -266,8 +252,8 @@ def moment_bump(a: float, a1: int, excluded: Sequence[int] = ()) -> MomentBump:
     )
 
     bump = BumpCombination(tuple((float(cj), xj, rj) for cj, xj, rj in zip(coeffs, xs, rs)))
-    # closed form against the cached base moments; adaptive ``moment`` is the
-    # independent check in the tests, and its ~1e-10 quadrature error can
+    # closed form against the cached base moments; the tests' adaptive
+    # quadrature moment is the independent check, and its ~1e-10 error can
     # exceed the 1e-10 mass threshold on its own
     achieved = {e: bump.moment_closed_form(e) for e in exponents}
     return MomentBump(bump, int(a1), excluded, achieved, det, det_closed)
@@ -289,16 +275,12 @@ class TensorBump:
         return len(self.factors)
 
     def __call__(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.shape[-1] != self.dimension:
-            raise ValueError(f"points must have last axis {self.dimension}")
-        out = np.ones(pts.shape[:-1])
-        for i, f in enumerate(self.factors):
-            out = out * f(pts[..., i])
-        return out
+        return self.derivative_values(points, (0,) * self.dimension)
 
     def derivative_values(self, points, orders: Sequence[int]) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
+        if pts.shape[-1] != self.dimension:
+            raise ValueError(f"points must have last axis {self.dimension}")
         out = np.ones(pts.shape[:-1])
         for i, (f, m) in enumerate(zip(self.factors, orders)):
             out = out * f.derivative_values(pts[..., i], m)
@@ -319,21 +301,6 @@ class TensorBump:
         for f, m in zip(self.factors, alpha):
             total *= f.moment_closed_form(m)
         return total
-
-    def moment_by_grid(self, alpha: Sequence[int], order: int = 24, panels: int = 4) -> float:
-        """Direct tensor-quadrature moment, the independent cross-check.
-
-        The grid is ``quadrature_rule``'s, with panel edges at every atom
-        boundary, so the narrowest atoms are resolved at their own width.
-        Its float floor is about eps times the product over the factors of
-        sum_j |c_j|, i.e. eps * (sum_j |c_j|)^2 for two equal factors: the
-        atom coefficients can be large and cancel, their rounding does not.
-        """
-        points, weights = self.quadrature_rule(order, panels)
-        mono = np.ones(points.shape[0])
-        for i, m in enumerate(alpha):
-            mono *= points[:, i] ** m
-        return float(np.dot(weights, mono * self(points)))
 
 
 def tensor_bump(components: Sequence[BumpCombination]) -> TensorBump:

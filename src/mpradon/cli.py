@@ -34,7 +34,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from . import __version__
@@ -96,6 +95,11 @@ class ProblemSpecFile:
 
 
 _PROBLEM_KEYS = {"family", "p", "p1", "p2", "p3", "variables"}
+# per family: its polynomial keys and the GammaSpec constructor that takes them
+_FAMILIES = {
+    TRANSLATION_LINE: (("p",), GammaSpec.translation_line),
+    HEISENBERG: (("p1", "p2", "p3"), GammaSpec.heisenberg),
+}
 _EXPERIMENT_KEYS = {"case", "m", "l", "grid_n", "grid_xmin", "grid_xmax", "quad_order", "bump_a"}
 
 
@@ -154,31 +158,21 @@ def parse_problem_spec(text: str) -> ProblemSpecFile:
         except (ValueError, TypeError) as exc:
             raise SpecFileError(f"bad scheme: {exc}") from exc
 
-    if family == TRANSLATION_LINE:
-        if "p" not in problem:
-            raise SpecFileError("translation_line needs the key p")
-        n = scheme.n_t if scheme else 2
-        variables = tuple(problem["variables"].split()) if "variables" in problem else _default_variables(n)
-        try:
-            p = Polynomial.parse(problem["p"], variables)
-            gamma = GammaSpec.translation_line(p, scheme)
-        except ValueError as exc:
-            raise SpecFileError(str(exc)) from exc
-    elif family == HEISENBERG:
-        missing = {"p1", "p2", "p3"} - set(problem)
-        if missing:
-            raise SpecFileError(f"heisenberg needs keys {sorted(missing)}")
-        n = scheme.n_t if scheme else 2
-        variables = tuple(problem["variables"].split()) if "variables" in problem else _default_variables(n)
-        try:
-            polys = [Polynomial.parse(problem[k], variables) for k in ("p1", "p2", "p3")]
-            gamma = GammaSpec.heisenberg(*polys, scheme=scheme)
-        except ValueError as exc:
-            raise SpecFileError(str(exc)) from exc
-    else:
+    if family not in _FAMILIES:
         raise SpecFileError(
             f"unsupported family {family!r}: expected {TRANSLATION_LINE!r} or {HEISENBERG!r}"
         )
+    keys, build = _FAMILIES[family]
+    missing = [k for k in keys if k not in problem]
+    if missing:
+        needs = "the key p" if keys == ("p",) else f"keys {missing}"
+        raise SpecFileError(f"{family} needs {needs}")
+    n = scheme.n_t if scheme else 2
+    variables = tuple(problem["variables"].split()) if "variables" in problem else _default_variables(n)
+    try:
+        gamma = build(*(Polynomial.parse(problem[k], variables) for k in keys), scheme=scheme)
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from exc
 
     experiment = None
     if "experiment" in sections:
@@ -216,10 +210,6 @@ def _parse_int_list(text: str) -> list[int]:
 # -- report assembly -----------------------------------------------------
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _expansion_payload(exp: WExpansion) -> list[dict]:
     out = []
     for alpha in exp.support():
@@ -227,7 +217,7 @@ def _expansion_payload(exp: WExpansion) -> list[dict]:
         out.append(
             {
                 "alpha": list(alpha),
-                "degree": [_frac(v) for v in d],
+                "degree": [str(v) for v in d],
                 "pure": is_pure(d),
                 "field": str(exp.terms[alpha]),
             }
@@ -238,8 +228,8 @@ def _expansion_payload(exp: WExpansion) -> list[dict]:
 def _witness_payload(w: Witness) -> dict:
     return {
         "alpha0": None if w.alpha0 is None else list(w.alpha0),
-        "degree": [_frac(v) for v in w.degree],
-        "normal": [_frac(v) for v in w.normal],
+        "degree": [str(v) for v in w.degree],
+        "normal": [str(v) for v in w.normal],
         "reason": w.reason,
     }
 
@@ -247,12 +237,12 @@ def _witness_payload(w: Witness) -> dict:
 def _certificate_payload(cert: ControlCertificate) -> dict:
     return {
         "alpha0": None if cert.alpha0 is None else list(cert.alpha0),
-        "degree": [_frac(v) for v in cert.degree],
+        "degree": [str(v) for v in cert.degree],
         "sectors": [
             {
-                "normal": [_frac(v) for v in s.normal],
+                "normal": [str(v) for v in s.normal],
                 "members": list(s.members),
-                "coefficients": [_frac(v) for v in s.coefficients],
+                "coefficients": [str(v) for v in s.coefficients],
             }
             for s in cert.sectors
         ],
@@ -271,7 +261,7 @@ def _verdict_payload(v: Verdict) -> dict:
 def _gamma_input_echo(gamma: GammaSpec) -> dict:
     echo: dict = {
         "family": gamma.family,
-        "scheme_rows": [" ".join(_frac(v) for v in row) for row in gamma.scheme.rows],
+        "scheme_rows": [" ".join(str(v) for v in row) for row in gamma.scheme.rows],
         "variables": list(gamma.variables),
     }
     if gamma.family == TRANSLATION_LINE:
@@ -279,17 +269,6 @@ def _gamma_input_echo(gamma: GammaSpec) -> dict:
     else:
         echo["p1"], echo["p2"], echo["p3"] = (str(q) for q in gamma.exponents)
     return echo
-
-
-def gamma_from_input_echo(echo: dict) -> GammaSpec:
-    """Rebuild the GammaSpec from a report's input block (round-trip check)."""
-    scheme = ExponentScheme.from_rows([row.split() for row in echo["scheme_rows"]])
-    variables = tuple(echo["variables"])
-    if echo["family"] == TRANSLATION_LINE:
-        return GammaSpec.translation_line(Polynomial.parse(echo["p"], variables), scheme)
-    return GammaSpec.heisenberg(
-        *(Polynomial.parse(echo[k], variables) for k in ("p1", "p2", "p3")), scheme=scheme
-    )
 
 
 def analyze_gamma(gamma: GammaSpec) -> Verdict:
@@ -346,18 +325,13 @@ def _verdict_text(report: dict) -> str:
             lines.append(f"    normal ({', '.join(s['normal'])}): target = {combo}")
     if v["diagnostics"]:
         lines.append(f"  note: {v['diagnostics']}")
-    lines.append("W expansion:")
-    for t in report["w_expansion"]:
-        tag = "pure" if t["pure"] else "nonpure"
-        lines.append(
-            f"  t^{tuple(t['alpha'])} * ({t['field']})   deg = ({', '.join(t['degree'])}) [{tag}]"
-        )
-    lines.append("Xhat expansion:")
-    for t in report["xhat_expansion"]:
-        tag = "pure" if t["pure"] else "nonpure"
-        lines.append(
-            f"  t^{tuple(t['alpha'])} * ({t['field']})   deg = ({', '.join(t['degree'])}) [{tag}]"
-        )
+    for name in ("W", "Xhat"):
+        lines.append(f"{name} expansion:")
+        for t in report[f"{name.lower()}_expansion"]:
+            tag = "pure" if t["pure"] else "nonpure"
+            lines.append(
+                f"  t^{tuple(t['alpha'])} * ({t['field']})   deg = ({', '.join(t['degree'])}) [{tag}]"
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -466,32 +440,35 @@ def cmd_kernel_check(args) -> int:
 
 
 def cmd_norm_growth(args) -> int:
-    atom = None
     if args.spec:
         with open(args.spec) as fh:
-            spec = parse_problem_spec(fh.read())
-        if spec.experiment is None:
+            cfg = parse_problem_spec(fh.read()).experiment
+        if cfg is None:
             raise SpecFileError(f"{args.spec} has no [experiment] section")
-        cfg = spec.experiment
-        case, m_list, level = cfg.case, list(cfg.m_list), cfg.level
-        grid = Grid1D(cfg.grid_xmin, cfg.grid_xmax, cfg.grid_n)
-        quad_order = cfg.quad_order
-        if cfg.bump_a != 0.5:
-            phi = moment_bump(cfg.bump_a, 1).bump
-            atom = TensorBump((phi, phi))
+    elif args.case is None:
+        raise SpecFileError("norm-growth needs --case (or --spec with [experiment])")
     else:
-        if args.case is None:
-            raise SpecFileError("norm-growth needs --case (or --spec with [experiment])")
-        case, m_list, level = args.case, _parse_int_list(args.M), args.L
-        grid = Grid1D(args.grid_xmin, args.grid_xmax, args.grid_n)
-        quad_order = args.quad_order
+        cfg = ExperimentConfig(
+            args.case,
+            tuple(_parse_int_list(args.M)),
+            level=args.L,
+            grid_n=args.grid_n,
+            grid_xmin=args.grid_xmin,
+            grid_xmax=args.grid_xmax,
+            quad_order=args.quad_order,
+        )
+    grid = Grid1D(cfg.grid_xmin, cfg.grid_xmax, cfg.grid_n)
+    atom = None
+    if cfg.bump_a != 0.5:
+        phi = moment_bump(cfg.bump_a, 1).bump
+        atom = TensorBump((phi, phi))
     table = growth_experiment(
-        case,
-        m_list,
-        level=level,
+        cfg.case,
+        list(cfg.m_list),
+        level=cfg.level,
         grid=grid,
         atom=atom,
-        quad_order=quad_order,
+        quad_order=cfg.quad_order,
     )
     if args.format == "json":
         _emit(table.to_json() + "\n", args.out)

@@ -9,7 +9,7 @@ e_i in [0, oo)^nu of rational exponents.  It induces
       f^(delta)(t) = delta^{e_1 + ... + e_N} f(delta t).
 
 Every quantity on the criteria path is kept in exact rational arithmetic;
-only the point/function dilations (which feed the numerics) work in floats.
+only the dilation factors (which feed the numerics) work in floats.
 """
 
 from __future__ import annotations
@@ -18,10 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, prod
-from typing import Callable, Sequence
+from typing import Sequence
 
 MultiIndex = tuple[int, ...]
 Degree = tuple[Fraction, ...]
+
+# largest |n| in a decimal exponent of scheme text ('1e-3'); Fraction expands 10**n exactly
+MAX_DECIMAL_EXPONENT = 300
 
 
 class DimensionMismatch(ValueError):
@@ -33,6 +36,14 @@ def _rat(value) -> Fraction:
         raise TypeError(
             "scheme exponents must be exact rationals (int, Fraction or 'p/q' string), got float"
         )
+    if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (len(digits) > 3 or int(digits) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(
+                f"scheme exponent {value!r}: the decimal exponent must lie in "
+                f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]"
+            )
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -83,11 +94,6 @@ class ExponentScheme:
     @property
     def n_params(self) -> int:
         return len(self.rows[0])
-
-    def total_exponent(self) -> Degree:
-        """e_1 + ... + e_N, the homogeneity degree of the function dilation."""
-        nu = self.n_params
-        return tuple(sum((r[mu] for r in self.rows), Fraction(0)) for mu in range(nu))
 
     def slice_coordinates(self, mu: int) -> tuple[int, ...]:
         """Indices i with e_i^mu != 0 (the coordinates grouped as t^mu)."""
@@ -177,33 +183,3 @@ def dilation_factors(delta: Sequence[float], scheme: ExponentScheme) -> tuple[fl
             prod(_pow(float(d), e) for d, e in zip(key, row)) for row in scheme.rows
         )
     return factors
-
-
-def dilate_point(
-    delta: Sequence[float], t: Sequence[float], scheme: ExponentScheme
-) -> tuple[float, ...]:
-    """delta t = (delta^{e_1} t_1, ..., delta^{e_N} t_N)."""
-    if len(t) != scheme.n_t:
-        raise DimensionMismatch(f"point has {len(t)} components, scheme expects {scheme.n_t}")
-    factors = dilation_factors(delta, scheme)
-    return tuple(f * float(ti) for f, ti in zip(factors, t))
-
-
-def scale_function(
-    f: Callable[[Sequence[float]], float],
-    delta: Sequence[float],
-    scheme: ExponentScheme,
-) -> Callable[[Sequence[float]], float]:
-    """f^(delta)(t) = delta^{e_1+...+e_N} f(delta t); preserves the integral.
-
-    Requires strictly positive delta so the change of variables is invertible.
-    """
-    if any(d <= 0 for d in delta):
-        raise ValueError("function dilation needs strictly positive delta")
-    factors = dilation_factors(delta, scheme)
-    jac = prod(factors)
-
-    def scaled(t: Sequence[float]) -> float:
-        return jac * f(tuple(fi * float(ti) for fi, ti in zip(factors, t)))
-
-    return scaled

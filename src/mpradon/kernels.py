@@ -44,20 +44,6 @@ from .dilations import ExponentScheme, dilation_factors
 from .quadrature import tensor_grid
 
 
-class UnsupportedKernel(ValueError):
-    """Kernels outside the finite bump-data representation."""
-
-
-def dirac_delta_sequence(*_args, **_kwargs):
-    """The Dirac delta does lie in every kernel class, but its dyadic
-    decomposition is an infinite telescoping family; no finite truncation is
-    an element of this representation, so it is rejected outright."""
-    raise UnsupportedKernel(
-        "delta_0 admits no finite dyadic bump representation: every truncation "
-        "of its telescoping decomposition misses the mass at scale 2^-inf"
-    )
-
-
 @dataclass(frozen=True)
 class ScaledAtom:
     """coef * atom^{(delta)} under the ambient scheme's dilations."""
@@ -79,23 +65,21 @@ class KernelEntry:
     def __init__(self, scheme: ExponentScheme, atoms: Sequence[ScaledAtom]):
         self.scheme = scheme
         self.atoms = tuple(atoms)
+        # per atom: coordinate factors delta^{e_i} and their product (the jacobian)
+        dilations = []
         for sa in self.atoms:
             if len(sa.delta) != scheme.n_params:
                 raise ValueError("atom delta arity disagrees with the scheme")
             if sa.atom.dimension != scheme.n_t:
                 raise ValueError("atom dimension disagrees with the scheme")
-        # per atom: coordinate factors delta^{e_i} and their product (the jacobian)
-        self.dilations: tuple[tuple[np.ndarray, float], ...] = tuple(
-            (np.array(f, dtype=float), math.prod(f))
-            for f in (dilation_factors(sa.delta, scheme) for sa in self.atoms)
-        )
+            factors = dilation_factors(sa.delta, scheme)
+            if 0.0 in factors:
+                raise ValueError(f"atom delta {sa.delta} underflows a dilation factor to 0")
+            dilations.append((np.array(factors, dtype=float), math.prod(factors)))
+        self.dilations: tuple[tuple[np.ndarray, float], ...] = tuple(dilations)
 
     def __call__(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for sa, (factors, jac) in zip(self.atoms, self.dilations):
-            out += sa.coef * jac * sa.atom(pts * factors)
-        return out
+        return self.derivative_values(points, (0,) * self.scheme.n_t)
 
     def derivative_values(self, points, orders: Sequence[int]) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -124,28 +108,6 @@ class KernelEntry:
                 for sa in self.atoms
             ],
         )
-
-    def sup_norm_sampled(self, per_axis: int = 160) -> float:
-        pts = tensor_grid([np.linspace(lo, hi, per_axis) for lo, hi in self.support_box()])
-        return float(np.max(np.abs(self(pts)))) if pts.size else 0.0
-
-    def cm_norm_sampled(self, m: int, per_axis: int = 160) -> float:
-        """Sampled C^m norm: sup over derivatives of total order <= m.
-
-        The kernel class asks for boundedness in every C^m; this artifact
-        verifies m <= 2 by sampling and leaves higher m unchecked.
-        """
-        pts = tensor_grid([np.linspace(lo, hi, per_axis) for lo, hi in self.support_box()])
-        if not pts.size:
-            return 0.0
-        worst = float(np.max(np.abs(self(pts))))
-        for orders in iter_product(*[range(m + 1)] * self.scheme.n_t):
-            if 0 < sum(orders) <= m:
-                worst = max(worst, float(np.max(np.abs(self.derivative_values(pts, orders)))))
-        return worst
-
-    def c1_norm_sampled(self, per_axis: int = 160) -> float:
-        return self.cm_norm_sampled(1, per_axis)
 
 
 @dataclass(frozen=True)
@@ -181,8 +143,15 @@ class DyadicKernelSeq:
         pts = np.asarray(points, dtype=float)
         out = np.zeros(pts.shape[:-1])
         for k in self.indices():
-            out += self.entries[k].scaled([2.0**v for v in k])(pts)
+            out += self.entries[k].scaled(_dyadic_scale(k))(pts)
         return out
+
+
+def _dyadic_scale(k: tuple[int, ...]) -> list[float]:
+    """2^k componentwise; a component beyond 1023 overflows a float."""
+    if max(k, default=0) > 1023:
+        raise ValueError(f"entry {k}: the scale 2^{max(k)} is beyond float range (2^1023 at most)")
+    return [2.0**v for v in k]
 
 
 @dataclass(frozen=True)
@@ -306,6 +275,9 @@ def sample_product_kernel_bounds(
         raise ValueError("product-kernel bounds need the 2-parameter product scheme")
     if any(m_cut < 0 for m_cut in truncations):
         raise ValueError(f"truncations must be nonnegative, got {sorted(truncations)}")
+    for alpha in alphas:
+        if len(alpha) != 2 or any(not isinstance(a, int) or a < 0 for a in alpha):
+            raise ValueError(f"alpha {tuple(alpha)}: a derivative order is two nonnegative integers")
     if samples is None:
         mags = np.geomspace(1e-4, seq.support_radius, 24)
         quadrant = tensor_grid([mags, mags])
@@ -331,7 +303,7 @@ def sample_product_kernel_bounds(
         keep = [t for t, m_cut in enumerate(truncations) if sum(k) <= m_cut]
         if not keep:
             continue
-        entry = seq.entries[k].scaled([2.0**v for v in k])
+        entry = seq.entries[k].scaled(_dyadic_scale(k))
         for (a1, a2), alpha_accs in zip(alphas, accs):
             orders = np.array((a1, a2), dtype=float)
             vals = np.zeros(samples.shape[0])
@@ -390,30 +362,6 @@ def regroup_to_dyadic(
         max(abs(lo), abs(hi)) for e in entries.values() for lo, hi in e.support_box()
     )
     return DyadicKernelSeq(scheme, radius, entries)
-
-
-def dyadic_source_sum(
-    atom: TensorBump,
-    tilde_tau: Sequence[float],
-    direction: Sequence[float],
-    m_max: int,
-    scheme: ExponentScheme | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Direct evaluator of sum_{k<=M} atom^{(tau 2^{k n})} (the regroup oracle)."""
-    scheme = scheme or ExponentScheme.product(atom.dimension)
-    base = KernelEntry(scheme, [ScaledAtom(1.0, atom, tuple(1.0 for _ in tilde_tau))])
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for k in range(m_max + 1):
-            delta = tuple(
-                t * 2.0 ** (k * n) for t, n in zip(tilde_tau, direction)
-            )
-            out += base.scaled(delta)(pts)
-        return out
-
-    return evaluate
 
 
 def _positive_part(v: Sequence[int]) -> tuple[int, ...]:
@@ -476,35 +424,6 @@ def telescope_decompose(
         max(abs(lo), abs(hi)) for e in entries.values() for lo, hi in e.support_box()
     )
     return DyadicKernelSeq(scheme, radius, entries)
-
-
-def telescope_source_sum(
-    atoms: Mapping[tuple[int, ...], TensorBump] | Callable[[tuple[int, ...]], TensorBump],
-    m_j: Sequence[int],
-    scale_vector: Sequence[float],
-    m_max: int,
-    scheme: ExponentScheme | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Direct evaluator of the telescoped sum (the oracle side of the identity)."""
-    m_j = tuple(int(x) for x in m_j)
-    v = tuple(float(x) for x in scale_vector)
-    nu = len(m_j)
-    get_atom = atoms.__getitem__ if isinstance(atoms, Mapping) else atoms
-    probe = get_atom(tuple(0 for _ in range(nu)))
-    scheme = scheme or ExponentScheme.product(probe.dimension)
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for offset in iter_product(*[range(m_max + 1)] * nu):
-            if sum(offset) > m_max:
-                continue
-            delta = tuple(2.0 ** offset[mu] * v[mu] for mu in range(nu))
-            entry = KernelEntry(scheme, [ScaledAtom(1.0, get_atom(tuple(offset)), delta)])
-            out += entry(pts)
-        return out
-
-    return evaluate
 
 
 # -- kernel sequence files ---------------------------------------------

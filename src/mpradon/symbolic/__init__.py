@@ -4,8 +4,6 @@ from .fields import (
     HEISENBERG_BASIS,
     LINE_BASIS,
     BasisVector,
-    PolyVectorField,
-    lie_bracket,
 )
 from .gamma import (
     HEISENBERG,
@@ -29,12 +27,10 @@ __all__ = [
     "HEISENBERG_BASIS",
     "LINE_BASIS",
     "Polynomial",
-    "PolyVectorField",
     "TRANSLATION_LINE",
     "TaylorRelationReport",
     "UnsupportedFamily",
     "WExpansion",
-    "lie_bracket",
     "verify_taylor_relation",
     "w_expansion",
     "w_from_heisenberg_gamma",

@@ -1,20 +1,10 @@
-"""Polynomial vector fields, Lie brackets, and constant basis fields.
+"""Constant basis vector fields.
 
-Two representations coexist:
-
-  * ``PolyVectorField`` -- a general vector field on R^n with exact
-    polynomial coefficient functions; brackets are computed from
-    [A, B]_i = A(B_i) - B(A_i).
-
-  * ``BasisVector`` -- a constant-coefficient field written in a fixed
-    ordered basis.  The two bases used by the supported curve families are
-    the line basis (d/dx on R^1, abelian) and the Heisenberg basis
-    {X, Y, T} with [X, Y] = T and T central.  Brackets here reduce to the
-    structure constants, which keeps the criteria path purely rational.
-
-``BasisVector.as_poly_field`` realizes a basis field in coordinates
-(X = d/dx - y/2 d/dt, Y = d/dy + x/2 d/dt, T = d/dt on R^3), which lets
-tests cross-check the structure-constant bracket against the generic one.
+A ``BasisVector`` is a constant-coefficient field written in a fixed
+ordered basis.  The two bases used by the supported curve families are the
+line basis (d/dx on R^1, abelian) and the Heisenberg basis {X, Y, T} with
+[X, Y] = T and T central.  Brackets reduce to the structure constants,
+which keeps the criteria path purely rational.
 """
 
 from __future__ import annotations
@@ -22,91 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial
-
 LINE_BASIS = ("d/dx",)
 HEISENBERG_BASIS = ("X", "Y", "T")
-
-
-@dataclass(frozen=True)
-class PolyVectorField:
-    """sum_i components[i] * d/dx_i with polynomial components."""
-
-    components: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
-        if not comps:
-            raise ValueError("a vector field needs at least one component")
-        vars0 = comps[0].variables
-        if any(c.variables != vars0 for c in comps):
-            raise ValueError("all components must share the same variables")
-        if len(comps) != len(vars0):
-            raise ValueError(
-                f"{len(comps)} components for {len(vars0)} coordinate variables"
-            )
-
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.components[0].variables
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        """Directional derivative: sum_i comp_i * df/dx_i."""
-        if f.variables != self.variables:
-            raise ValueError("function and field live in different variables")
-        out = Polynomial.zero(f.variables)
-        for i, comp in enumerate(self.components):
-            out = out + comp * f.partial(i)
-        return out
-
-    def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
-        return PolyVectorField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
-        return PolyVectorField(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "PolyVectorField":
-        return PolyVectorField(tuple(-c for c in self.components))
-
-    def scaled(self, factor) -> "PolyVectorField":
-        return PolyVectorField(tuple(c * Fraction(factor) for c in self.components))
-
-    def __str__(self) -> str:
-        parts = [
-            f"({c}) d/d{name}"
-            for c, name in zip(self.components, self.variables)
-            if not c.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
-
-    @classmethod
-    def zero(cls, variables) -> "PolyVectorField":
-        return cls(tuple(Polynomial.zero(variables) for _ in variables))
-
-    @classmethod
-    def coordinate(cls, variables, i: int, coeff: Polynomial | None = None) -> "PolyVectorField":
-        """(coeff) * d/dx_i; coeff defaults to 1."""
-        variables = tuple(variables)
-        comps = [Polynomial.zero(variables) for _ in variables]
-        comps[i] = coeff if coeff is not None else Polynomial.constant(variables, 1)
-        return cls(tuple(comps))
-
-
-def lie_bracket(a: PolyVectorField, b: PolyVectorField) -> PolyVectorField:
-    """[A, B] with components A(B_i) - B(A_i), exact."""
-    if a.dimension != b.dimension or a.variables != b.variables:
-        raise ValueError("bracket requires fields of equal dimension and variables")
-    return PolyVectorField(
-        tuple(a.apply(bc) - b.apply(ac) for ac, bc in zip(a.components, b.components))
-    )
 
 
 @dataclass(frozen=True)
@@ -169,27 +76,6 @@ class BasisVector:
             elif ratio != r:
                 return None
         return Fraction(0) if ratio is None and self.is_zero() else ratio
-
-    def as_poly_field(self) -> PolyVectorField:
-        """Coordinate realization, for cross-checks against the generic bracket."""
-        if self.basis == LINE_BASIS:
-            variables = ("x",)
-            return PolyVectorField((Polynomial.constant(variables, self.coords[0]),))
-        if self.basis == HEISENBERG_BASIS:
-            variables = ("x", "y", "t")
-            a, b, c = self.coords
-            x = Polynomial.variable(variables, "x")
-            y = Polynomial.variable(variables, "y")
-            const = lambda v: Polynomial.constant(variables, v)
-            # X = d/dx - (y/2) d/dt, Y = d/dy + (x/2) d/dt, T = d/dt
-            return PolyVectorField(
-                (
-                    const(a),
-                    const(b),
-                    const(c) - y * Fraction(a, 2) + x * Fraction(b, 2),
-                )
-            )
-        raise ValueError(f"no coordinate realization for basis {self.basis}")
 
     def __str__(self) -> str:
         parts = []

@@ -202,20 +202,6 @@ class Polynomial:
             self.variables, {e: c * sum(e) for e, c in self.terms.items() if sum(e) > 0}
         )
 
-    def substitute_scaled(self, factors: Sequence) -> "Polynomial":
-        """p(c_1 t_1, ..., c_n t_n) for exact rational factors c_i."""
-        factors = [_coeff(f) for f in factors]
-        if len(factors) != self.nvars:
-            raise ValueError("one scale factor per variable required")
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            scale = Fraction(1)
-            for f, a in zip(factors, e):
-                scale *= f**a
-            if scale != 0:
-                out[e] = c * scale
-        return Polynomial._trusted(self.variables, out)
-
     def __call__(self, point: Sequence) -> Fraction | float:
         if len(point) != self.nvars:
             raise ValueError("evaluation point has wrong arity")

@@ -19,7 +19,7 @@ from mpradon.criteria import (
     real_line_verdict,
     scalar_control_verdict,
 )
-from mpradon.dilations import ExponentScheme, degree, scale_function
+from mpradon.dilations import ExponentScheme, degree
 from mpradon.harness import (
     Grid1D,
     build_operator,
@@ -29,23 +29,16 @@ from mpradon.harness import (
     operator_norm,
     square_scales,
 )
-from mpradon.kernels import (
-    dyadic_source_sum,
-    regroup_to_dyadic,
-    telescope_decompose,
-    telescope_source_sum,
-    verify_cancellation,
-)
+from mpradon.kernels import regroup_to_dyadic, telescope_decompose, verify_cancellation
 from mpradon.quadrature import integrate_adaptive
 from mpradon.symbolic import (
     GammaSpec,
     Polynomial,
-    PolyVectorField,
     WExpansion,
-    lie_bracket,
     verify_taylor_relation,
     w_from_translation_gamma,
 )
+from oracles import PolyVectorField, dyadic_source_sum, lie_bracket, scale_function, telescope_source_sum
 
 ST = ("s", "t")
 

@@ -9,12 +9,12 @@ from mpradon.bumps import (
     BumpCombination,
     base_moment,
     base_mollifier,
-    moment,
     moment_bump,
     mollifier_derivative,
     tensor_bump,
 )
 from mpradon.cli import main
+from oracles import moment, moment_by_grid
 
 
 def test_base_mollifier_normalized():
@@ -143,6 +143,12 @@ def test_mollifier_derivative_matches_finite_difference():
     )
 
 
+def test_mollifier_derivative_rejects_a_negative_order():
+    # order -1 used to return psi itself
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        mollifier_derivative(np.array([0.5]), -1)
+
+
 def test_mollifier_derivative_vanishes_outside():
     t = np.array([-0.5, 0.0, 1.0, 1.5])
     for order in range(4):
@@ -165,7 +171,7 @@ def test_tensor_mixed_moment_nonzero(mean_zero_bump):
 def test_tensor_moment_factorization_vs_grid(mean_zero_bump):
     tb = tensor_bump([mean_zero_bump, mean_zero_bump])
     for alpha in ((1, 1), (2, 1), (0, 2)):
-        assert tb.moment(alpha) == pytest.approx(tb.moment_by_grid(alpha), abs=1e-10)
+        assert tb.moment(alpha) == pytest.approx(moment_by_grid(tb, alpha), abs=1e-10)
 
 
 def test_tensor_moment_exact_on_small_support():
@@ -180,9 +186,9 @@ def test_tensor_grid_moment_resolves_small_support():
     # over the support box read (0, 6) as -4e4, the atom-aligned one as 1e-8
     b = moment_bump(0.5, 6, (4, 5, 7)).bump
     tb = tensor_bump([b, b])
-    assert abs(tb.moment_by_grid((0, 6))) <= 1e-6
+    assert abs(moment_by_grid(tb, (0, 6))) <= 1e-6
     for alpha in ((1, 1), (2, 1), (6, 6)):
-        assert tb.moment_by_grid(alpha) == pytest.approx(tb.moment(alpha), rel=1e-9)
+        assert moment_by_grid(tb, alpha) == pytest.approx(tb.moment(alpha), rel=1e-9)
 
 
 def test_serialization_round_trip_bit_exact():

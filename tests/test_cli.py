@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -17,12 +19,12 @@ from mpradon.cli import (
     EXIT_UNBOUNDED,
     SpecFileError,
     analyze_report,
-    gamma_from_input_echo,
     main,
     parse_problem_spec,
 )
 from mpradon.symbolic import Polynomial
 from mpradon.symbolic import gamma as gamma_module
+from oracles import gamma_from_input_echo
 
 KNOW_SPEC = """
 [problem]
@@ -361,6 +363,27 @@ def test_zero_denominator_in_scheme_is_one_line_error(tmp_path, capsys):
     assert main(["analyze", "--spec", write(tmp_path, "z.spec", text)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: bad scheme: ") and err.count("\n") == 1
+
+
+def test_huge_decimal_exponent_in_scheme_text_exits_at_once(tmp_path):
+    # Fraction expands '1e99999999' exactly, and the parsers hung on it; each
+    # command runs in a child process so that a hang ends at the timeout
+    big = "e = 1e99999999 0 ; 0 1"
+    spec = write(tmp_path, "big.spec", f"[problem]\nfamily = translation_line\np = s + t\n[scheme]\n{big}\n")
+    kernel = write(tmp_path, "big.kernel", f"[kernel]\nN = 2\nnu = 2\n{big}\na = 1.0\n")
+    timed_main = (
+        "import sys, time\nfrom mpradon.cli import main\n"
+        "start = time.perf_counter()\ncode = main(sys.argv[1:])\nprint(code, time.perf_counter() - start)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    message = "scheme exponent '1e99999999': the decimal exponent must lie in [-300, 300]"
+    runs = (["analyze", "--spec", spec], "bad scheme: "), (["kernel-check", "--kernel", kernel], "kernel file line 4: ")
+    for argv, prefix in runs:
+        cmd = [sys.executable, "-c", timed_main, *argv]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30, env=env)
+        code, seconds = proc.stdout.split()
+        assert int(code) == EXIT_ERROR and float(seconds) < 1.0
+        assert proc.stderr == f"error: {prefix}{message}\n"
 
 
 @pytest.mark.parametrize("a", ["nan", "inf", "-0.5", "0"])

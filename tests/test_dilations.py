@@ -10,12 +10,11 @@ from mpradon.dilations import (
     DimensionMismatch,
     ExponentScheme,
     degree,
-    dilate_point,
     dilation_factors,
     is_pure,
-    scale_function,
 )
 from mpradon.quadrature import integrate_adaptive
+from oracles import dilate_point, scale_function
 
 PRODUCT2 = ExponentScheme.product(2)
 

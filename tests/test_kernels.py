@@ -3,7 +3,9 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
+import warnings
 from itertools import product as iter_product
 
 import numpy as np
@@ -21,18 +23,15 @@ from mpradon.kernels import (
     ProductBoundEstimate,
     ScaledAtom,
     SliceCheck,
-    UnsupportedKernel,
-    dirac_delta_sequence,
-    dyadic_source_sum,
     load_kernel_sequence,
     regroup_to_dyadic,
     sample_product_kernel_bounds,
     save_kernel_sequence,
     telescope_decompose,
-    telescope_source_sum,
     verify_cancellation,
 )
 from mpradon.quadrature import integrate_adaptive, tensor_grid
+from oracles import cm_norm_sampled, dyadic_source_sum, telescope_source_sum
 
 PROD2 = ExponentScheme.product(2)
 
@@ -327,11 +326,6 @@ def test_kernel_file_rejects_non_finite_numbers(tmp_path, capsys, mean_zero_tens
     assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
 
 
-def test_dirac_is_rejected():
-    with pytest.raises(UnsupportedKernel):
-        dirac_delta_sequence(PROD2, 0.5)
-
-
 # -- product kernel bounds ------------------------------------------------------
 
 
@@ -386,6 +380,20 @@ def test_bound_rejects_axis_samples(mean_zero_tensor):
     seq = single_entry_seq(mean_zero_tensor)
     with pytest.raises(ValueError):
         sample_product_kernel_bounds(seq, [0], samples=np.array([[0.0, 0.1]]))
+
+
+@pytest.mark.parametrize(
+    "alphas, alpha", [("-1,0", "(-1, 0)"), ("1", "(1,)"), ("0,0,0", "(0, 0, 0)"), ("0,0;0,-2", "(0, -2)")]
+)
+def test_kernel_check_rejects_derivative_orders_it_cannot_compute(tmp_path, capsys, mean_zero_tensor, alphas, alpha):
+    # -1,0 read psi itself as its own derivative of order -1 and exited 0;
+    # 1 and 0,0,0 ended in a bare "not enough/too many values to unpack"
+    path = tmp_path / "regroup.kernel"
+    save_kernel_sequence(regroup_to_dyadic(mean_zero_tensor, (700.0, 900.0), (1.0, -1.0), 3), path)
+    assert main(["kernel-check", "--kernel", str(path), "--M", "40", f"--alphas={alphas}"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: alpha {alpha}: a derivative order is two nonnegative integers\n"
 
 
 def test_bound_constants_match_per_truncation_evaluation(mean_zero_bump):
@@ -488,9 +496,9 @@ def test_regroup_entry_norms_stay_bounded(mean_zero_tensor):
     sups, c1s, c2s = [], [], []
     for m in range(1, 9):
         seq = regroup_to_dyadic(mean_zero_tensor, tau, (1.0, -1.0), m)
-        sups.append(max(e.sup_norm_sampled(60) for e in seq.entries.values()))
-        c1s.append(max(e.c1_norm_sampled(60) for e in seq.entries.values()))
-        c2s.append(max(e.cm_norm_sampled(2, 60) for e in seq.entries.values()))
+        sups.append(max(cm_norm_sampled(e, 0, 60) for e in seq.entries.values()))
+        c1s.append(max(cm_norm_sampled(e, 1, 60) for e in seq.entries.values()))
+        c2s.append(max(cm_norm_sampled(e, 2, 60) for e in seq.entries.values()))
         assert max(len(e.atoms) for e in seq.entries.values()) <= 1
     assert max(sups) <= max(sups[:2]) * (1 + 1e-9)
     assert max(c1s) <= max(c1s[:2]) * (1 + 1e-9)
@@ -665,6 +673,33 @@ def test_kernel_check_fails_when_a_dilation_factor_overflows(tmp_path, capsys):
         code, out, err = _kernel_check(tmp_path, capsys, text)
     assert code == EXIT_UNBOUNDED and err == ""
     assert "violated at k=(1,), mu=0: nan" in out
+
+
+def test_kernel_check_rejects_a_dilation_factor_that_underflows(tmp_path, capsys):
+    # (1e-200)^2 underflows to 0: the support box divided by it, with numpy
+    # RuntimeWarnings on stderr, and the check reported radius inf
+    text = "[kernel]\nN = 1\nnu = 1\ne = 2\na = 1.0\n[entry 1]\n" + _CANCELLING.replace("@ 1.0", "@ 1e-200")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _kernel_check(tmp_path, capsys, text)
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: atom delta (1e-200,) underflows a dilation factor to 0\n"
+
+
+def test_kernel_check_rejects_an_entry_scale_beyond_float_range(tmp_path, capsys, mean_zero_tensor):
+    # 2.0**1100 raised OverflowError, a traceback out of kernel-check --M
+    entry = KernelEntry(PROD2, [ScaledAtom(1.0, mean_zero_tensor, (1.0, 1.0))])
+    seq = DyadicKernelSeq(PROD2, 0.75, {(1100, 1): entry})
+    message = "entry (1100, 1): the scale 2^1100 is beyond float range (2^1023 at most)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        seq(np.zeros((1, 2)))
+    path = tmp_path / "far.kernel"
+    save_kernel_sequence(seq, path)
+    assert main(["kernel-check", "--kernel", str(path)]) == EXIT_BOUNDED
+    capsys.readouterr()
+    assert main(["kernel-check", "--kernel", str(path), "--M", "2000"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_kernel_check_reports_exact_zero_slice_counts(tmp_path, capsys, mean_zero_bump):

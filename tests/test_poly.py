@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpradon.symbolic import Polynomial
+from oracles import substitute_scaled
 
 ST = ("s", "t")
 
@@ -86,8 +87,8 @@ def test_scaling_derivative_definition():
 
 def test_substitute_scaled():
     p = P("s^2 + s*t")
-    assert p.substitute_scaled([2, 3]) == P("4*s^2 + 6*s*t")
-    assert p.substitute_scaled([Fraction(1, 2), 1]) == P("1/4*s^2 + 1/2*s*t")
+    assert substitute_scaled(p, [2, 3]) == P("4*s^2 + 6*s*t")
+    assert substitute_scaled(p, [Fraction(1, 2), 1]) == P("1/4*s^2 + 1/2*s*t")
 
 
 def test_evaluation_exact_and_float():
@@ -152,3 +153,19 @@ def test_arithmetic_results_are_valid_polynomials(p, q, k):
     results += [p.partial(0), p.partial("t"), p.scaling_derivative(), (p * q).scaling_derivative()]
     for r in results:
         _assert_valid(r)
+
+
+# Raw text: digits, variable names (known and unknown), the operators,
+# spaces and stray characters, run together in any order.
+_RAW_CHARACTERS = list("0123456789") + ["s", "t"] * 5 + ["s1", "x"] + list("+-*^") * 3 + list("/ ") + list("(.e\té")
+_RAW_TEXT = st.lists(st.sampled_from(_RAW_CHARACTERS), max_size=24).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RAW_TEXT)
+def test_parse_raw_text_raises_only_value_error_and_round_trips(text):
+    try:
+        p = Polynomial.parse(text, ST)
+    except ValueError:
+        return
+    assert Polynomial.parse(str(p), ST) == p
