@@ -278,6 +278,8 @@ class TensorBump:
         return self.derivative_values(points, (0,) * self.dimension)
 
     def derivative_values(self, points, orders: Sequence[int]) -> np.ndarray:
+        if len(orders) != self.dimension:
+            raise ValueError(f"orders must have {self.dimension} entries, got {len(orders)}")
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.dimension:
             raise ValueError(f"points must have last axis {self.dimension}")

@@ -277,7 +277,7 @@ def analyze_gamma(gamma: GammaSpec) -> Verdict:
         return heisenberg_verdict(gamma)
     if gamma.scheme == ExponentScheme.product(2):
         return real_line_verdict(gamma.p)
-    return scalar_control_verdict(w_expansion(gamma), gamma.scheme)
+    return scalar_control_verdict(w_expansion(gamma))
 
 
 def analyze_report(gamma: GammaSpec, timestamp: bool = True) -> dict:
@@ -540,10 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on the first call and kept for the process."""
-    return build_parser()
+# the parser ``main`` uses, built on the first call and kept for the process
+_parser = cache(build_parser)
 
 
 def main(argv=None) -> int:

@@ -156,17 +156,10 @@ class ClearedClosure:
 # -- sector enumeration on the normal ray -----------------------------
 
 
-def _primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a nonnegative rational vector to coprime integer entries."""
-    fracs = [Fraction(x) for x in v]
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for n in ints:
-        g = gcd(g, n)
-    return tuple(Fraction(n // g) for n in ints) if g else tuple(fracs)
+def _coprime(v: Sequence[int]) -> tuple[int, ...]:
+    """Integers, not all 0, divided by their gcd."""
+    g = gcd(*v)
+    return tuple(n // g for n in v)
 
 
 def _by_slope(u: tuple[int, int], v: tuple[int, int]) -> int:
@@ -188,28 +181,25 @@ def sector_normals(diffs: Iterable[Degree]) -> list[tuple[Fraction, Fraction]]:
     critical = set()
     for d1, d2 in diffs:
         if (d1 > 0 > d2) or (d1 < 0 < d2):
-            n1, n2 = _cleared((-d2, d1) if d1 > 0 else (d2, -d1), scale)
-            g = gcd(n1, n2)
-            critical.add((n1 // g, n2 // g))
+            critical.add(_coprime(_cleared((-d2, d1) if d1 > 0 else (d2, -d1), scale)))
     boundary = [(1, 0), *sorted(critical, key=cmp_to_key(_by_slope)), (0, 1)]
-    normals = []
-    for (u1, u2), (v1, v2) in zip(boundary, boundary[1:]):
-        g = gcd(u1 + v1, u2 + v2)
-        normals.append((Fraction((u1 + v1) // g), Fraction((u2 + v2) // g)))
-    return normals
+    return [
+        tuple(map(Fraction, _coprime((u1 + v1, u2 + v2))))
+        for (u1, u2), (v1, v2) in zip(boundary, boundary[1:])
+    ]
 
 
 # -- Heisenberg criterion ----------------------------------------------
 
 
 def _split_pure(
-    expansion: WExpansion, scheme: ExponentScheme, prefix: str
+    expansion: WExpansion, prefix: str
 ) -> tuple[tuple[ClosureEntry, ...], tuple[tuple[MultiIndex, ClosureEntry], ...]]:
     """Pure entries and (alpha, entry) pairs for the nonpure ones, labelled ``{prefix}_{alpha}``."""
     pure: list[ClosureEntry] = []
     nonpure: list[tuple[MultiIndex, ClosureEntry]] = []
     for alpha in expansion.support():
-        d = degree(alpha, scheme)
+        d = degree(alpha, expansion.scheme)
         entry = ClosureEntry(expansion.terms[alpha], d, f"{prefix}_{alpha}")
         if is_pure(d):
             pure.append(entry)
@@ -218,9 +208,7 @@ def _split_pure(
     return tuple(pure), tuple(nonpure)
 
 
-def pure_closure_heisenberg(
-    xhat: WExpansion, scheme: ExponentScheme | None = None
-) -> PowerSets:
+def pure_closure_heisenberg(xhat: WExpansion) -> PowerSets:
     """Split Xhat into pure/nonpure and close the pure part under brackets.
 
     Brackets use the structure relation [aX+bY+cT, a'X+b'Y+c'T] = (ab'-a'b)T.
@@ -238,8 +226,7 @@ def pure_closure_heisenberg(
     """
     if xhat.basis != HEISENBERG_BASIS:
         raise ValueError("expansion must carry the Heisenberg basis tag {X, Y, T}")
-    scheme = scheme or xhat.scheme
-    pure, nonpure = _split_pure(xhat, scheme, "Xhat")
+    pure, nonpure = _split_pure(xhat, "Xhat")
     closure = list(pure)
     scale = lcm(*(v.denominator for e in pure for v in e.degree))
     gens = []
@@ -272,7 +259,7 @@ def pure_closure_heisenberg(
                 d = d or tuple(x + y for x, y in zip(a.degree, b.degree))
                 vec = BasisVector((zero, zero, Fraction(value, den)), HEISENBERG_BASIS)
                 closure.append(ClosureEntry(vec, d, f"[{left.label}, {right.label}]"))
-    return PowerSets(scheme, pure, nonpure, tuple(closure))
+    return PowerSets(xhat.scheme, pure, nonpure, tuple(closure))
 
 
 def _cleared(values: Sequence[Fraction], scale: int | None = None) -> tuple[int, ...]:
@@ -479,10 +466,10 @@ def _newton_simplex(
         return tuple(least), None
     _, _, alpha0, d0 = min(below, key=lambda t: t[:3])
     if all(a is None for a in least):
-        normal = tuple(Fraction(1) for _ in range(nu))
+        normal = (1,) * nu
     else:
-        normal = _primitive([Fraction(0) if a is None else 1 / a for a in least])
-    return tuple(least), (alpha0, d0, normal)
+        normal = _coprime(_cleared([Fraction(0) if a is None else 1 / a for a in least]))
+    return tuple(least), (alpha0, d0, tuple(map(Fraction, normal)))
 
 
 def real_line_verdict(p: Polynomial) -> Verdict:
@@ -510,9 +497,7 @@ def real_line_verdict(p: Polynomial) -> Verdict:
 # -- scalar (abelian) control -------------------------------------------
 
 
-def scalar_control_verdict(
-    w: WExpansion, scheme: ExponentScheme | None = None
-) -> Verdict:
+def scalar_control_verdict(w: WExpansion) -> Verdict:
     """Control decision when every expansion field is parallel to one constant field.
 
     Parallel constant fields bracket to zero, so the closure is the pure set.
@@ -522,7 +507,6 @@ def scalar_control_verdict(
     degrees (see ``_newton_simplex``); the witness is the nonpure index
     furthest below it, and bounded certificates carry no sectors.
     """
-    scheme = scheme or w.scheme
     support = w.support()
     if not support:
         return Verdict(Outcome.BOUNDED, diagnostics="zero expansion")
@@ -534,12 +518,12 @@ def scalar_control_verdict(
                 diagnostics=f"field at {alpha} is not parallel to the field at {support[0]}; "
                 "the scalar reduction does not apply",
             )
-    pure, nonpure = _split_pure(w, scheme, "X")
+    pure, nonpure = _split_pure(w, "X")
     if not nonpure:
         return Verdict(Outcome.BOUNDED, diagnostics="all degrees are pure")
-    nu = scheme.n_params
+    nu = w.scheme.n_params
     if nu == 2:
-        return _sweep_verdict(PowerSets(scheme, pure, nonpure, pure))
+        return _sweep_verdict(PowerSets(w.scheme, pure, nonpure, pure))
     _, worst = _newton_simplex(
         (e.degree for e in pure), ((alpha, e.degree) for alpha, e in nonpure), nu
     )

@@ -159,8 +159,12 @@ def _pow(base: float, exp: Fraction) -> float:
         if exp.denominator == 1:
             return float(base) ** int(exp)
         return float(base) ** float(exp)
-    except OverflowError:  # float ** raises where float * gives inf
-        return inf
+    except OverflowError:
+        # float ** raises where float * gives inf, and on an exponent too
+        # large for a float, where the result may as well underflow
+        if base == 1.0:
+            return 1.0
+        return inf if (base > 1) == (exp > 0) else 0.0
 
 
 def dilation_factors(delta: Sequence[float], scheme: ExponentScheme) -> tuple[float, ...]:

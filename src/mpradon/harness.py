@@ -387,13 +387,12 @@ def build_operator(
     grid: Grid1D,
     atom: TensorBump | None = None,
     quad_order: int = 24,
-    quad_panels: int = 2,
 ) -> DiscretizedOperator:
     """T f(x) = sum_k int f(x - p(delta_k^{-1} u)) atom(u) du on the grid."""
     atom = atom or default_experiment_atom()
     if atom.dimension != 2 or p.nvars != 2:
         raise ValueError("experiment operators are built over two t-variables")
-    points, weights = atom.quadrature_rule(quad_order, quad_panels)
+    points, weights = atom.quadrature_rule(quad_order)
     quad_values = weights * atom(points)
     terms = [float(c) for c, _ in p.float_terms()]
     exps = [e for _, e in p.float_terms()]
@@ -498,9 +497,7 @@ def growth_experiment(
     grid: Grid1D | None = None,
     atom: TensorBump | None = None,
     quad_order: int = 24,
-    quad_panels: int = 2,
     max_iters: int = 80,
-    tol: float = 1e-8,
 ) -> GrowthTable:
     """Operator norms and growth ratios (against M = 0) for the three model cases.
 
@@ -522,19 +519,19 @@ def growth_experiment(
     scale_family = square_scales if case == "billy" else dyadic_scales
     family = scale_family(max(m_list))
     position = {scale: t for t, scale in enumerate(family)}
-    terms = build_operator(p, family, grid, atom=atom, quad_order=quad_order, quad_panels=quad_panels)
+    terms = build_operator(p, family, grid, atom=atom, quad_order=quad_order)
     profile_norms: dict[tuple[int, bytes], NormResult] = {}
 
     def norm_at(m: int) -> tuple[NormResult, int, DiscretizedOperator]:
         """(norm of the row's sum, or of its one profile; that profile's count; the row operator)."""
         op = terms.restricted(position[scale] for scale in scale_family(m))
         if len(op.groups) != 1:
-            return operator_norm(op, max_iters=max_iters, tol=tol), 1, op
+            return operator_norm(op, max_iters=max_iters), 1, op
         g = op.groups[0]
         key = (g.lo, g.taps.tobytes())
         if key not in profile_norms:
             single = DiscretizedOperator(grid, [_TapGroup(1, g.lo, g.taps)])
-            profile_norms[key] = operator_norm(single, max_iters=max_iters, tol=tol)
+            profile_norms[key] = operator_norm(single, max_iters=max_iters)
         return profile_norms[key], g.count, op
 
     results = {m: norm_at(m) for m in dict.fromkeys(m_list)}

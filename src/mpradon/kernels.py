@@ -82,6 +82,8 @@ class KernelEntry:
         return self.derivative_values(points, (0,) * self.scheme.n_t)
 
     def derivative_values(self, points, orders: Sequence[int]) -> np.ndarray:
+        if len(orders) != self.scheme.n_t:
+            raise ValueError(f"orders must have {self.scheme.n_t} entries, got {len(orders)}")
         pts = np.asarray(points, dtype=float)
         out = np.zeros(pts.shape[:-1])
         for sa, (factors, jac) in zip(self.atoms, self.dilations):
@@ -130,13 +132,6 @@ class DyadicKernelSeq:
 
     def indices(self) -> list[tuple[int, ...]]:
         return sorted(self.entries)
-
-    def scaled(self, delta: Sequence[float]) -> "DyadicKernelSeq":
-        return DyadicKernelSeq(
-            self.scheme,
-            self.support_radius,
-            {k: e.scaled(delta) for k, e in self.entries.items()},
-        )
 
     def __call__(self, points) -> np.ndarray:
         """The represented sum  sum_k entry_k^{(2^k)} at the given points."""
@@ -189,7 +184,6 @@ class CancellationReport:
 def verify_cancellation(
     seq: DyadicKernelSeq,
     tolerance: float = 1e-9,
-    grid_per_axis: int = 9,
 ) -> CancellationReport:
     """Check int entry_k dt^mu == 0 (k_mu != 0), exactly where the data allow.
 
@@ -202,8 +196,8 @@ def verify_cancellation(
     An atom with an inner factor whose coefficients sum to exactly 0 (and a
     finite coefficient * jacobian) contributes exactly 0 and is dropped.  A
     slice with no atoms left is certified 0.0 (``exact_zero``) without
-    sampling.  Any other slice is sampled over its remaining atoms at
-    ``grid_per_axis`` points per outer axis of the entry's support box.  A
+    sampling.  Any other slice is sampled over its remaining atoms at 9
+    points per outer axis of the entry's support box.  A
     slice whose integral is not finite fails.
     """
     checks: list[SliceCheck] = []
@@ -233,7 +227,7 @@ def verify_cancellation(
                 checks.append(SliceCheck(k, mu, 0.0, exact_zero=True))
                 continue
             if outer:
-                outer_pts = tensor_grid([np.linspace(*box[i], grid_per_axis) for i in outer])
+                outer_pts = tensor_grid([np.linspace(*box[i], 9) for i in outer])
                 acc = np.zeros(outer_pts.shape[0])
                 for weight, sa, factors in kept:
                     vals = np.full(outer_pts.shape[0], weight)

@@ -2,22 +2,20 @@
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
-
-_rule_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class QuadratureError(RuntimeError):
     """Adaptive integration failed to reach the requested tolerance."""
 
 
+@cache
 def legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1]."""
-    if order not in _rule_cache:
-        _rule_cache[order] = np.polynomial.legendre.leggauss(order)
-    return _rule_cache[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def panel_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -32,12 +30,11 @@ def integrate_adaptive(
     b: float,
     tol: float = 1e-12,
     order: int = 24,
-    max_depth: int = 24,
 ) -> float:
     """Adaptive panel-splitting Gauss-Legendre integral of a vectorized f.
 
     A panel is accepted when one rule application agrees with its two-half
-    refinement to within the panel's share of the tolerance.
+    refinement to within its share of the tolerance (QuadratureError past depth 24).
     """
 
     def quad(lo: float, hi: float) -> float:
@@ -53,7 +50,7 @@ def integrate_adaptive(
         # roundoff floor: past this, subdivision cannot help
         if err <= max(budget, 64 * eps * (abs(left) + abs(right))):
             return left + right
-        if depth >= max_depth:
+        if depth >= 24:
             raise QuadratureError(
                 f"no convergence on [{lo}, {hi}]: achieved {err:.3e}, wanted {budget:.3e}"
             )

@@ -9,13 +9,9 @@ from .gamma import (
     HEISENBERG,
     TRANSLATION_LINE,
     GammaSpec,
-    TaylorRelationReport,
     UnsupportedFamily,
     WExpansion,
-    verify_taylor_relation,
     w_expansion,
-    w_from_heisenberg_gamma,
-    w_from_translation_gamma,
     xhat_expansion,
 )
 from .poly import Polynomial
@@ -28,12 +24,8 @@ __all__ = [
     "LINE_BASIS",
     "Polynomial",
     "TRANSLATION_LINE",
-    "TaylorRelationReport",
     "UnsupportedFamily",
     "WExpansion",
-    "verify_taylor_relation",
     "w_expansion",
-    "w_from_heisenberg_gamma",
-    "w_from_translation_gamma",
     "xhat_expansion",
 ]

@@ -16,10 +16,13 @@ decidable check):
 
     with Pdot_i(s) = sum_alpha |alpha| c^i_alpha s^alpha.
 
-The exponential expansion gamma ~ exp(sum t^alpha Xhat_alpha) is a direct
-coefficient read-off in both families, since gamma is given in exponential
-form.  ``verify_taylor_relation`` checks, exactly, that the two expansions
-are related by X_alpha = |alpha| Xhat_alpha + V_alpha with
+Both families are given in exponential form, gamma_t = exp(sum_i q_i(t) B_i)
+with coordinates (q_i) = (-p,) on the line and (P1, P2, P3) on H^1, so the
+exponential expansion gamma ~ exp(sum t^alpha Xhat_alpha) is a direct
+coefficient read-off of the q_i, and W is their scaling derivatives plus
+the step-2 term on T.  ``verify_taylor_relation`` in tests/oracles.py
+checks, exactly, that the two expansions are related by
+X_alpha = |alpha| Xhat_alpha + V_alpha with
 
     V_alpha = -1/2 sum_{beta+gamma=alpha} |gamma| [Xhat_beta, Xhat_gamma],
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..dilations import Degree, ExponentScheme, MultiIndex, check_multi_index, degree
 from .fields import HEISENBERG_BASIS, LINE_BASIS, BasisVector
@@ -63,7 +66,6 @@ class GammaSpec:
         if self.family == TRANSLATION_LINE:
             if self.p is None or self.exponents is not None:
                 raise ValueError("translation_line takes exactly the polynomial p")
-            polys = (self.p,)
         elif self.family == HEISENBERG:
             if self.exponents is None or self.p is not None:
                 raise ValueError("heisenberg takes exactly the exponent triple (P1, P2, P3)")
@@ -72,13 +74,12 @@ class GammaSpec:
             vars0 = self.exponents[0].variables
             if any(q.variables != vars0 for q in self.exponents):
                 raise ValueError("P1, P2, P3 must share the same variables")
-            polys = self.exponents
         else:
             raise UnsupportedFamily(
                 f"unsupported family {self.family!r}: only {TRANSLATION_LINE!r} and "
                 f"{HEISENBERG!r} admit a finite decidable criterion"
             )
-        for q in polys:
+        for q in self._coordinates:
             if q.constant_term() != 0:
                 raise ValueError("curve polynomials must have zero constant term (gamma_0 = id)")
             if q.nvars != self.scheme.n_t:
@@ -108,22 +109,27 @@ class GammaSpec:
     def variables(self) -> tuple[str, ...]:
         return (self.p or self.exponents[0]).variables
 
+    @cached_property
+    def _coordinates(self) -> tuple[Polynomial, ...]:
+        """The exponential-form coordinates: (-p,) on the line, (P1, P2, P3) on H^1."""
+        return (-self.p,) if self.family == TRANSLATION_LINE else self.exponents
+
     # The expansions are computed on first use and kept on the (immutable)
     # spec, so every caller of w_expansion / xhat_expansion shares one object.
     @cached_property
     def _w(self) -> "WExpansion":
-        if self.family == TRANSLATION_LINE:
-            return w_from_translation_gamma(self)
-        return w_from_heisenberg_gamma(self)
+        q = self._coordinates
+        w = [c.scaling_derivative() for c in q]
+        if self.family == HEISENBERG:  # exact step-2 term: -1/2 (P1 Pdot2 - P2 Pdot1) T
+            w[2] = w[2] - (q[0] * w[1] - q[1] * w[0]) * Fraction(1, 2)
+        return _poly_coefficient_expansion(w, self.scheme)
 
     @cached_property
     def _xhat(self) -> "WExpansion":
-        if self.family == TRANSLATION_LINE:
-            return _poly_coefficient_expansion((-self.p,), self.scheme, LINE_BASIS)
-        return _poly_coefficient_expansion(self.exponents, self.scheme, HEISENBERG_BASIS)
+        return _poly_coefficient_expansion(self._coordinates, self.scheme)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WExpansion:
     """A finite Taylor expansion sum_alpha t^alpha * (constant field)."""
 
@@ -146,14 +152,6 @@ class WExpansion:
         object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "basis", tuple(self.basis))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, WExpansion)
-            and self.scheme == other.scheme
-            and self.basis == other.basis
-            and dict(self.terms) == dict(other.terms)
-        )
-
     def degree_of(self, alpha: MultiIndex) -> Degree:
         return degree(alpha, self.scheme)
 
@@ -165,26 +163,10 @@ class WExpansion:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @classmethod
-    def from_scalar_polynomial(
-        cls,
-        p: Polynomial,
-        scheme: ExponentScheme | None = None,
-        basis: tuple[str, ...] = LINE_BASIS,
-        direction: tuple[Fraction, ...] | None = None,
-    ) -> "WExpansion":
-        """Expansion p(t) * v for a fixed constant field v (default d/dx)."""
-        scheme = scheme or ExponentScheme.product(p.nvars)
-        direction = direction or tuple(
-            Fraction(1) if i == 0 else Fraction(0) for i in range(len(basis))
-        )
-        v = BasisVector(direction, basis)
-        return cls(scheme, basis, {a: v.scaled(c) for a, c in p.terms.items() if sum(a) > 0})
 
-
-def _poly_coefficient_expansion(
-    polys: tuple[Polynomial, ...], scheme: ExponentScheme, basis: tuple[str, ...]
-) -> WExpansion:
+def _poly_coefficient_expansion(polys: Sequence[Polynomial], scheme: ExponentScheme) -> WExpansion:
+    """sum_alpha t^alpha sum_i c^i_alpha B_i: the line basis for one polynomial, H^1's for three."""
+    basis = LINE_BASIS if len(polys) == 1 else HEISENBERG_BASIS
     terms: dict[MultiIndex, list[Fraction]] = {}
     for i, q in enumerate(polys):
         for alpha, c in q.terms.items():
@@ -192,24 +174,6 @@ def _poly_coefficient_expansion(
     return WExpansion(
         scheme, basis, {a: BasisVector(tuple(v), basis) for a, v in terms.items()}
     )
-
-
-def w_from_translation_gamma(spec: GammaSpec) -> WExpansion:
-    """W for gamma_t(x) = x - p(t):  X_alpha = -|alpha| c_alpha d/dx."""
-    if spec.family != TRANSLATION_LINE:
-        raise UnsupportedFamily("w_from_translation_gamma needs a translation_line spec")
-    w_poly = -spec.p.scaling_derivative()
-    return _poly_coefficient_expansion((w_poly,), spec.scheme, LINE_BASIS)
-
-
-def w_from_heisenberg_gamma(spec: GammaSpec) -> WExpansion:
-    """W for gamma_s = right translation by exp(P1 X + P2 Y + P3 T), exact step-2 form."""
-    if spec.family != HEISENBERG:
-        raise UnsupportedFamily("w_from_heisenberg_gamma needs a heisenberg spec")
-    p1, p2, p3 = spec.exponents
-    d1, d2, d3 = (q.scaling_derivative() for q in spec.exponents)
-    w3 = d3 - (p1 * d2 - p2 * d1) * Fraction(1, 2)
-    return _poly_coefficient_expansion((d1, d2, w3), spec.scheme, HEISENBERG_BASIS)
 
 
 def w_expansion(spec: GammaSpec) -> WExpansion:
@@ -225,44 +189,3 @@ def xhat_expansion(spec: GammaSpec) -> WExpansion:
     Computed once per spec object.
     """
     return spec._xhat
-
-
-@dataclass(frozen=True)
-class TaylorRelationReport:
-    passed: bool
-    residuals: Mapping[MultiIndex, BasisVector]
-    detail: str
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def verify_taylor_relation(spec: GammaSpec) -> TaylorRelationReport:
-    """Check X_alpha = |alpha| Xhat_alpha + V_alpha exactly, for every alpha."""
-    w = w_expansion(spec)
-    xhat = xhat_expansion(spec)
-    basis = w.basis
-    zero = BasisVector(tuple(Fraction(0) for _ in basis), basis)
-    residuals: dict[MultiIndex, BasisVector] = {}
-    support = set(w.terms) | set(xhat.terms)
-    # V_alpha needs every split alpha = beta + gamma with both Xhat's present.
-    hat_support = list(xhat.terms)
-    corrections: dict[MultiIndex, BasisVector] = {}
-    for beta in hat_support:
-        for gamma in hat_support:
-            alpha = tuple(b + g for b, g in zip(beta, gamma))
-            br = xhat.terms[beta].bracket(xhat.terms[gamma])
-            if br.is_zero():
-                continue
-            v = corrections.get(alpha, zero) - br.scaled(Fraction(sum(gamma), 2))
-            corrections[alpha] = v
-    support |= {a for a, v in corrections.items() if not v.is_zero()}
-    for alpha in sorted(support, key=canonical_index_key):
-        lhs = w.terms.get(alpha, zero)
-        rhs = xhat.terms.get(alpha, zero).scaled(sum(alpha)) + corrections.get(alpha, zero)
-        res = lhs - rhs
-        if not res.is_zero():
-            residuals[alpha] = res
-    passed = not residuals
-    detail = "exact match" if passed else f"{len(residuals)} residual term(s)"
-    return TaylorRelationReport(passed, residuals, detail)

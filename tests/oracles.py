@@ -12,16 +12,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import prod
+from math import gcd, prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from mpradon.bumps import MAX_MOMENT, BumpCombination, TensorBump
-from mpradon.dilations import DimensionMismatch, ExponentScheme, dilation_factors
-from mpradon.kernels import KernelEntry, ScaledAtom
+from mpradon.dilations import DimensionMismatch, ExponentScheme, MultiIndex, dilation_factors
+from mpradon.kernels import DyadicKernelSeq, KernelEntry, ScaledAtom
 from mpradon.quadrature import integrate_adaptive, tensor_grid
-from mpradon.symbolic import HEISENBERG_BASIS, LINE_BASIS, TRANSLATION_LINE, BasisVector, GammaSpec, Polynomial
+from mpradon.symbolic import (
+    HEISENBERG_BASIS,
+    LINE_BASIS,
+    TRANSLATION_LINE,
+    BasisVector,
+    GammaSpec,
+    Polynomial,
+    WExpansion,
+    w_expansion,
+    xhat_expansion,
+)
+from mpradon.symbolic.gamma import canonical_index_key
 
 # -- polynomials and vector fields in coordinates --------------------------------
 
@@ -280,6 +291,15 @@ def telescope_source_sum(
     return evaluate
 
 
+def scaled_sequence(seq: DyadicKernelSeq, delta: Sequence[float]) -> DyadicKernelSeq:
+    """Every entry of seq composed with the dilation delta."""
+    return DyadicKernelSeq(
+        seq.scheme,
+        seq.support_radius,
+        {k: e.scaled(delta) for k, e in seq.entries.items()},
+    )
+
+
 # -- reports ---------------------------------------------------------------------
 
 
@@ -292,3 +312,75 @@ def gamma_from_input_echo(echo: dict) -> GammaSpec:
     return GammaSpec.heisenberg(
         *(Polynomial.parse(echo[k], variables) for k in ("p1", "p2", "p3")), scheme=scheme
     )
+
+
+# -- curve expansions and sector normals ------------------------------------------
+
+
+def scalar_polynomial_expansion(
+    p: Polynomial,
+    scheme: ExponentScheme | None = None,
+    basis: tuple[str, ...] = LINE_BASIS,
+    direction: tuple[Fraction, ...] | None = None,
+) -> WExpansion:
+    """Expansion p(t) * v for a fixed constant field v (default d/dx)."""
+    scheme = scheme or ExponentScheme.product(p.nvars)
+    direction = direction or tuple(
+        Fraction(1) if i == 0 else Fraction(0) for i in range(len(basis))
+    )
+    v = BasisVector(direction, basis)
+    return WExpansion(scheme, basis, {a: v.scaled(c) for a, c in p.terms.items() if sum(a) > 0})
+
+
+@dataclass(frozen=True)
+class TaylorRelationReport:
+    passed: bool
+    residuals: Mapping[MultiIndex, BasisVector]
+    detail: str
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+
+def verify_taylor_relation(spec: GammaSpec) -> TaylorRelationReport:
+    """Check X_alpha = |alpha| Xhat_alpha + V_alpha exactly, for every alpha."""
+    w = w_expansion(spec)
+    xhat = xhat_expansion(spec)
+    basis = w.basis
+    zero = BasisVector(tuple(Fraction(0) for _ in basis), basis)
+    residuals: dict[MultiIndex, BasisVector] = {}
+    support = set(w.terms) | set(xhat.terms)
+    # V_alpha needs every split alpha = beta + gamma with both Xhat's present.
+    hat_support = list(xhat.terms)
+    corrections: dict[MultiIndex, BasisVector] = {}
+    for beta in hat_support:
+        for gamma in hat_support:
+            alpha = tuple(b + g for b, g in zip(beta, gamma))
+            br = xhat.terms[beta].bracket(xhat.terms[gamma])
+            if br.is_zero():
+                continue
+            v = corrections.get(alpha, zero) - br.scaled(Fraction(sum(gamma), 2))
+            corrections[alpha] = v
+    support |= {a for a, v in corrections.items() if not v.is_zero()}
+    for alpha in sorted(support, key=canonical_index_key):
+        lhs = w.terms.get(alpha, zero)
+        rhs = xhat.terms.get(alpha, zero).scaled(sum(alpha)) + corrections.get(alpha, zero)
+        res = lhs - rhs
+        if not res.is_zero():
+            residuals[alpha] = res
+    passed = not residuals
+    detail = "exact match" if passed else f"{len(residuals)} residual term(s)"
+    return TaylorRelationReport(passed, residuals, detail)
+
+
+def primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Scale a nonnegative rational vector to coprime integer entries."""
+    fracs = [Fraction(x) for x in v]
+    mult = 1
+    for f in fracs:
+        mult = mult * f.denominator // gcd(mult, f.denominator)
+    ints = [int(f * mult) for f in fracs]
+    g = 0
+    for n in ints:
+        g = gcd(g, n)
+    return tuple(Fraction(n // g) for n in ints) if g else tuple(fracs)

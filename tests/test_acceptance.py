@@ -31,14 +31,16 @@ from mpradon.harness import (
 )
 from mpradon.kernels import regroup_to_dyadic, telescope_decompose, verify_cancellation
 from mpradon.quadrature import integrate_adaptive
-from mpradon.symbolic import (
-    GammaSpec,
-    Polynomial,
-    WExpansion,
+from mpradon.symbolic import GammaSpec, Polynomial, w_expansion
+from oracles import (
+    PolyVectorField,
+    dyadic_source_sum,
+    lie_bracket,
+    scalar_polynomial_expansion,
+    scale_function,
+    telescope_source_sum,
     verify_taylor_relation,
-    w_from_translation_gamma,
 )
-from oracles import PolyVectorField, dyadic_source_sum, lie_bracket, scale_function, telescope_source_sum
 
 ST = ("s", "t")
 
@@ -74,8 +76,8 @@ def test_criterion_1_newton_line_reproduction():
 
 
 def test_criterion_2_control_examples():
-    square = scalar_control_verdict(WExpansion.from_scalar_polynomial(P("s^2 + t^2 + s*t")))
-    cubic = scalar_control_verdict(WExpansion.from_scalar_polynomial(P("s^3 + t^3 + s*t")))
+    square = scalar_control_verdict(scalar_polynomial_expansion(P("s^2 + t^2 + s*t")))
+    cubic = scalar_control_verdict(scalar_polynomial_expansion(P("s^3 + t^3 + s*t")))
     heis = heisenberg_verdict(
         GammaSpec.heisenberg(P("s"), P("t"), P("s*t"))
     )
@@ -113,7 +115,7 @@ def _random_gamma(rng: random.Random) -> GammaSpec:
 
 
 def test_criterion_3_w_pipeline():
-    w = w_from_translation_gamma(GammaSpec.translation_line(P("-s*t")))
+    w = w_expansion(GammaSpec.translation_line(P("-s*t")))
     paper_value = set(w.terms) == {(1, 1)} and w.terms[(1, 1)].coords == (Fraction(2),)
     rng = random.Random(20240817)
     corpus = [_random_gamma(rng) for _ in range(120)]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -115,6 +116,31 @@ def test_analyze_json_deterministic(tmp_path, capsys):
     assert "timestamp" not in first
     report = json.loads(first)
     assert report["verdict"]["outcome"] == "bounded"
+
+
+# `analyze --no-timestamp` reports pinned byte for byte, with their exit codes.
+# Each <name>.json / <name>.txt in tests/data/golden was written by
+# `mpradon analyze --spec <name>.spec --format json|text --no-timestamp`;
+# dense_h1_6.spec is _dense_h1_text(6) of tests/test_criteria.py.
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_EXITS = {
+    "readme": EXIT_UNBOUNDED,
+    "h1_basic": EXIT_BOUNDED,
+    "line_e10_11": EXIT_BOUNDED,
+    "nu3_bounded": EXIT_BOUNDED,
+    "nu3_unbounded": EXIT_UNBOUNDED,
+    "dense_h1_6": EXIT_BOUNDED,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXITS))
+@pytest.mark.parametrize("fmt, suffix", [("json", ".json"), ("text", ".txt")])
+def test_analyze_reports_match_golden_bytes(name, fmt, suffix, capsys):
+    argv = ["analyze", "--spec", str(GOLDEN / f"{name}.spec"), "--format", fmt, "--no-timestamp"]
+    assert main(argv) == GOLDEN_EXITS[name]
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (GOLDEN / f"{name}{suffix}").read_text()
 
 
 def test_analyze_timestamp_present_by_default():

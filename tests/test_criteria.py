@@ -23,7 +23,6 @@ from mpradon.criteria import (
     _det,
     _independent_prefix,
     _newton_simplex,
-    _primitive,
     _solve_on_pivots,
     _split_pure,
     heisenberg_verdict,
@@ -42,7 +41,7 @@ from mpradon.symbolic import (
     WExpansion,
     xhat_expansion,
 )
-from oracles import substitute_scaled
+from oracles import primitive, scalar_polynomial_expansion, substitute_scaled
 
 ST = ("s", "t")
 ZERO = Polynomial.zero(ST)
@@ -141,7 +140,7 @@ def test_real_line_monotonicity():
 
 
 def scalar(p_text: str) -> WExpansion:
-    return WExpansion.from_scalar_polynomial(P(p_text))
+    return scalar_polynomial_expansion(P(p_text))
 
 
 def test_scalar_control_square_example():
@@ -173,16 +172,16 @@ def test_scalar_control_respects_scheme():
     # e_1 = (1,1), e_2 = (0,1): the lone s term has nonpure degree (1,1)
     # with no pure terms available, unlike under the product scheme
     scheme = ExponentScheme.from_rows([[1, 1], [0, 1]])
-    w = WExpansion.from_scalar_polynomial(P("s"), scheme)
+    w = scalar_polynomial_expansion(P("s"), scheme)
     assert scalar_control_verdict(w).outcome is Outcome.UNBOUNDED
     assert real_line_verdict(P("s")).outcome is Outcome.BOUNDED
     # deg(t^2) = (0,2) does not dominate deg(s) = (1,1) along the normal (1,2)
-    w2 = WExpansion.from_scalar_polynomial(P("s + t^2"), scheme)
+    w2 = scalar_polynomial_expansion(P("s + t^2"), scheme)
     v2 = scalar_control_verdict(w2)
     assert v2.outcome is Outcome.UNBOUNDED
     assert v2.witness.normal == (1, 2)
     # deg(t) = (0,1) sits below (1,1) for every nonnegative normal
-    w3 = WExpansion.from_scalar_polynomial(P("s + t"), scheme)
+    w3 = scalar_polynomial_expansion(P("s + t"), scheme)
     assert scalar_control_verdict(w3).outcome is Outcome.BOUNDED
 
 
@@ -210,7 +209,7 @@ def test_scalar_control_three_parameters():
             (1, 1, 0): Fraction(1),
         },
     )
-    w = WExpansion.from_scalar_polynomial(ok, scheme)
+    w = scalar_polynomial_expansion(ok, scheme)
     assert scalar_control_verdict(w).outcome is Outcome.BOUNDED
     # push the mixed degree below the hull: pure set {(4,0,0),(0,4,0),(0,0,4)}
     # against (1,1,0) gives 1/4 + 1/4 < 1
@@ -223,7 +222,7 @@ def test_scalar_control_three_parameters():
             (1, 1, 0): Fraction(1),
         },
     )
-    w_deep = WExpansion.from_scalar_polynomial(deep, scheme)
+    w_deep = scalar_polynomial_expansion(deep, scheme)
     v = scalar_control_verdict(w_deep)
     assert v.outcome is Outcome.UNBOUNDED
     assert v.witness.alpha0 == (1, 1, 0)
@@ -300,7 +299,7 @@ def _abelian_violating_normal(
         if sol is not None and all(v >= 0 for v in sol):
             candidates.add(tuple(sol))
     best = max(candidates, key=worst)
-    return _primitive(best) if worst(best) > 0 else None
+    return primitive(best) if worst(best) > 0 else None
 
 
 _RATIONALS = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
@@ -538,21 +537,21 @@ def test_express_in_span_basics():
 
 def _fraction_sector_normals(diffs) -> list[tuple[Fraction, Fraction]]:
     """The sector normals in rational arithmetic: critical normals by
-    _primitive, sorted by Fraction(n2, n1), and primitive midpoints."""
+    primitive, sorted by Fraction(n2, n1), and primitive midpoints."""
     critical = set()
     for d1, d2 in set(diffs):
         if (d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0):
-            critical.add(_primitive((-d2, d1) if d1 > 0 else (d2, -d1)))
+            critical.add(primitive((-d2, d1) if d1 > 0 else (d2, -d1)))
     boundary = [(Fraction(1), Fraction(0))]
     boundary += sorted(critical, key=lambda n: Fraction(n[1], n[0]))
     boundary += [(Fraction(0), Fraction(1))]
-    return [_primitive((u[0] + v[0], u[1] + v[1])) for u, v in zip(boundary, boundary[1:])]
+    return [primitive((u[0] + v[0], u[1] + v[1])) for u, v in zip(boundary, boundary[1:])]
 
 
 # -- the fixed-point closure and full Gauss-Jordan sector test, as the oracle --------
 
 
-def _fixed_point_closure(xhat: WExpansion, scheme: ExponentScheme | None = None) -> PowerSets:
+def _fixed_point_closure(xhat: WExpansion) -> PowerSets:
     """Split Xhat into pure/nonpure and close the pure part under brackets.
 
     Brackets use the structure relation [aX+bY+cT, a'X+b'Y+c'T] = (ab'-a'b)T;
@@ -561,8 +560,7 @@ def _fixed_point_closure(xhat: WExpansion, scheme: ExponentScheme | None = None)
     """
     if xhat.basis != HEISENBERG_BASIS:
         raise ValueError("expansion must carry the Heisenberg basis tag {X, Y, T}")
-    scheme = scheme or xhat.scheme
-    pure, nonpure = _split_pure(xhat, scheme, "Xhat")
+    pure, nonpure = _split_pure(xhat, "Xhat")
     closure = list(pure)
     seen = {(e.vec.coords, e.degree) for e in closure}
     frontier = list(closure)
@@ -587,7 +585,7 @@ def _fixed_point_closure(xhat: WExpansion, scheme: ExponentScheme | None = None)
                     fresh.append(ClosureEntry(br, d, f"[{left.label}, {right.label}]"))
         closure.extend(fresh)
         frontier = fresh
-    return PowerSets(scheme, pure, nonpure, tuple(closure))
+    return PowerSets(xhat.scheme, pure, nonpure, tuple(closure))
 
 
 def _full_sector_test(

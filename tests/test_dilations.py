@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpradon.dilations import (
     DimensionMismatch,
     ExponentScheme,
+    _pow,
     degree,
     dilation_factors,
     is_pure,
@@ -83,6 +84,20 @@ def test_dilation_factor_overflow_reads_inf():
     scheme = ExponentScheme.from_rows([[2, 0], [0, "3/2"]])
     assert dilation_factors((1e308, 1e308), scheme) == (math.inf, math.inf)
     assert dilation_factors((1e300, 1e100), scheme) == (math.inf, 1e100**1.5)
+
+
+def test_power_with_an_exponent_beyond_float_range_underflows_or_overflows():
+    # float ** int raises OverflowError on converting a 401-digit int, which
+    # read as inf even where the power underflows
+    huge = Fraction(10**400)
+    assert _pow(0.5, huge) == 0.0
+    assert _pow(2.0, -huge) == 0.0
+    assert _pow(2.0, huge) == math.inf
+    assert _pow(0.5, -huge) == math.inf
+    assert _pow(1.0, huge) == _pow(1.0, -huge) == 1.0
+    assert _pow(0.5, huge / 3) == 0.0
+    scheme = ExponentScheme.from_rows([["1" + "0" * 400]])
+    assert dilation_factors((0.5,), scheme) == (0.0,)
 
 
 def test_is_pure():

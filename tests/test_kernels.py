@@ -31,7 +31,7 @@ from mpradon.kernels import (
     verify_cancellation,
 )
 from mpradon.quadrature import integrate_adaptive, tensor_grid
-from oracles import cm_norm_sampled, dyadic_source_sum, telescope_source_sum
+from oracles import cm_norm_sampled, dyadic_source_sum, scaled_sequence, telescope_source_sum
 
 PROD2 = ExponentScheme.product(2)
 
@@ -84,7 +84,7 @@ def test_cancellation_invariant_under_scaling(mean_zero_tensor, mean_one_bump, m
     )
     for seq, expected in ((good, True), (bad, False)):
         base = verify_cancellation(seq).max_abs <= 1e-9
-        scaled = verify_cancellation(seq.scaled((0.5, 3.0))).max_abs <= 1e-9
+        scaled = verify_cancellation(scaled_sequence(seq, (0.5, 3.0))).max_abs <= 1e-9
         assert base == scaled == expected
 
 
@@ -396,6 +396,17 @@ def test_kernel_check_rejects_derivative_orders_it_cannot_compute(tmp_path, caps
     assert err == f"error: alpha {alpha}: a derivative order is two nonnegative integers\n"
 
 
+@pytest.mark.parametrize("orders", [(1,), (1, 0, 5)])
+def test_derivative_values_reject_orders_of_the_wrong_length(mean_zero_bump, orders):
+    # (1,) read the first factor's derivative alone, 549.2 at (0.3, 0.35) where
+    # (1, 0) reads 25840.1; (1, 0, 5) read like (1, 0) or failed in numpy
+    atom = tensor_bump([mean_zero_bump, mean_zero_bump])
+    entry = KernelEntry(PROD2, [ScaledAtom(1.0, atom, (1.0, 1.0))])
+    for f in (atom, entry):
+        with pytest.raises(ValueError, match=r"orders must have 2 entries, got \d"):
+            f.derivative_values(np.array([[0.3, 0.35]]), orders)
+
+
 def test_bound_constants_match_per_truncation_evaluation(mean_zero_bump):
     atom = tensor_bump([mean_zero_bump, mean_zero_bump])
     seq = telescope_decompose(lambda k: atom, (2, 1), (2.0**3 * 1.3, 2.0**2 * 1.7), 4)
@@ -684,6 +695,19 @@ def test_kernel_check_rejects_a_dilation_factor_that_underflows(tmp_path, capsys
         code, out, err = _kernel_check(tmp_path, capsys, text)
     assert code == EXIT_ERROR and out == ""
     assert err == "error: atom delta (1e-200,) underflows a dilation factor to 0\n"
+
+
+def test_kernel_check_rejects_a_factor_whose_exponent_is_beyond_float_range(tmp_path, capsys):
+    # 0.5^(10^400) underflows; it read as inf, and kernel-check exited 2 with
+    # a numpy RuntimeWarning on stderr and NaN in its JSON
+    text = f"[kernel]\nN = 1\nnu = 1\ne = 1{'0' * 400}\na = 1.0\n[entry 1]\n" + _CANCELLING.replace(
+        "@ 1.0", "@ 0.5"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _kernel_check(tmp_path, capsys, text, "--format", "json")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: atom delta (0.5,) underflows a dilation factor to 0\n"
 
 
 def test_kernel_check_rejects_an_entry_scale_beyond_float_range(tmp_path, capsys, mean_zero_tensor):
