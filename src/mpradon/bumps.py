@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import integrate_adaptive, tensor_rule
+from .quadrature import composite_nodes, integrate_adaptive, tensor_rule
 from .symbolic.poly import Polynomial
 
 GEOMETRIC_RATIO = 0.5
@@ -163,8 +163,6 @@ class BumpCombination:
     def quadrature_rule(self, order: int, panels: int = 2) -> tuple[np.ndarray, np.ndarray]:
         """Nodes/weights over the support, with panel edges at every atom
         boundary so each mollifier atom is resolved at its own width."""
-        from .quadrature import composite_nodes
-
         edges = sorted({x for _, x, _ in self.atoms} | {x + r for _, x, r in self.atoms})
         xs, ws = [], []
         for lo, hi in zip(edges, edges[1:]):
@@ -232,10 +230,8 @@ def moment_bump(a: float, a1: int, excluded: Sequence[int] = ()) -> MomentBump:
     xs = [x1 * c_ratio**j for j in range(k + 1)]
     rs = [r1 * c_ratio**j for j in range(k + 1)]
 
-    y = [1.0] + [
-        sum(comb(al, m) * base_moment(m) * r1**m * x1 ** (al - m) for m in range(al + 1))
-        for al in exponents[1:]
-    ]
+    unit = BumpCombination(((1.0, x1, r1),))
+    y = [1.0] + [unit.moment_closed_form(al) for al in exponents[1:]]
     z = [c_ratio**al for al in exponents]
     matrix = np.array([[y[l] * z[l] ** j for j in range(k + 1)] for l in range(k + 1)])
     rhs = np.zeros(k + 1)

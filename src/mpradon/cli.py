@@ -48,11 +48,11 @@ from .criteria import (
 )
 from .dilations import ExponentScheme, is_pure
 from .kernels import load_kernel_sequence, sample_product_kernel_bounds, verify_cancellation
-from .harness import CASES, Grid1D, growth_experiment
-from .bumps import TensorBump, moment_bump
+from .harness import CASES, Grid1D, default_experiment_atom, growth_experiment
+from .bumps import moment_bump
 from .symbolic import (
+    FAMILIES,
     HEISENBERG,
-    TRANSLATION_LINE,
     GammaSpec,
     Polynomial,
     WExpansion,
@@ -78,8 +78,10 @@ class SpecFileError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A norm-growth experiment; its defaults are norm-growth's defaults."""
+
     case: str
-    m_list: tuple[int, ...]
+    m_list: tuple[int, ...] = (0, 1, 2, 3, 4)
     level: int | None = None
     grid_n: int = 2048
     grid_xmin: float = -4.0
@@ -94,13 +96,27 @@ class ProblemSpecFile:
     experiment: ExperimentConfig | None
 
 
-_PROBLEM_KEYS = {"family", "p", "p1", "p2", "p3", "variables"}
-# per family: its polynomial keys and the GammaSpec constructor that takes them
-_FAMILIES = {
-    TRANSLATION_LINE: (("p",), GammaSpec.translation_line),
-    HEISENBERG: (("p1", "p2", "p3"), GammaSpec.heisenberg),
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    text = text.strip()
+    if ".." in text:
+        lo, hi = text.split("..")
+        return tuple(range(int(lo), int(hi) + 1))
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+_PROBLEM_KEYS = {"family", "variables", *(k for f in FAMILIES.values() for k in f.keys)}
+# [experiment] key (and norm-growth flag dest) -> (ExperimentConfig field, parser),
+# in the order a bad value is reported
+_EXPERIMENT_KEYS = {
+    "case": ("case", str),
+    "m": ("m_list", _parse_int_list),
+    "l": ("level", int),
+    "grid_n": ("grid_n", int),
+    "grid_xmin": ("grid_xmin", float),
+    "grid_xmax": ("grid_xmax", float),
+    "quad_order": ("quad_order", int),
+    "bump_a": ("bump_a", float),
 }
-_EXPERIMENT_KEYS = {"case", "m", "l", "grid_n", "grid_xmin", "grid_xmax", "quad_order", "bump_a"}
 
 
 def _split_sections(text: str) -> dict[str, dict[str, str]]:
@@ -158,53 +174,43 @@ def parse_problem_spec(text: str) -> ProblemSpecFile:
         except (ValueError, TypeError) as exc:
             raise SpecFileError(f"bad scheme: {exc}") from exc
 
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise SpecFileError(
-            f"unsupported family {family!r}: expected {TRANSLATION_LINE!r} or {HEISENBERG!r}"
+            f"unsupported family {family!r}: expected {' or '.join(map(repr, FAMILIES))}"
         )
-    keys, build = _FAMILIES[family]
+    keys = FAMILIES[family].keys
     missing = [k for k in keys if k not in problem]
     if missing:
-        needs = "the key p" if keys == ("p",) else f"keys {missing}"
+        needs = f"the key {keys[0]}" if len(keys) == 1 else f"keys {missing}"
         raise SpecFileError(f"{family} needs {needs}")
     n = scheme.n_t if scheme else 2
     variables = tuple(problem["variables"].split()) if "variables" in problem else _default_variables(n)
     try:
-        gamma = build(*(Polynomial.parse(problem[k], variables) for k in keys), scheme=scheme)
+        polys = tuple(Polynomial.parse(problem[k], variables) for k in keys)
+        gamma = GammaSpec(family, scheme or ExponentScheme.product(polys[0].nvars), polys)
     except ValueError as exc:
         raise SpecFileError(str(exc)) from exc
 
     experiment = None
     if "experiment" in sections:
         exp = sections["experiment"]
-        bad = set(exp) - _EXPERIMENT_KEYS
+        bad = set(exp) - _EXPERIMENT_KEYS.keys()
         if bad:
             raise SpecFileError(f"unknown [experiment] keys: {sorted(bad)}")
         if "case" not in exp or exp["case"] not in CASES:
             raise SpecFileError(f"[experiment] needs case in {CASES}")
         try:
-            m_list = tuple(_parse_int_list(exp.get("m", "0 1 2 3 4")))
-            experiment = ExperimentConfig(
-                case=exp["case"],
-                m_list=m_list,
-                level=int(exp["l"]) if "l" in exp else None,
-                grid_n=int(exp.get("grid_n", 2048)),
-                grid_xmin=float(exp.get("grid_xmin", -4.0)),
-                grid_xmax=float(exp.get("grid_xmax", 4.0)),
-                quad_order=int(exp.get("quad_order", 24)),
-                bump_a=float(exp.get("bump_a", 0.5)),
-            )
+            experiment = _experiment_config(exp)
         except ValueError as exc:
             raise SpecFileError(f"bad [experiment] value: {exc}") from exc
     return ProblemSpecFile(gamma, experiment)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _experiment_config(values: dict) -> ExperimentConfig:
+    """The config of the given [experiment] keys; an absent key keeps its default."""
+    return ExperimentConfig(
+        **{field: parse(values[key]) for key, (field, parse) in _EXPERIMENT_KEYS.items() if key in values}
+    )
 
 
 # -- report assembly -----------------------------------------------------
@@ -264,10 +270,7 @@ def _gamma_input_echo(gamma: GammaSpec) -> dict:
         "scheme_rows": [" ".join(str(v) for v in row) for row in gamma.scheme.rows],
         "variables": list(gamma.variables),
     }
-    if gamma.family == TRANSLATION_LINE:
-        echo["p"] = str(gamma.p)
-    else:
-        echo["p1"], echo["p2"], echo["p3"] = (str(q) for q in gamma.exponents)
+    echo.update(zip(FAMILIES[gamma.family].keys, map(str, gamma.polynomials)))
     return echo
 
 
@@ -276,7 +279,7 @@ def analyze_gamma(gamma: GammaSpec) -> Verdict:
     if gamma.family == HEISENBERG:
         return heisenberg_verdict(gamma)
     if gamma.scheme == ExponentScheme.product(2):
-        return real_line_verdict(gamma.p)
+        return real_line_verdict(*gamma.polynomials)
     return scalar_control_verdict(w_expansion(gamma))
 
 
@@ -301,12 +304,7 @@ def analyze_report(gamma: GammaSpec, timestamp: bool = True) -> dict:
 def _verdict_text(report: dict) -> str:
     lines = [f"mpradon {report['tool']['version']} analyze"]
     echo = report["input"]
-    if "p" in echo:
-        lines.append(f"problem: {echo['family']}  gamma_t(x) = x - ({echo['p']})")
-    else:
-        lines.append(
-            f"problem: {echo['family']}  exp({echo['p1']} X + {echo['p2']} Y + {echo['p3']} T)"
-        )
+    lines.append(f"problem: {echo['family']}  {FAMILIES[echo['family']].text.format(**echo)}")
     lines.append(f"scheme rows: {'; '.join(echo['scheme_rows'])}")
     v = report["verdict"]
     lines.append(f"verdict: {v['outcome'].upper()}")
@@ -358,8 +356,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bump(args) -> int:
-    excluded = tuple(_parse_int_list(args.excluded)) if args.excluded else ()
-    result = moment_bump(args.a, args.a1, excluded)
+    result = moment_bump(args.a, args.a1, _parse_int_list(args.excluded))
     ok = (
         abs(result.moments[0]) < 1e-10
         and all(abs(result.moments[e]) < 1e-9 for e in result.excluded_exponents)
@@ -448,26 +445,15 @@ def cmd_norm_growth(args) -> int:
     elif args.case is None:
         raise SpecFileError("norm-growth needs --case (or --spec with [experiment])")
     else:
-        cfg = ExperimentConfig(
-            args.case,
-            tuple(_parse_int_list(args.M)),
-            level=args.L,
-            grid_n=args.grid_n,
-            grid_xmin=args.grid_xmin,
-            grid_xmax=args.grid_xmax,
-            quad_order=args.quad_order,
-        )
+        flags = {k: v for k, v in vars(args).items() if k in _EXPERIMENT_KEYS and v is not None}
+        cfg = _experiment_config(flags)
     grid = Grid1D(cfg.grid_xmin, cfg.grid_xmax, cfg.grid_n)
-    atom = None
-    if cfg.bump_a != 0.5:
-        phi = moment_bump(cfg.bump_a, 1).bump
-        atom = TensorBump((phi, phi))
     table = growth_experiment(
         cfg.case,
-        list(cfg.m_list),
+        cfg.m_list,
         level=cfg.level,
         grid=grid,
-        atom=atom,
+        atom=default_experiment_atom(cfg.bump_a),
         quad_order=cfg.quad_order,
     )
     if args.format == "json":
@@ -525,15 +511,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_kc.add_argument("--format", choices=("text", "json"), default="text")
     p_kc.set_defaults(func=cmd_kernel_check)
 
+    # the experiment flags are [experiment] keys; one left out keeps ExperimentConfig's default
     p_ng = sub.add_parser("norm-growth", help="operator norm growth experiment")
     p_ng.add_argument("--case", choices=CASES, default=None)
     p_ng.add_argument("--spec", default=None, help="read the [experiment] block from a spec file")
-    p_ng.add_argument("--M", default="0..4", help="truncation list, e.g. '0..8' or '0 2 4'")
-    p_ng.add_argument("--L", type=int, default=None, help="scale parameter for the know case")
-    p_ng.add_argument("--grid-n", dest="grid_n", type=int, default=2048)
-    p_ng.add_argument("--grid-xmin", dest="grid_xmin", type=float, default=-4.0)
-    p_ng.add_argument("--grid-xmax", dest="grid_xmax", type=float, default=4.0)
-    p_ng.add_argument("--quad-order", dest="quad_order", type=int, default=24)
+    p_ng.add_argument("--M", dest="m", help="truncation list, e.g. '0..8' or '0 2 4'")
+    p_ng.add_argument("--L", dest="l", type=int, help="scale parameter for the know case")
+    p_ng.add_argument("--grid-n", dest="grid_n", type=int)
+    p_ng.add_argument("--grid-xmin", dest="grid_xmin", type=float)
+    p_ng.add_argument("--grid-xmax", dest="grid_xmax", type=float)
+    p_ng.add_argument("--quad-order", dest="quad_order", type=int)
     p_ng.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_ng.add_argument("--out", default=None)
     p_ng.set_defaults(func=cmd_norm_growth)
@@ -548,7 +535,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (SpecFileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

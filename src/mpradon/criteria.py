@@ -49,7 +49,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .dilations import Degree, ExponentScheme, MultiIndex, degree, is_pure
-from .symbolic.fields import HEISENBERG_BASIS, BasisVector
+from .symbolic.fields import HEISENBERG_BASIS, BasisVector, heisenberg_bracket
 from .symbolic.gamma import (
     HEISENBERG,
     GammaSpec,
@@ -211,13 +211,12 @@ def _split_pure(
 def pure_closure_heisenberg(xhat: WExpansion) -> PowerSets:
     """Split Xhat into pure/nonpure and close the pure part under brackets.
 
-    Brackets use the structure relation [aX+bY+cT, a'X+b'Y+c'T] = (ab'-a'b)T.
-    Every bracket is a multiple of the central field T, and T brackets to
-    zero with everything, so brackets of brackets vanish: one round of
-    pure x pure brackets is the whole closure.  The round visits the ordered
-    pairs (a, b) of pure entries and tries [a, b], then [b, a]; a bracket
-    whose (coords, degree) is already present is dropped, so each keeps the
-    first label reached.
+    Every bracket is a multiple of the central field T (``heisenberg_bracket``
+    gives the multiple), and T brackets to zero with everything, so brackets
+    of brackets vanish: one round of pure x pure brackets is the whole
+    closure.  The round visits the ordered pairs (a, b) of pure entries and
+    tries [a, b], then [b, a]; a bracket whose (coords, degree) is already
+    present is dropped, so each keeps the first label reached.
 
     The round runs in integers: each generator's X and Y coordinates are
     cleared by their own lcm and the degrees by one common scale, so a
@@ -239,11 +238,11 @@ def pure_closure_heisenberg(xhat: WExpansion) -> PowerSets:
         if not x and not y:
             seen.add((t.numerator, t.denominator, degree_key))
         xy_scale = lcm(x.denominator, y.denominator)
-        gens.append((e, *_cleared((x, y), xy_scale), xy_scale, degree_key))
+        gens.append((e, _cleared((x, y), xy_scale), xy_scale, degree_key))
     zero = Fraction(0)
-    for a, ax, ay, a_scale, a_key in gens:
-        for b, bx, by, b_scale, b_key in gens:
-            num = ax * by - bx * ay
+    for a, a_xy, a_scale, a_key in gens:
+        for b, b_xy, b_scale, b_key in gens:
+            num = heisenberg_bracket(a_xy, b_xy)
             if not num:
                 continue
             den = a_scale * b_scale

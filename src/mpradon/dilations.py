@@ -78,7 +78,7 @@ class ExponentScheme:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ExponentScheme":
-        return cls(tuple(tuple(_rat(v) for v in row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def product(cls, n: int) -> "ExponentScheme":

@@ -353,9 +353,9 @@ def operator_norm(
 # -- experiment construction ---------------------------------------------
 
 
-def default_experiment_atom() -> TensorBump:
-    """phi (x) phi with int phi = 0 and int s phi ds = 1, supported in (0, 1/2)."""
-    phi = moment_bump(0.5, 1).bump
+def default_experiment_atom(a: float = 0.5) -> TensorBump:
+    """phi (x) phi with int phi = 0 and int s phi ds = 1, supported in (0, a)."""
+    phi = moment_bump(a, 1).bump
     return TensorBump((phi, phi))
 
 

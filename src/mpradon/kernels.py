@@ -75,6 +75,8 @@ class KernelEntry:
             factors = dilation_factors(sa.delta, scheme)
             if 0.0 in factors:
                 raise ValueError(f"atom delta {sa.delta} underflows a dilation factor to 0")
+            if math.inf in factors:
+                raise ValueError(f"atom delta {sa.delta} overflows a dilation factor to inf")
             dilations.append((np.array(factors, dtype=float), math.prod(factors)))
         self.dilations: tuple[tuple[np.ndarray, float], ...] = tuple(dilations)
 

@@ -6,6 +6,7 @@ from .fields import (
     BasisVector,
 )
 from .gamma import (
+    FAMILIES,
     HEISENBERG,
     TRANSLATION_LINE,
     GammaSpec,
@@ -17,6 +18,7 @@ from .gamma import (
 from .poly import Polynomial
 
 __all__ = [
+    "FAMILIES",
     "BasisVector",
     "GammaSpec",
     "HEISENBERG",

@@ -16,6 +16,11 @@ LINE_BASIS = ("d/dx",)
 HEISENBERG_BASIS = ("X", "Y", "T")
 
 
+def heisenberg_bracket(u, v):
+    """[u, v] = (u0 v1 - u1 v0) T on H^1, as [X, Y] = T with T central; returns the T coordinate."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
 @dataclass(frozen=True)
 class BasisVector:
     """A constant vector field, as coordinates in a fixed ordered basis."""
@@ -56,9 +61,7 @@ class BasisVector:
         """Structure-constant bracket; abelian unless the basis is {X, Y, T}."""
         self._check(other)
         if self.basis == HEISENBERG_BASIS:
-            a, b, _ = self.coords
-            ap, bp, _ = other.coords
-            return BasisVector((Fraction(0), Fraction(0), a * bp - ap * b), self.basis)
+            return BasisVector((0, 0, heisenberg_bracket(self.coords, other.coords)), self.basis)
         return BasisVector(tuple(Fraction(0) for _ in self.coords), self.basis)
 
     def parallel_ratio(self, other: "BasisVector") -> Fraction | None:

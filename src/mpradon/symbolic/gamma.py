@@ -35,14 +35,30 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ..dilations import Degree, ExponentScheme, MultiIndex, check_multi_index, degree
-from .fields import HEISENBERG_BASIS, LINE_BASIS, BasisVector
+from .fields import HEISENBERG_BASIS, LINE_BASIS, BasisVector, heisenberg_bracket
 from .poly import Polynomial
 
 TRANSLATION_LINE = "translation_line"
 HEISENBERG = "heisenberg"
+
+
+class Family(NamedTuple):
+    """A curve family: gamma_t = exp(sign * sum_i q_i(t) B_i), B the basis."""
+
+    keys: tuple[str, ...]  # the spec keys of the polynomials q_i, in order
+    basis: tuple[str, ...]
+    sign: int
+    text: str  # the curve in a text report, formatted with the keys
+
+
+# gamma_t(x) = x - p(t) = exp(-p(t) d/dx) x on the line
+FAMILIES = {
+    TRANSLATION_LINE: Family(("p",), LINE_BASIS, -1, "gamma_t(x) = x - ({p})"),
+    HEISENBERG: Family(("p1", "p2", "p3"), HEISENBERG_BASIS, 1, "exp({p1} X + {p2} Y + {p3} T)"),
+}
 
 
 class UnsupportedFamily(ValueError):
@@ -55,31 +71,25 @@ def canonical_index_key(alpha: MultiIndex):
 
 @dataclass(frozen=True)
 class GammaSpec:
-    """A curve family instance together with its dilation scheme."""
+    """A curve family instance, its dilation scheme and its polynomials, in
+    the order of the family's keys: (p,) on the line, (P1, P2, P3) on H^1."""
 
     family: str
     scheme: ExponentScheme
-    p: Polynomial | None = None
-    exponents: tuple[Polynomial, Polynomial, Polynomial] | None = None
+    polynomials: tuple[Polynomial, ...]
 
     def __post_init__(self):
-        if self.family == TRANSLATION_LINE:
-            if self.p is None or self.exponents is not None:
-                raise ValueError("translation_line takes exactly the polynomial p")
-        elif self.family == HEISENBERG:
-            if self.exponents is None or self.p is not None:
-                raise ValueError("heisenberg takes exactly the exponent triple (P1, P2, P3)")
-            if len(self.exponents) != 3:
-                raise ValueError("heisenberg needs three exponent polynomials")
-            vars0 = self.exponents[0].variables
-            if any(q.variables != vars0 for q in self.exponents):
-                raise ValueError("P1, P2, P3 must share the same variables")
-        else:
+        if self.family not in FAMILIES:
             raise UnsupportedFamily(
-                f"unsupported family {self.family!r}: only {TRANSLATION_LINE!r} and "
-                f"{HEISENBERG!r} admit a finite decidable criterion"
+                f"unsupported family {self.family!r}: only {' and '.join(map(repr, FAMILIES))} "
+                "admit a finite decidable criterion"
             )
-        for q in self._coordinates:
+        keys = FAMILIES[self.family].keys
+        if len(self.polynomials) != len(keys):
+            raise ValueError(f"{self.family} takes exactly the polynomials {', '.join(keys)}")
+        if any(q.variables != self.variables for q in self.polynomials):
+            raise ValueError(f"{', '.join(keys)} must share the same variables")
+        for q in self.polynomials:
             if q.constant_term() != 0:
                 raise ValueError("curve polynomials must have zero constant term (gamma_0 = id)")
             if q.nvars != self.scheme.n_t:
@@ -89,7 +99,7 @@ class GammaSpec:
 
     @classmethod
     def translation_line(cls, p: Polynomial, scheme: ExponentScheme | None = None) -> "GammaSpec":
-        return cls(TRANSLATION_LINE, scheme or ExponentScheme.product(p.nvars), p=p)
+        return cls(TRANSLATION_LINE, scheme or ExponentScheme.product(p.nvars), (p,))
 
     @classmethod
     def heisenberg(
@@ -99,20 +109,16 @@ class GammaSpec:
         p3: Polynomial,
         scheme: ExponentScheme | None = None,
     ) -> "GammaSpec":
-        return cls(
-            HEISENBERG,
-            scheme or ExponentScheme.product(p1.nvars),
-            exponents=(p1, p2, p3),
-        )
+        return cls(HEISENBERG, scheme or ExponentScheme.product(p1.nvars), (p1, p2, p3))
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return (self.p or self.exponents[0]).variables
+        return self.polynomials[0].variables
 
-    @cached_property
+    @property
     def _coordinates(self) -> tuple[Polynomial, ...]:
-        """The exponential-form coordinates: (-p,) on the line, (P1, P2, P3) on H^1."""
-        return (-self.p,) if self.family == TRANSLATION_LINE else self.exponents
+        """The exponential-form coordinates: the polynomials times the family's sign."""
+        return tuple(-q for q in self.polynomials) if FAMILIES[self.family].sign < 0 else self.polynomials
 
     # The expansions are computed on first use and kept on the (immutable)
     # spec, so every caller of w_expansion / xhat_expansion shares one object.
@@ -121,12 +127,12 @@ class GammaSpec:
         q = self._coordinates
         w = [c.scaling_derivative() for c in q]
         if self.family == HEISENBERG:  # exact step-2 term: -1/2 (P1 Pdot2 - P2 Pdot1) T
-            w[2] = w[2] - (q[0] * w[1] - q[1] * w[0]) * Fraction(1, 2)
-        return _poly_coefficient_expansion(w, self.scheme)
+            w[2] = w[2] - heisenberg_bracket(q, w) * Fraction(1, 2)
+        return _poly_coefficient_expansion(w, FAMILIES[self.family].basis, self.scheme)
 
     @cached_property
     def _xhat(self) -> "WExpansion":
-        return _poly_coefficient_expansion(self._coordinates, self.scheme)
+        return _poly_coefficient_expansion(self._coordinates, FAMILIES[self.family].basis, self.scheme)
 
 
 @dataclass(frozen=True)
@@ -164,9 +170,10 @@ class WExpansion:
         return not self.terms
 
 
-def _poly_coefficient_expansion(polys: Sequence[Polynomial], scheme: ExponentScheme) -> WExpansion:
-    """sum_alpha t^alpha sum_i c^i_alpha B_i: the line basis for one polynomial, H^1's for three."""
-    basis = LINE_BASIS if len(polys) == 1 else HEISENBERG_BASIS
+def _poly_coefficient_expansion(
+    polys: Sequence[Polynomial], basis: tuple[str, ...], scheme: ExponentScheme
+) -> WExpansion:
+    """sum_alpha t^alpha sum_i c^i_alpha B_i over the given basis."""
     terms: dict[MultiIndex, list[Fraction]] = {}
     for i, q in enumerate(polys):
         for alpha, c in q.terms.items():

@@ -88,10 +88,6 @@ class Polynomial:
         return cls(variables, {tuple(0 for _ in variables): _coeff(value)})
 
     @classmethod
-    def monomial(cls, variables: Sequence[str], exps: Sequence[int], coeff=1) -> "Polynomial":
-        return cls(variables, {tuple(exps): _coeff(coeff)})
-
-    @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Polynomial":
         i = tuple(variables).index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))

@@ -22,9 +22,9 @@ from mpradon.dilations import DimensionMismatch, ExponentScheme, MultiIndex, dil
 from mpradon.kernels import DyadicKernelSeq, KernelEntry, ScaledAtom
 from mpradon.quadrature import integrate_adaptive, tensor_grid
 from mpradon.symbolic import (
+    FAMILIES,
     HEISENBERG_BASIS,
     LINE_BASIS,
-    TRANSLATION_LINE,
     BasisVector,
     GammaSpec,
     Polynomial,
@@ -307,11 +307,8 @@ def gamma_from_input_echo(echo: dict) -> GammaSpec:
     """Rebuild the GammaSpec from a report's input block (round-trip check)."""
     scheme = ExponentScheme.from_rows([row.split() for row in echo["scheme_rows"]])
     variables = tuple(echo["variables"])
-    if echo["family"] == TRANSLATION_LINE:
-        return GammaSpec.translation_line(Polynomial.parse(echo["p"], variables), scheme)
-    return GammaSpec.heisenberg(
-        *(Polynomial.parse(echo[k], variables) for k in ("p1", "p2", "p3")), scheme=scheme
-    )
+    keys = FAMILIES[echo["family"]].keys
+    return GammaSpec(echo["family"], scheme, tuple(Polynomial.parse(echo[k], variables) for k in keys))
 
 
 # -- curve expansions and sector normals ------------------------------------------

@@ -18,6 +18,7 @@ from mpradon.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_UNBOUNDED,
+    ExperimentConfig,
     SpecFileError,
     analyze_report,
     main,
@@ -65,7 +66,7 @@ def kernel_file(tmp_path, tensor):
 def test_parse_problem_spec_translation():
     spec = parse_problem_spec(KNOW_SPEC)
     assert spec.gamma.family == "translation_line"
-    assert spec.gamma.p == Polynomial.parse("s^3 + t^3 + s*t", ("s", "t"))
+    assert spec.gamma.polynomials == (Polynomial.parse("s^3 + t^3 + s*t", ("s", "t")),)
     assert spec.experiment is None
 
 
@@ -314,6 +315,20 @@ def test_norm_growth_from_spec_file(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["grid"]["n"] == 256
     assert [r["ratio"] for r in data["rows"]] == pytest.approx([1.0, 2.0, 3.0], rel=1e-12)
+
+
+def test_norm_growth_flags_and_experiment_keys_share_defaults(tmp_path, capsys):
+    # every key left out of either input takes ExperimentConfig's default
+    argv = ["norm-growth", "--case", "billy", "--M", "0 1", "--grid-n", "256", "--format", "json"]
+    assert main(argv) == EXIT_BOUNDED
+    from_flags = capsys.readouterr().out
+    text = BILLY_SPEC + "\n[experiment]\ncase = billy\nM = 0 1\ngrid_n = 256\n"
+    assert main(["norm-growth", "--spec", write(tmp_path, "b.spec", text), "--format", "json"]) == EXIT_BOUNDED
+    assert capsys.readouterr().out == from_flags
+
+
+def test_experiment_section_with_only_a_case_takes_the_defaults():
+    assert parse_problem_spec(KNOW_SPEC + "\n[experiment]\ncase = kitty\n").experiment == ExperimentConfig("kitty")
 
 
 def test_norm_growth_requires_case_or_spec(capsys):

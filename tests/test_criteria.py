@@ -851,7 +851,7 @@ def test_witness_validity_brute_force():
     for spec in cases:
         verdict = heisenberg_verdict(spec)
         brute = _brute_force_all_normals(spec)
-        assert (verdict.outcome is Outcome.BOUNDED) == brute, spec.exponents
+        assert (verdict.outcome is Outcome.BOUNDED) == brute, spec.polynomials
         if verdict.outcome is Outcome.UNBOUNDED:
             # the reported normal itself must witness the span failure
             w = verdict.witness

@@ -55,8 +55,8 @@ def heisenberg_w_by_group_law(spec: GammaSpec) -> dict:
     svars = spec.variables
     allvars = ("eps",) + svars + ("x", "y", "z")
     xi = tuple(Polynomial.variable(allvars, v) for v in ("x", "y", "z"))
-    inv = tuple(-_lift(q, allvars, False) for q in spec.exponents)
-    m_eps = tuple(_lift(q, allvars, True) for q in spec.exponents)
+    inv = tuple(-_lift(q, allvars, False) for q in spec.polynomials)
+    m_eps = tuple(_lift(q, allvars, True) for q in spec.polynomials)
     # gamma_s(xi) = xi . exp(P(s)); so gamma_{eps s}(gamma_s^{-1}(xi)) = (xi . -P) . P(eps s)
     moved = _gmul(_gmul(xi, inv), m_eps)
 
@@ -251,7 +251,7 @@ def test_taylor_relation_random_corpus():
 
 def test_unsupported_family_rejected():
     with pytest.raises(UnsupportedFamily):
-        GammaSpec("parabola", ExponentScheme.product(2), p=P("s"))
+        GammaSpec("parabola", ExponentScheme.product(2), (P("s"),))
 
 
 def test_w_expansion_zero_at_origin():

@@ -677,13 +677,27 @@ def test_kernel_header_errors_name_the_line(tmp_path, capsys, header, message):
     assert err == f"error: kernel file {message}\n"
 
 
-def test_kernel_check_fails_when_a_dilation_factor_overflows(tmp_path, capsys):
-    # (1e200)^2 is beyond float range: the factor reads inf and the slice nan
-    text = "[kernel]\nN = 1\nnu = 1\ne = 2\na = 1.0\n[entry 1]\n" + _UNIT.replace("@ 1.0", "@ 1e200")
-    with np.errstate(all="ignore"):
-        code, out, err = _kernel_check(tmp_path, capsys, text)
-    assert code == EXIT_UNBOUNDED and err == ""
-    assert "violated at k=(1,), mu=0: nan" in out
+def test_kernel_check_rejects_a_dilation_factor_that_overflows(tmp_path, capsys):
+    # (1e200)^2 is beyond float range: the factor read inf, and kernel-check
+    # exited 2 with a numpy RuntimeWarning and NaN for a cancelling kernel
+    text = "[kernel]\nN = 1\nnu = 1\ne = 2\na = 1.0\n[entry 1]\n" + _CANCELLING.replace("@ 1.0", "@ 1e200")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _kernel_check(tmp_path, capsys, text, "--format", "json")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: atom delta (1e+200,) overflows a dilation factor to inf\n"
+
+
+def test_kernel_check_rejects_an_overflowing_factor_whose_exponent_is_beyond_float_range(tmp_path, capsys):
+    # 2.0^(10^400) overflows
+    text = f"[kernel]\nN = 1\nnu = 1\ne = 1{'0' * 400}\na = 1.0\n[entry 1]\n" + _CANCELLING.replace(
+        "@ 1.0", "@ 2.0"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _kernel_check(tmp_path, capsys, text, "--format", "json")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: atom delta (2.0,) overflows a dilation factor to inf\n"
 
 
 def test_kernel_check_rejects_a_dilation_factor_that_underflows(tmp_path, capsys):
