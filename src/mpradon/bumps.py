@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from math import comb, fsum, isfinite
 from typing import Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .quadrature import composite_nodes, integrate_adaptive, tensor_rule
 from .symbolic.poly import Polynomial

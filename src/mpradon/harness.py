@@ -40,9 +40,10 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Iterable, Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .bumps import TensorBump, moment_bump
 from .symbolic.poly import Polynomial
@@ -55,6 +56,9 @@ class Grid1D:
     n: int = 2048
 
     def __post_init__(self):
+        # NaN or +-inf at either end, or an overflowing width, makes the width NaN or inf
+        if not isfinite(self.xmax - self.xmin):
+            raise ValueError(f"grid window [{self.xmin}, {self.xmax}] and its width must be finite")
         if self.n < 2 or self.xmax <= self.xmin:
             raise ValueError("grid needs n >= 2 and xmax > xmin")
 
@@ -537,6 +541,10 @@ def growth_experiment(
     results = {m: norm_at(m) for m in dict.fromkeys(m_list)}
     base, base_count, _ = results[0] if 0 in results else norm_at(0)
     base_norm = base_count * base.value
+    if not base_norm:
+        raise ValueError(
+            f"the M = 0 norm is 0 on the grid window [{grid.xmin}, {grid.xmax}]: no growth ratio is defined"
+        )
 
     def row(m: int) -> GrowthRow:
         res, count, op = results[m]
@@ -545,7 +553,7 @@ def growth_experiment(
             level if case == "know" else None,
             count * res.value,
             # count x (profile / base) keeps kitty's ratios exact integers
-            count * (res.value / base_norm) if base_norm else float("inf"),
+            count * (res.value / base_norm),
             res.iterations,
             res.converged,
             op.band,

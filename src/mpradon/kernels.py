@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .bumps import BumpCombination, TensorBump
 from .dilations import ExponentScheme, dilation_factors

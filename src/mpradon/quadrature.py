@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Sequence
 
-import numpy as np
+from ._numpy import np
 
 
 class QuadratureError(RuntimeError):

@@ -352,6 +352,47 @@ def test_norm_growth_rejects_nonsense_truncations_and_levels(argv, capsys):
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "window",
+    [
+        ["--grid-xmin", "nan"],
+        ["--grid-xmax", "inf"],
+        ["--grid-xmin=-inf"],
+        ["--grid-xmin=-1e308", "--grid-xmax", "1e308"],
+    ],
+)
+def test_norm_growth_rejects_a_grid_window_that_is_not_finite(window, capsys):
+    argv = ["norm-growth", "--case", "kitty", "--M", "0 1", "--grid-n", "64", *window, "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid window [") and captured.err.count("\n") == 1
+
+
+def test_experiment_grid_window_that_is_not_finite_exits_one(tmp_path, capsys):
+    text = KNOW_SPEC + "\n[experiment]\ncase = kitty\nM = 0 1\ngrid_n = 64\ngrid_xmin = nan\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["norm-growth", "--spec", write(tmp_path, "nan.spec", text), "--format", "json"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid window [nan, 4.0] and its width must be finite\n"
+
+
+def test_norm_growth_with_a_zero_base_norm_exits_one(capsys):
+    # every tap of a window 1e-12 wide leaves the grid, so the M = 0 norm is exactly 0
+    window = ["--grid-xmin", "0", "--grid-xmax", "1e-12"]
+    argv = ["norm-growth", "--case", "kitty", "--M", "0 1", "--grid-n", "64", *window, "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the M = 0 norm is 0") and captured.err.count("\n") == 1
+
+
 def test_norm_growth_know_level_passthrough(capsys):
     code = main(
         ["norm-growth", "--case", "know", "--M", "0..2", "--L", "10", "--grid-n", "512", "--format", "json"]
@@ -425,6 +466,47 @@ def test_huge_decimal_exponent_in_scheme_text_exits_at_once(tmp_path):
         code, seconds = proc.stdout.split()
         assert int(code) == EXIT_ERROR and float(seconds) < 1.0
         assert proc.stderr == f"error: {prefix}{message}\n"
+
+
+# a fresh interpreter runs main(argv), then reports its exit code and the
+# numpy submodules it loaded on stderr
+_FRESH_MAIN = (
+    "import json, sys\nfrom mpradon.cli import main\ncode = main(sys.argv[1:])\n"
+    "json.dump([code, sorted(m for m in sys.modules if m.startswith('numpy.'))], sys.stderr)\n"
+)
+
+
+def run_fresh(argv) -> tuple[int, str, list[str]]:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    cmd = [sys.executable, "-c", _FRESH_MAIN, *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+    code, numpy_modules = json.loads(proc.stderr)
+    return code, proc.stdout, numpy_modules
+
+
+@pytest.mark.parametrize("fmt, suffix", [("json", ".json"), ("text", ".txt")])
+def test_analyze_in_a_fresh_interpreter_loads_no_numpy(fmt, suffix):
+    argv = ["analyze", "--spec", str(GOLDEN / "h1_basic.spec"), "--format", fmt, "--no-timestamp"]
+    code, out, numpy_modules = run_fresh(argv)
+    assert code == GOLDEN_EXITS["h1_basic"]
+    assert numpy_modules == []
+    assert out == (GOLDEN / f"h1_basic{suffix}").read_text()
+
+
+def test_numeric_commands_in_a_fresh_interpreter_print_as_in_process(tmp_path, capsys, mean_zero_tensor):
+    # in a fresh interpreter numpy first loads inside the command
+    runs = [
+        ["bump", "--a", "1.0", "--a1", "2", "--excluded", "1,3", "--format", "json"],
+        ["kernel-check", "--kernel", kernel_file(tmp_path, mean_zero_tensor), "--format", "json"],
+        ["norm-growth", "--case", "billy", "--M", "0 1", "--grid-n", "256", "--format", "json"],
+    ]
+    for argv in runs:
+        in_process_code = main(argv)
+        in_process = capsys.readouterr()
+        assert in_process.err == ""
+        code, out, numpy_modules = run_fresh(argv)
+        assert (code, out) == (in_process_code, in_process.out)
+        assert numpy_modules != []
 
 
 @pytest.mark.parametrize("a", ["nan", "inf", "-0.5", "0"])

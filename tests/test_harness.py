@@ -32,6 +32,9 @@ def test_grid_validation():
         Grid1D(0.0, 0.0, 8)
     with pytest.raises(ValueError):
         Grid1D(-1.0, 1.0, 1)
+    for xmin, xmax in [(np.nan, 1.0), (-1.0, np.nan), (-np.inf, 1.0), (-1.0, np.inf), (-1e308, 1e308)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            Grid1D(xmin, xmax, 8)
     g = Grid1D(-1.0, 1.0, 5)
     assert g.h == pytest.approx(0.5)
     assert np.allclose(g.nodes(), [-1.0, -0.5, 0.0, 0.5, 1.0])
