@@ -48,7 +48,7 @@ from .criteria import (
 )
 from .dilations import ExponentScheme, is_pure
 from .kernels import load_kernel_sequence, sample_product_kernel_bounds, verify_cancellation
-from .harness import CASES, Grid1D, default_experiment_atom, growth_experiment
+from .harness import CASES, Grid1D, check_truncations, default_experiment_atom, growth_experiment
 from .bumps import moment_bump
 from .symbolic import (
     FAMILIES,
@@ -104,12 +104,21 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+def _parse_truncations(text: str) -> tuple[int, ...]:
+    """Truncations M as '0..8' or '0 2 4', each in range before a range is spelled out."""
+    if ".." in text:
+        check_truncations(int(end) for end in text.split(".."))
+    m_list = _parse_int_list(text)
+    check_truncations(m_list)
+    return m_list
+
+
 _PROBLEM_KEYS = {"family", "variables", *(k for f in FAMILIES.values() for k in f.keys)}
 # [experiment] key (and norm-growth flag dest) -> (ExperimentConfig field, parser),
 # in the order a bad value is reported
 _EXPERIMENT_KEYS = {
     "case": ("case", str),
-    "m": ("m_list", _parse_int_list),
+    "m": ("m_list", _parse_truncations),
     "l": ("level", int),
     "grid_n": ("grid_n", int),
     "grid_xmin": ("grid_xmin", float),

@@ -9,8 +9,8 @@ u = delta_k (s, t) turns the term into  int f(x - p(delta_k^{-1} u)) bump(u) du
 with one fixed quadrature rule shared by all terms, so a change of variables
 that leaves p(delta_k^{-1} u) literally unchanged (the x - st case with
 delta_k = (2^k, 2^-k)) produces bit-identical terms.  Terms with identical
-displacement profiles are grouped and applied once, which realizes the
-(M+1)-fold exactness of that case in floating point.
+taps are grouped and applied once, which realizes the (M+1)-fold exactness
+of that case in floating point.
 
 Grid functions are nodal values with linear interpolation and zero
 extension; since p does not depend on x, interpolation at x - d is a
@@ -28,9 +28,11 @@ residuals of the top two Ritz pairs.
 
 A growth table builds its terms once, for its largest truncation M; each
 row's operator is the sub-sum of that row's scales.  A row whose terms
-share one profile is count x that profile's operator, so the profile's
+share one tap profile is count x that profile's operator, so the profile's
 norm is computed once per table and scaled: kitty's ratios are exactly
-M + 1.
+M + 1.  The other rows are computed in increasing M, each starting its
+Rayleigh-Ritz from the previous row's top Ritz vectors, since row M's
+operator is row M-1's plus the terms of one more scale.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isfinite
 from typing import Iterable, Sequence
@@ -47,6 +49,12 @@ from ._numpy import np
 
 from .bumps import TensorBump, moment_bump
 from .symbolic.poly import Polynomial
+
+
+# a norm holds 2 x 80 grid functions (basis and images), about 335 MB at this n
+MAX_GRID_N = 2**18
+# 2^M must be a finite float, as in kernel-check
+MAX_TRUNCATION = 1023
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,8 @@ class Grid1D:
         # NaN or +-inf at either end, or an overflowing width, makes the width NaN or inf
         if not isfinite(self.xmax - self.xmin):
             raise ValueError(f"grid window [{self.xmin}, {self.xmax}] and its width must be finite")
+        if self.n > MAX_GRID_N:
+            raise ValueError(f"grid n = {self.n} is beyond the cap of {MAX_GRID_N} nodes")
         if self.n < 2 or self.xmax <= self.xmin:
             raise ValueError("grid needs n >= 2 and xmax > xmin")
 
@@ -178,20 +188,20 @@ class DiscretizedOperator:
 
         quad_values holds (quadrature weight * atom value) per node; each
         term's profile holds p(delta_k^{-1} u) at the same nodes.  Terms with
-        bit-identical profiles collapse into one group with a multiplicity,
-        which keeps sum-of-equal-terms operators exactly proportional to
-        their single-term version.  Groups follow the first appearance of
-        their profile; only the taps of each group are kept.
+        bit-identical taps (offset and weights) collapse into one group with
+        a multiplicity, which keeps sum-of-equal-terms operators exactly
+        proportional to their single-term version.  Groups follow the first
+        appearance of their taps; only the taps of each group are kept.
         """
-        index: dict[bytes, int] = {}
+        index: dict[tuple[int, bytes], int] = {}
         counts: list[int] = []
         spans: list[tuple[int, np.ndarray]] = []
         term_groups = []
         for profile in displacement_profiles:
-            profile = np.asarray(profile, dtype=float)
-            j = index.setdefault(profile.tobytes(), len(index))
+            lo, taps = _profile_taps(np.asarray(profile, dtype=float) / grid.h, grid.n, quad_values)
+            j = index.setdefault((lo, taps.tobytes()), len(index))
             if j == len(spans):
-                spans.append(_profile_taps(profile / grid.h, grid.n, quad_values))
+                spans.append((lo, taps))
                 counts.append(0)
             counts[j] += 1
             term_groups.append(j)
@@ -201,7 +211,7 @@ class DiscretizedOperator:
     def restricted(self, terms: Iterable[int]) -> "DiscretizedOperator":
         """The sum of the given terms alone, grouped as ``from_terms`` groups them.
 
-        Groups follow the first appearance of their profile among ``terms``
+        Groups follow the first appearance of their taps among ``terms``
         and share this operator's taps, so the result is bit-identical to
         ``from_terms`` on those terms' profiles in that order.
         """
@@ -242,12 +252,15 @@ class NormResult:
     value: float
     iterations: int
     converged: bool
+    # the top Ritz vectors (rows, orthonormal), a start for a nearby operator's norm
+    vectors: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-NORM_METHOD = "rayleigh-ritz(windowed-waves@symbol-peaks)"
+NORM_METHOD = "rayleigh-ritz(previous-row-ritz-vectors+windowed-waves@symbol-peaks)"
 _PEAK_FRACTION = 0.9  # local maxima of |symbol| this close to the sup seed waves too
 _MAX_PEAKS = 4
 _TOP_PEAK_MODES = 4  # window modes l = 1..4 at the highest peak, l = 1 elsewhere
+_WARM_VECTORS = 2 * _TOP_PEAK_MODES  # the +- pair of each window mode
 
 
 def _symbol_start_block(op: DiscretizedOperator) -> np.ndarray:
@@ -269,40 +282,59 @@ def _symbol_start_block(op: DiscretizedOperator) -> np.ndarray:
     peaks = peaks[np.argsort(-mag[peaks], kind="stable")][:_MAX_PEAKS]
     n = op.grid.n
     j = np.arange(n)
+    windows = [np.sin(np.pi * mode * (j + 1) / (n + 1)) for mode in range(1, _TOP_PEAK_MODES + 1)]
     waves = []
     for rank, k in enumerate(peaks):
         theta = 2.0 * np.pi * int(k) / nfft
-        for mode in range(1, (_TOP_PEAK_MODES if rank == 0 else 1) + 1):
-            window = np.sin(np.pi * mode * (j + 1) / (n + 1))
-            waves += [window * np.cos(theta * j), window * np.sin(theta * j)]
+        cos, sin = np.cos(theta * j), np.sin(theta * j)
+        for window in windows[: _TOP_PEAK_MODES if rank == 0 else 1]:
+            waves += [window * cos, window * sin]
     return np.stack(waves)
 
 
-def _orthonormal_rows(rows: np.ndarray, basis: np.ndarray) -> list[np.ndarray]:
-    """Gram-Schmidt (twice) of each row against basis and the rows kept so far;
-    rows that are numerically dependent are dropped."""
-    kept: list[np.ndarray] = []
-    for x in rows:
-        size = float(np.linalg.norm(x))
-        for _ in range(2):
-            x = x - basis.T @ (basis @ x)
-            for q in kept:
-                x = x - (q @ x) * q
-        norm = float(np.linalg.norm(x))
-        if norm > 1e-10 * size:
-            kept.append(x / norm)
-    return kept
+def _orthonormal_rows(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The rows of block made orthonormal to basis and to each other, in place.
+
+    Block classical Gram-Schmidt: a pass takes the block's components along
+    basis out with two matrix products, then orthogonalizes each row, twice,
+    against the rows kept before it and normalizes it.  A row is dropped as
+    numerically dependent when it keeps at most 1e-10 of its norm at the
+    start of the pass.  A row that keeps less than half its norm can keep a
+    rounding component along basis that is no longer small beside what is
+    left, so then a second pass runs (the test of Daniel, Gragg, Kaufman and
+    Stewart); against an empty basis one pass is enough.  The one r x n
+    temporary is the block's component along basis.
+    """
+    for _ in range(2):
+        sizes = np.linalg.norm(block, axis=1)
+        block -= (block @ basis.T) @ basis
+        kept, retained = 0, 1.0
+        for x, size in zip(block, sizes):
+            if kept:
+                for _ in range(2):
+                    x -= block[:kept].T @ (block[:kept] @ x)
+            norm = float(np.linalg.norm(x))
+            if norm > 1e-10 * size:
+                block[kept] = x / norm
+                kept += 1
+                retained = min(retained, norm / size)
+        block = block[:kept]
+        if retained >= 0.5 or not basis.shape[0]:
+            break
+    return block
 
 
 def operator_norm(
     op: DiscretizedOperator,
     max_iters: int = 80,
     tol: float = 1e-8,
+    start: np.ndarray | None = None,
 ) -> NormResult:
     """Largest singular value by Rayleigh-Ritz for T*T on a growing subspace.
 
-    The subspace starts from ``_symbol_start_block`` and grows by the
-    residuals of the top two Ritz pairs (block Davidson without a
+    The subspace starts from the rows of ``start`` (typically the ``vectors``
+    of a nearby operator's result), then ``_symbol_start_block``, and grows
+    by the residuals of the top two Ritz pairs (block Davidson without a
     preconditioner).  Real taps have a symbol peaking at +-theta*, so the
     top singular values of the section come in near-degenerate pairs; with
     only the top residual the top Ritz value can settle on the lower one of
@@ -311,25 +343,27 @@ def operator_norm(
     added in one step (the start block, then two residuals) go through T*T
     as one block, and their inner products with the basis are one matrix
     product.  Converged means the top Ritz value moved by at most ``tol``
-    relative in the last step, or the subspace became invariant.  The value never exceeds the largest
-    singular value of the finite section (up to rounding): it is a Rayleigh
-    quotient.
+    relative in the last step, or the subspace became invariant.  The value
+    never exceeds the largest singular value of the finite section (up to
+    rounding): it is a Rayleigh quotient.  The result carries the top
+    ``_WARM_VECTORS`` Ritz vectors.
     """
+    n = op.grid.n
     # ||T|| <= sum |w_m|; working with T / scale keeps T*T clear of underflow
     scale = float(np.abs(op._taps).sum())
     if scale == 0.0:
-        return NormResult(0.0, 0, True)
-    n = op.grid.n
+        return NormResult(0.0, 0, True, np.zeros((0, n)))
     dim = min(max_iters, n)
     # np.empty leaves the rows unpaged until the subspace grows into them
     basis = np.empty((dim, n))
     images = np.empty((dim, n))  # T*T applied to each basis row
     projected = np.zeros((dim, dim))
-    fresh = _orthonormal_rows(_symbol_start_block(op), basis[:0])
+    waves = _symbol_start_block(op)
+    fresh = _orthonormal_rows(waves if start is None else np.concatenate((start, waves)), basis[:0])
     k = 0
     ritz_prev = None
     while True:
-        block = np.array(fresh[: dim - k])
+        block = fresh[: dim - k]
         r = block.shape[0]
         basis[k : k + r] = block
         images[k : k + r] = op.apply_adjoint(op.apply(block) / scale) / scale
@@ -344,14 +378,16 @@ def operator_norm(
         residuals = top.T @ images[:k] - evals[:-3:-1, None] * (top.T @ basis[:k])
         value = scale * float(np.sqrt(ritz))
         invariant = float(np.linalg.norm(residuals[0])) <= 1e-14 * ritz or k == n
-        if invariant or (ritz_prev is not None and abs(ritz - ritz_prev) <= tol * ritz):
-            return NormResult(value, k, True)
-        if k == dim:
-            return NormResult(value, k, False)
+        converged = invariant or (ritz_prev is not None and abs(ritz - ritz_prev) <= tol * ritz)
+        if converged or k == dim:
+            break
         ritz_prev = ritz
         fresh = _orthonormal_rows(residuals, basis[:k])
-        if not fresh:
-            return NormResult(value, k, True)
+        if not len(fresh):
+            converged = True
+            break
+    vectors = evecs[:, : -_WARM_VECTORS - 1 : -1].T @ basis[:k]
+    return NormResult(value, k, converged, vectors)
 
 
 # -- experiment construction ---------------------------------------------
@@ -412,6 +448,13 @@ def build_operator(
             yield profile
 
     return DiscretizedOperator.from_terms(grid, profiles(), quad_values)
+
+
+def check_truncations(m_list: Iterable[int]) -> None:
+    """Raise ValueError unless every truncation M lies in [0, MAX_TRUNCATION]."""
+    for m in m_list:
+        if not 0 <= m <= MAX_TRUNCATION:
+            raise ValueError(f"truncation M = {m} must lie in [0, {MAX_TRUNCATION}] (2^M must be a finite float)")
 
 
 def dyadic_scales(m: int) -> list[tuple[float, float]]:
@@ -509,14 +552,18 @@ def growth_experiment(
     M, so the terms are built once, for the largest M, and each row's
     operator is the sub-sum of its own scales (``DiscretizedOperator.
     restricted``), bit-identical to building it alone.  A row with a single
-    profile is count x that profile's operator, so its norm is count x the
-    profile's norm, computed once per table and reported with that norm's
-    iterations and convergence; the kitty ratios are then exactly M + 1.
+    tap profile is count x that profile's operator, so its norm is count x
+    the profile's norm, computed once per table and reported with that
+    norm's iterations and convergence; the kitty ratios are then exactly
+    M + 1.  The rows are computed in increasing M (M = 0 included), and each
+    other row's norm starts from the top Ritz vectors of the norm computed
+    just before it, so a row may differ from that row computed alone by up
+    to the stopping tolerance; the order, and so every value, depends only
+    on the set of truncations.
     """
     if not m_list:
         raise ValueError("norm-growth needs at least one truncation M")
-    if min(m_list) < 0:
-        raise ValueError(f"truncations M must be >= 0, got {min(m_list)}")
+    check_truncations(m_list)
     grid = grid or Grid1D()
     atom = atom or default_experiment_atom()
     p = case_polynomial(case, level)
@@ -525,21 +572,22 @@ def growth_experiment(
     position = {scale: t for t, scale in enumerate(family)}
     terms = build_operator(p, family, grid, atom=atom, quad_order=quad_order)
     profile_norms: dict[tuple[int, bytes], NormResult] = {}
-
-    def norm_at(m: int) -> tuple[NormResult, int, DiscretizedOperator]:
-        """(norm of the row's sum, or of its one profile; that profile's count; the row operator)."""
+    results: dict[int, tuple[NormResult, int, DiscretizedOperator]] = {}
+    warm = None  # the top Ritz vectors of the latest row, the next row's start
+    for m in sorted({0, *m_list}):
         op = terms.restricted(position[scale] for scale in scale_family(m))
         if len(op.groups) != 1:
-            return operator_norm(op, max_iters=max_iters), 1, op
-        g = op.groups[0]
-        key = (g.lo, g.taps.tobytes())
-        if key not in profile_norms:
-            single = DiscretizedOperator(grid, [_TapGroup(1, g.lo, g.taps)])
-            profile_norms[key] = operator_norm(single, max_iters=max_iters)
-        return profile_norms[key], g.count, op
-
-    results = {m: norm_at(m) for m in dict.fromkeys(m_list)}
-    base, base_count, _ = results[0] if 0 in results else norm_at(0)
+            res, count = operator_norm(op, max_iters=max_iters, start=warm), 1
+        else:
+            g = op.groups[0]
+            key = (g.lo, g.taps.tobytes())
+            if key not in profile_norms:
+                single = DiscretizedOperator(grid, [_TapGroup(1, g.lo, g.taps)])
+                profile_norms[key] = operator_norm(single, max_iters=max_iters)
+            res, count = profile_norms[key], g.count
+        warm = res.vectors
+        results[m] = (replace(res, vectors=None), count, op)
+    base, base_count, _ = results[0]
     base_norm = base_count * base.value
     if not base_norm:
         raise ValueError(

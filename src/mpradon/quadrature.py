@@ -12,9 +12,16 @@ class QuadratureError(RuntimeError):
     """Adaptive integration failed to reach the requested tolerance."""
 
 
+# the rule's eigenproblem holds order^2 doubles, and a 2-D experiment rule
+# over an atom-aligned bump has 16 order^2 nodes
+MAX_QUAD_ORDER = 128
+
+
 @cache
 def legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]."""
+    """Nodes and weights on [-1, 1]; the order must lie in [1, MAX_QUAD_ORDER]."""
+    if not 1 <= order <= MAX_QUAD_ORDER:
+        raise ValueError(f"quadrature order {order} must lie in [1, {MAX_QUAD_ORDER}]")
     return np.polynomial.legendre.leggauss(order)
 
 

@@ -393,6 +393,47 @@ def test_norm_growth_with_a_zero_base_norm_exits_one(capsys):
     assert captured.err.startswith("error: the M = 0 norm is 0") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--case", "kitty", "--M", "1100"], "truncation M = 1100 must lie in [0, 1023]"),
+        (["--case", "know", "--L", "10", "--M", "0..1100"], "truncation M = 1100 must lie in [0, 1023]"),
+        (["--case", "billy", "--M", "1100"], "truncation M = 1100 must lie in [0, 1023]"),
+        (["--case", "kitty", "--M=0..100000000000"], "truncation M = 100000000000 must lie in [0, 1023]"),
+        (["--case", "kitty", "--M=-100000000000..0"], "truncation M = -100000000000 must lie in [0, 1023]"),
+        (["--case", "kitty", "--grid-n", "100000000000"], "grid n = 100000000000 is beyond the cap of 262144"),
+        (["--case", "billy", "--quad-order", "100000"], "quadrature order 100000 must lie in [1, 128]"),
+    ],
+)
+def test_norm_growth_caps_exit_one_before_allocating(argv, message, capsys):
+    import tracemalloc
+
+    # a first small run builds the parser and loads numpy's modules, untraced
+    assert main(["norm-growth", "--case", "kitty", "--M", "0", "--grid-n", "64"]) == EXIT_BOUNDED
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["norm-growth", *argv, "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    # a grid function of that n, that rule or the scale family up to M = 1024 is far larger
+    assert peak < 2**16, peak
+
+
+def test_norm_growth_row_order_does_not_change_the_rows(capsys):
+    tables = []
+    for m in ("8 0 4", "0 4 8"):
+        argv = ["norm-growth", "--case", "know", "--L", "10", "--M", m, "--grid-n", "256", "--format", "json"]
+        assert main(argv) == EXIT_BOUNDED
+        tables.append(json.loads(capsys.readouterr().out)["rows"])
+    assert sorted(tables[0], key=lambda r: r["M"]) == tables[1]
+
+
 def test_norm_growth_know_level_passthrough(capsys):
     code = main(
         ["norm-growth", "--case", "know", "--M", "0..2", "--L", "10", "--grid-n", "512", "--format", "json"]
@@ -507,6 +548,15 @@ def test_numeric_commands_in_a_fresh_interpreter_print_as_in_process(tmp_path, c
         code, out, numpy_modules = run_fresh(argv)
         assert (code, out) == (in_process_code, in_process.out)
         assert numpy_modules != []
+
+
+def test_warm_started_norm_growth_is_byte_identical_across_fresh_interpreters():
+    # each row starts from the previous row's Ritz vectors, so any
+    # run-to-run difference in one row would carry into the next
+    argv = ["norm-growth", "--case", "know", "--L", "10", "--M", "0..8", "--grid-n", "512", "--format", "json"]
+    first, second = run_fresh(argv), run_fresh(argv)
+    assert first[0] == EXIT_BOUNDED
+    assert first[1].encode() == second[1].encode()
 
 
 @pytest.mark.parametrize("a", ["nan", "inf", "-0.5", "0"])

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from mpradon.bumps import TensorBump
 from mpradon.harness import (
+    MAX_GRID_N,
+    MAX_TRUNCATION,
     NORM_METHOD,
     DiscretizedOperator,
     Grid1D,
@@ -12,12 +14,14 @@ from mpradon.harness import (
     _TapGroup,
     build_operator,
     case_polynomial,
+    check_truncations,
     dyadic_scales,
     growth_experiment,
     operator_norm,
     smooth_fft_length,
     square_scales,
 )
+from mpradon.quadrature import MAX_QUAD_ORDER, legendre_rule
 from mpradon.symbolic import Polynomial
 
 ST = ("s", "t")
@@ -35,6 +39,9 @@ def test_grid_validation():
     for xmin, xmax in [(np.nan, 1.0), (-1.0, np.nan), (-np.inf, 1.0), (-1.0, np.inf), (-1e308, 1e308)]:
         with pytest.raises(ValueError, match="must be finite"):
             Grid1D(xmin, xmax, 8)
+    with pytest.raises(ValueError, match="beyond the cap"):
+        Grid1D(-1.0, 1.0, MAX_GRID_N + 1)
+    assert Grid1D(-1.0, 1.0, MAX_GRID_N).n == MAX_GRID_N
     g = Grid1D(-1.0, 1.0, 5)
     assert g.h == pytest.approx(0.5)
     assert np.allclose(g.nodes(), [-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -110,36 +117,60 @@ def test_operator_norm_against_dense_svd(mean_zero_tensor):
 
 
 @st.composite
-def banded_sections(draw):
-    """Random tap profiles whose combined band spans at most n/2."""
+def banded_group_lists(draw, extra: int = 0):
+    """A grid size and random tap groups whose combined band spans at most
+    n/2: 1-3 groups, then ``extra`` more."""
     n = draw(st.integers(2, 256))
     span = max(1, n // 2)
     shift = draw(st.integers(-n, n))
     groups = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 3)) + extra):
         band = draw(st.integers(1, span))
         lo = draw(st.integers(0, span - band))
         taps = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=band, max_size=band))
         groups.append(_TapGroup(draw(st.integers(1, 3)), shift + lo, np.array(taps)))
-    return DiscretizedOperator(Grid1D(n=n), groups)
+    return n, groups
+
+
+def banded_sections():
+    return banded_group_lists().map(lambda drawn: DiscretizedOperator(Grid1D(n=drawn[0]), drawn[1]))
+
+
+def assert_norm_contract(res: NormResult, op: DiscretizedOperator, sv: float) -> None:
+    """A Rayleigh quotient never overshoots; a converged value is within 1e-6 of the top."""
+    # FFT application leaves absolute noise of order eps * sum |w| in both
+    # values, e.g. when every shift lands outside the grid and T = 0
+    noise = 1e-13 * np.abs(op._taps).sum()
+    assert res.value <= sv * (1 + 1e-12) + noise
+    assert not res.converged or res.value >= sv * (1 - 1e-6) - noise
 
 
 @settings(max_examples=80, deadline=None)
 @given(banded_sections())
 def test_operator_norm_matches_dense_svd_on_random_sections(op):
     sv = np.linalg.svd(op.as_matrix(), compute_uv=False)[0]
-    # FFT application leaves absolute noise of order eps * sum |w| in both
-    # values, e.g. when every shift lands outside the grid and T = 0
-    noise = 1e-13 * np.abs(op._taps).sum()
     res = operator_norm(op)
-    # a Rayleigh quotient never overshoots; a converged flag is never a lie
-    assert res.value <= sv * (1 + 1e-12) + noise
-    assert not res.converged or res.value >= sv * (1 - 1e-6) - noise
+    assert_norm_contract(res, op, sv)
     assert res.converged or res.iterations == 80
     # with room for the whole space the stopping rule, not the cap, decides
     full = operator_norm(op, max_iters=op.grid.n)
     assert full.converged
-    assert sv * (1 - 1e-6) - noise <= full.value <= sv * (1 + 1e-12) + noise
+    assert_norm_contract(full, op, sv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(banded_group_lists(extra=1))
+def test_warm_started_norm_matches_dense_svd_on_random_section_pairs(drawn):
+    """A section, then the same section plus one more group, started from
+    the first one's top Ritz vectors, as a growth table's next row is."""
+    n, groups = drawn
+    first = operator_norm(DiscretizedOperator(Grid1D(n=n), groups[:-1]))
+    assert first.vectors.shape[1] == n and first.vectors.shape[0] <= 8
+    op = DiscretizedOperator(Grid1D(n=n), groups)
+    sv = np.linalg.svd(op.as_matrix(), compute_uv=False)[0]
+    res = operator_norm(op, start=first.vectors)
+    assert_norm_contract(res, op, sv)
+    assert res.converged or res.iterations == 80
 
 
 def test_smooth_fft_length_is_the_least_five_smooth_bound():
@@ -196,7 +227,8 @@ def test_growth_rows_compose_the_operators_built_alone(case, level, m_list):
         # the composition is under test here, not the norm
         mp.setattr(harness, "operator_norm", lambda op, **kwargs: NormResult(1.0, 1, True))
         table = growth_experiment(case, m_list, level=level, grid=grid)
-    expected_ms = list(dict.fromkeys(m_list)) + ([] if 0 in m_list else [0])
+    # rows are composed in increasing M, with M = 0 for the ratios' base
+    expected_ms = sorted({0, *m_list})
     assert len(composed) == len(expected_ms)
     for m, op in zip(expected_ms, composed):
         alone = build_operator(p, family(m), grid)
@@ -214,6 +246,69 @@ def test_kitty_ratios_are_exact_and_rows_reuse_one_norm():
     assert all(r.norm == (r.truncation + 1) * table.rows[0].norm for r in table.rows)
     without_base = growth_experiment("kitty", [5, 2], grid=Grid1D(n=512))
     assert without_base.ratios() == [6.0, 3.0]
+
+
+@pytest.mark.parametrize("case, level, m_max", [("know", 10, 8), ("billy", None, 12)])
+def test_warm_started_table_rows_match_their_dense_svd(case, level, m_max):
+    grid = Grid1D(n=256)
+    table = growth_experiment(case, list(range(m_max + 1)), level=level, grid=grid)
+    family = square_scales if case == "billy" else dyadic_scales
+    for row in table.rows:
+        assert row.converged
+        op = build_operator(case_polynomial(case, level), family(row.truncation), grid)
+        sv = np.linalg.svd(op.as_matrix(), compute_uv=False)[0]
+        assert_norm_contract(NormResult(row.norm, row.iterations, row.converged), op, sv)
+
+
+def test_each_row_starts_from_the_previous_rows_ritz_vectors():
+    import mpradon.harness as harness
+
+    calls = []
+
+    def recording(op, **kwargs):
+        res = operator_norm(op, **kwargs)
+        calls.append((kwargs.get("start"), res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "operator_norm", recording)
+        table = growth_experiment("know", [4, 2, 3], level=10, grid=Grid1D(n=256))
+    # M = 0 (one profile, started cold), then M = 2, 3, 4
+    assert [r.truncation for r in table.rows] == [4, 2, 3]
+    assert len(calls) == 4 and calls[0][0] is None
+    for (_, before), (start, _) in zip(calls, calls[1:]):
+        assert start is before.vectors
+    assert all(res.vectors.shape == (8, 256) for _, res in calls)
+    assert [(r.norm, r.iterations) for r in table.rows] == [
+        (res.value, res.iterations) for _, res in (calls[3], calls[1], calls[2])
+    ]
+
+
+def test_truncation_cap():
+    check_truncations([0, MAX_TRUNCATION])
+    assert np.isfinite(dyadic_scales(MAX_TRUNCATION)[-1]).all()
+    for bad in ([MAX_TRUNCATION + 1], [0, -1]):
+        with pytest.raises(ValueError, match=f"must lie in \\[0, {MAX_TRUNCATION}\\]"):
+            check_truncations(bad)
+        with pytest.raises(ValueError, match="must lie in"):
+            growth_experiment("kitty", bad, grid=Grid1D(n=64))
+
+
+def test_quadrature_order_cap():
+    assert legendre_rule(MAX_QUAD_ORDER)[0].size == MAX_QUAD_ORDER
+    for bad in (0, MAX_QUAD_ORDER + 1):
+        with pytest.raises(ValueError, match="quadrature order"):
+            legendre_rule(bad)
+
+
+def test_terms_with_identical_taps_collapse():
+    # the second node's shift leaves the grid in both profiles, so the
+    # profiles differ but their taps do not
+    grid = Grid1D(0.0, 7.0, 8)
+    quad_values = np.array([1.0, 1.0])
+    op = DiscretizedOperator.from_terms(grid, [np.array([0.25, 100.0]), np.array([0.25, 200.0])], quad_values)
+    assert [(g.count, g.lo, g.taps.tolist()) for g in op.groups] == [(2, 0, [0.75, 0.25])]
+    assert op.term_groups == (0, 0)
 
 
 def test_kitty_terms_collapse_to_one_group(mean_zero_tensor):
