@@ -46,10 +46,10 @@ from .criteria import (
     real_line_verdict,
     scalar_control_verdict,
 )
-from .dilations import ExponentScheme, is_pure
+from .dilations import ExponentScheme, degree, is_pure
 from .kernels import load_kernel_sequence, sample_product_kernel_bounds, verify_cancellation
 from .harness import CASES, Grid1D, check_truncations, default_experiment_atom, growth_experiment
-from .bumps import moment_bump
+from .bumps import MAX_MOMENT, moment_bump
 from .symbolic import (
     FAMILIES,
     HEISENBERG,
@@ -59,6 +59,7 @@ from .symbolic import (
     w_expansion,
     xhat_expansion,
 )
+from .symbolic.fields import field_text
 
 EXIT_BOUNDED = 0
 EXIT_ERROR = 1
@@ -96,21 +97,27 @@ class ProblemSpecFile:
     experiment: ExperimentConfig | None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, check_ends) -> tuple[int, ...]:
+    """Integers as 'lo..hi' or '0 2 4' (commas allowed); a range's two ends
+    go through ``check_ends`` before the range is spelled out."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = map(int, text.split(".."))
+        check_ends((lo, hi))
+        return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_truncations(text: str) -> tuple[int, ...]:
-    """Truncations M as '0..8' or '0 2 4', each in range before a range is spelled out."""
-    if ".." in text:
-        check_truncations(int(end) for end in text.split(".."))
-    m_list = _parse_int_list(text)
+    """Truncations M as '0..8' or '0 2 4', each in [0, MAX_TRUNCATION]."""
+    m_list = _parse_int_list(text, check_truncations)
     check_truncations(m_list)
     return m_list
+
+
+def _check_exponent_range(ends: tuple[int, int]) -> None:
+    if not all(1 <= e <= MAX_MOMENT for e in ends):
+        raise ValueError(f"exponent range {ends[0]}..{ends[1]} must lie in [1, {MAX_MOMENT}]")
 
 
 _PROBLEM_KEYS = {"family", "variables", *(k for f in FAMILIES.values() for k in f.keys)}
@@ -228,13 +235,13 @@ def _experiment_config(values: dict) -> ExperimentConfig:
 def _expansion_payload(exp: WExpansion) -> list[dict]:
     out = []
     for alpha in exp.support():
-        d = exp.degree_of(alpha)
+        d = degree(alpha, exp.scheme)
         out.append(
             {
                 "alpha": list(alpha),
                 "degree": [str(v) for v in d],
                 "pure": is_pure(d),
-                "field": str(exp.terms[alpha]),
+                "field": field_text(exp.terms[alpha], exp.basis),
             }
         )
     return out
@@ -365,7 +372,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bump(args) -> int:
-    result = moment_bump(args.a, args.a1, _parse_int_list(args.excluded))
+    result = moment_bump(args.a, args.a1, _parse_int_list(args.excluded, _check_exponent_range))
     ok = (
         abs(result.moments[0]) < 1e-10
         and all(abs(result.moments[e]) < 1e-9 for e in result.excluded_exponents)
@@ -446,16 +453,18 @@ def cmd_kernel_check(args) -> int:
 
 
 def cmd_norm_growth(args) -> int:
+    # the spec's [experiment] values, each overridden by the flag given for it
+    values = {}
     if args.spec:
         with open(args.spec) as fh:
-            cfg = parse_problem_spec(fh.read()).experiment
-        if cfg is None:
+            text = fh.read()
+        if parse_problem_spec(text).experiment is None:
             raise SpecFileError(f"{args.spec} has no [experiment] section")
-    elif args.case is None:
+        values = _split_sections(text)["experiment"]
+    values.update((k, v) for k, v in vars(args).items() if k in _EXPERIMENT_KEYS and v is not None)
+    if "case" not in values:
         raise SpecFileError("norm-growth needs --case (or --spec with [experiment])")
-    else:
-        flags = {k: v for k, v in vars(args).items() if k in _EXPERIMENT_KEYS and v is not None}
-        cfg = _experiment_config(flags)
+    cfg = _experiment_config(values)
     grid = Grid1D(cfg.grid_xmin, cfg.grid_xmax, cfg.grid_n)
     table = growth_experiment(
         cfg.case,
@@ -523,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the experiment flags are [experiment] keys; one left out keeps ExperimentConfig's default
     p_ng = sub.add_parser("norm-growth", help="operator norm growth experiment")
     p_ng.add_argument("--case", choices=CASES, default=None)
-    p_ng.add_argument("--spec", default=None, help="read the [experiment] block from a spec file")
+    p_ng.add_argument("--spec", default=None, help="read the [experiment] block from a spec file; flags given override it")
     p_ng.add_argument("--M", dest="m", help="truncation list, e.g. '0..8' or '0 2 4'")
     p_ng.add_argument("--L", dest="l", type=int, help="scale parameter for the know case")
     p_ng.add_argument("--grid-n", dest="grid_n", type=int)

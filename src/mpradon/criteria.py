@@ -49,7 +49,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .dilations import Degree, ExponentScheme, MultiIndex, degree, is_pure
-from .symbolic.fields import HEISENBERG_BASIS, BasisVector, heisenberg_bracket
+from .symbolic.fields import HEISENBERG_BASIS, heisenberg_bracket
 from .symbolic.gamma import (
     HEISENBERG,
     GammaSpec,
@@ -110,7 +110,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ClosureEntry:
-    vec: BasisVector
+    vec: tuple[Fraction, ...]  # coordinates in the expansion's basis
     degree: Degree
     label: str
 
@@ -128,11 +128,11 @@ class PowerSets:
     def cleared(self) -> "ClearedClosure":
         """The closure in integers, computed on first use and kept with these sets."""
         scale = lcm(*(v.denominator for row in self.scheme.rows for v in row))
-        scales = [lcm(*(c.denominator for c in e.vec.coords)) for e in self.closure]
+        scales = [lcm(*(c.denominator for c in e.vec)) for e in self.closure]
         return ClearedClosure(
             scale,
             tuple(_cleared(e.degree, scale) for e in self.closure),
-            tuple(_cleared(e.vec.coords, s) for e, s in zip(self.closure, scales)),
+            tuple(_cleared(e.vec, s) for e, s in zip(self.closure, scales)),
             tuple(scales),
         )
 
@@ -233,7 +233,7 @@ def pure_closure_heisenberg(xhat: WExpansion) -> PowerSets:
     # an entry with an X or Y part never equals a bracket
     seen = set()
     for e in pure:
-        x, y, t = e.vec.coords
+        x, y, t = e.vec
         degree_key = _cleared(e.degree, scale)
         if not x and not y:
             seen.add((t.numerator, t.denominator, degree_key))
@@ -256,7 +256,7 @@ def pure_closure_heisenberg(xhat: WExpansion) -> PowerSets:
                     continue
                 seen.add(key)
                 d = d or tuple(x + y for x, y in zip(a.degree, b.degree))
-                vec = BasisVector((zero, zero, Fraction(value, den)), HEISENBERG_BASIS)
+                vec = (zero, zero, Fraction(value, den))
                 closure.append(ClosureEntry(vec, d, f"[{left.label}, {right.label}]"))
     return PowerSets(xhat.scheme, pure, nonpure, tuple(closure))
 
@@ -347,7 +347,7 @@ def _solve_on_pivots(
 
 def supporting_line_condition(
     alpha0: MultiIndex,
-    target: BasisVector,
+    target: tuple[Fraction, ...],
     power_sets: PowerSets,
 ) -> tuple[bool, ControlCertificate | Witness]:
     """Is the target spanned by H_pi for every supporting line through deg(alpha0)?
@@ -367,7 +367,7 @@ def supporting_line_condition(
     d0 = degree(alpha0, power_sets.scheme)
     if is_pure(d0):
         raise ValueError(f"alpha0={alpha0} has pure degree {d0}; only nonpure indices are tested")
-    if target.is_zero():
+    if not any(target):
         raise ValueError("target field must be nonzero")
     if len(d0) != 2:
         raise ValueError("the supporting-line test needs a two-parameter scheme")
@@ -375,8 +375,8 @@ def supporting_line_condition(
     view = power_sets.cleared
     degrees, vectors, scales = view.degrees, view.vectors, view.vector_scales
     x0, y0 = _cleared(d0, view.scale)
-    goal_scale = lcm(*(c.denominator for c in target.coords))
-    goal = _cleared(target.coords, goal_scale)
+    goal_scale = lcm(*(c.denominator for c in target))
+    goal = _cleared(target, goal_scale)
     dim = len(goal)
     sectors: list[SectorCertificate] = []
     for normal in sector_normals([(x - x0, y - y0) for x, y in degrees]):
@@ -511,7 +511,9 @@ def scalar_control_verdict(w: WExpansion) -> Verdict:
         return Verdict(Outcome.BOUNDED, diagnostics="zero expansion")
     v0 = w.terms[support[0]]
     for alpha in support:
-        if w.terms[alpha].parallel_ratio(v0) is None:
+        v = w.terms[alpha]
+        # nonzero fields are parallel iff every 2 x 2 minor of (v, v0) vanishes
+        if any(v[i] * v0[j] != v[j] * v0[i] for j in range(len(v0)) for i in range(j)):
             return Verdict(
                 Outcome.INCONCLUSIVE,
                 diagnostics=f"field at {alpha} is not parallel to the field at {support[0]}; "

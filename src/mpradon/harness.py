@@ -55,6 +55,8 @@ from .symbolic.poly import Polynomial
 MAX_GRID_N = 2**18
 # 2^M must be a finite float, as in kernel-check
 MAX_TRUNCATION = 1023
+# 2^-L must be a nonzero float: 2^-1075 rounds to 0.0
+MAX_LEVEL = 1074
 
 
 @dataclass(frozen=True)
@@ -410,8 +412,8 @@ def case_polynomial(case: str, level: int | None = None) -> Polynomial:
     if case == "know":
         if level is None:
             raise ValueError("the 'know' case needs the scale parameter L")
-        if level < 0:
-            raise ValueError(f"the scale parameter L must be >= 0, got {level}")
+        if not 0 <= level <= MAX_LEVEL:
+            raise ValueError(f"the scale parameter L = {level} must lie in [0, {MAX_LEVEL}] (2^-L must be a nonzero float)")
         eps = Fraction(1, 2**level)
         return Polynomial(
             variables, {(3, 0): eps, (0, 3): eps, (1, 1): Fraction(1)}
@@ -504,9 +506,10 @@ class GrowthTable:
                 f" quad_order={self.quad_order} norm_method={NORM_METHOD}"
             ]
         )
-        writer.writerow(["M", "L", "norm", "ratio"])
+        writer.writerow(["M", "L", "norm", "ratio", "iterations", "converged"])
         for r in self.rows:
-            writer.writerow([r.truncation, "" if r.level is None else r.level, repr(r.norm), repr(r.ratio)])
+            level = "" if r.level is None else r.level
+            writer.writerow([r.truncation, level, repr(r.norm), repr(r.ratio), r.iterations, str(r.converged).lower()])
         return buf.getvalue()
 
     def to_dict(self) -> dict:

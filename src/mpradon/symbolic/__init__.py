@@ -1,10 +1,6 @@
 """Exact symbolic layer: polynomials, vector fields, and curve expansions."""
 
-from .fields import (
-    HEISENBERG_BASIS,
-    LINE_BASIS,
-    BasisVector,
-)
+from .fields import HEISENBERG_BASIS, LINE_BASIS
 from .gamma import (
     FAMILIES,
     HEISENBERG,
@@ -19,7 +15,6 @@ from .poly import Polynomial
 
 __all__ = [
     "FAMILIES",
-    "BasisVector",
     "GammaSpec",
     "HEISENBERG",
     "HEISENBERG_BASIS",

@@ -37,8 +37,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from ..dilations import Degree, ExponentScheme, MultiIndex, check_multi_index, degree
-from .fields import HEISENBERG_BASIS, LINE_BASIS, BasisVector, heisenberg_bracket
+from ..dilations import ExponentScheme, MultiIndex, check_multi_index
+from .fields import HEISENBERG_BASIS, LINE_BASIS, heisenberg_bracket
 from .poly import Polynomial
 
 TRANSLATION_LINE = "translation_line"
@@ -137,29 +137,28 @@ class GammaSpec:
 
 @dataclass(frozen=True)
 class WExpansion:
-    """A finite Taylor expansion sum_alpha t^alpha * (constant field)."""
+    """A finite Taylor expansion sum_alpha t^alpha * (constant field), each
+    field a tuple of Fraction coordinates in the expansion's basis."""
 
     scheme: ExponentScheme
     basis: tuple[str, ...]
-    terms: Mapping[MultiIndex, BasisVector] = field(default_factory=dict)
+    terms: Mapping[MultiIndex, tuple[Fraction, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean: dict[MultiIndex, BasisVector] = {}
-        for alpha, vec in self.terms.items():
+        basis = tuple(self.basis)
+        clean: dict[MultiIndex, tuple[Fraction, ...]] = {}
+        for alpha, coords in self.terms.items():
             alpha = tuple(alpha)
             if sum(alpha) == 0:
                 raise ValueError("expansions start at |alpha| > 0")
-            if vec.basis != tuple(self.basis):
-                raise ValueError("term basis disagrees with the expansion basis")
-            if not vec.is_zero():
-                clean[alpha] = vec
+            if len(coords) != len(basis):
+                raise ValueError(f"coordinate count {len(coords)} does not match the basis {basis}")
+            if any(coords):
+                clean[alpha] = tuple(map(Fraction, coords))
                 check_multi_index(alpha, self.scheme)
         # read-only: a spec hands the same expansion to every caller
         object.__setattr__(self, "terms", MappingProxyType(clean))
-        object.__setattr__(self, "basis", tuple(self.basis))
-
-    def degree_of(self, alpha: MultiIndex) -> Degree:
-        return degree(alpha, self.scheme)
+        object.__setattr__(self, "basis", basis)
 
     def support(self) -> list[MultiIndex]:
         """Multi-indices in canonical order: by total degree, then lex with the
@@ -178,9 +177,7 @@ def _poly_coefficient_expansion(
     for i, q in enumerate(polys):
         for alpha, c in q.terms.items():
             terms.setdefault(alpha, [Fraction(0)] * len(basis))[i] = c
-    return WExpansion(
-        scheme, basis, {a: BasisVector(tuple(v), basis) for a, v in terms.items()}
-    )
+    return WExpansion(scheme, basis, terms)
 
 
 def w_expansion(spec: GammaSpec) -> WExpansion:

@@ -25,7 +25,6 @@ from mpradon.symbolic import (
     FAMILIES,
     HEISENBERG_BASIS,
     LINE_BASIS,
-    BasisVector,
     GammaSpec,
     Polynomial,
     WExpansion,
@@ -118,14 +117,14 @@ def lie_bracket(a: PolyVectorField, b: PolyVectorField) -> PolyVectorField:
     )
 
 
-def as_poly_field(v: BasisVector) -> PolyVectorField:
-    """Coordinate realization, for cross-checks against the generic bracket."""
-    if v.basis == LINE_BASIS:
+def as_poly_field(coords: Sequence[Fraction], basis: tuple[str, ...]) -> PolyVectorField:
+    """Coordinate realization of a constant field, for cross-checks against the generic bracket."""
+    if basis == LINE_BASIS:
         variables = ("x",)
-        return PolyVectorField((Polynomial.constant(variables, v.coords[0]),))
-    if v.basis == HEISENBERG_BASIS:
+        return PolyVectorField((Polynomial.constant(variables, coords[0]),))
+    if basis == HEISENBERG_BASIS:
         variables = ("x", "y", "t")
-        a, b, c = v.coords
+        a, b, c = coords
         x = Polynomial.variable(variables, "x")
         y = Polynomial.variable(variables, "y")
         const = lambda value: Polynomial.constant(variables, value)
@@ -137,7 +136,7 @@ def as_poly_field(v: BasisVector) -> PolyVectorField:
                 const(c) - y * Fraction(a, 2) + x * Fraction(b, 2),
             )
         )
-    raise ValueError(f"no coordinate realization for basis {v.basis}")
+    raise ValueError(f"no coordinate realization for basis {basis}")
 
 
 def substitute_scaled(p: Polynomial, factors: Sequence) -> Polynomial:
@@ -325,14 +324,14 @@ def scalar_polynomial_expansion(
     direction = direction or tuple(
         Fraction(1) if i == 0 else Fraction(0) for i in range(len(basis))
     )
-    v = BasisVector(direction, basis)
-    return WExpansion(scheme, basis, {a: v.scaled(c) for a, c in p.terms.items() if sum(a) > 0})
+    terms = {a: tuple(c * v for v in direction) for a, c in p.terms.items() if sum(a) > 0}
+    return WExpansion(scheme, basis, terms)
 
 
 @dataclass(frozen=True)
 class TaylorRelationReport:
     passed: bool
-    residuals: Mapping[MultiIndex, BasisVector]
+    residuals: Mapping[MultiIndex, PolyVectorField]
     detail: str
 
     def __bool__(self) -> bool:
@@ -340,28 +339,29 @@ class TaylorRelationReport:
 
 
 def verify_taylor_relation(spec: GammaSpec) -> TaylorRelationReport:
-    """Check X_alpha = |alpha| Xhat_alpha + V_alpha exactly, for every alpha."""
+    """Check X_alpha = |alpha| Xhat_alpha + V_alpha exactly, for every alpha.
+
+    Every field is realized in coordinates (``as_poly_field``) and V_alpha is
+    built from ``lie_bracket`` of those realizations, so the check does not
+    use the package's structure constants.
+    """
     w = w_expansion(spec)
     xhat = xhat_expansion(spec)
-    basis = w.basis
-    zero = BasisVector(tuple(Fraction(0) for _ in basis), basis)
-    residuals: dict[MultiIndex, BasisVector] = {}
-    support = set(w.terms) | set(xhat.terms)
+    realize = lambda coords: as_poly_field(coords, w.basis)
+    zero = realize((0,) * len(w.basis))
+    hats = {alpha: realize(v) for alpha, v in xhat.terms.items()}
     # V_alpha needs every split alpha = beta + gamma with both Xhat's present.
-    hat_support = list(xhat.terms)
-    corrections: dict[MultiIndex, BasisVector] = {}
-    for beta in hat_support:
-        for gamma in hat_support:
-            alpha = tuple(b + g for b, g in zip(beta, gamma))
-            br = xhat.terms[beta].bracket(xhat.terms[gamma])
-            if br.is_zero():
-                continue
-            v = corrections.get(alpha, zero) - br.scaled(Fraction(sum(gamma), 2))
-            corrections[alpha] = v
-    support |= {a for a, v in corrections.items() if not v.is_zero()}
-    for alpha in sorted(support, key=canonical_index_key):
-        lhs = w.terms.get(alpha, zero)
-        rhs = xhat.terms.get(alpha, zero).scaled(sum(alpha)) + corrections.get(alpha, zero)
+    corrections: dict[MultiIndex, PolyVectorField] = {}
+    for beta, b in hats.items():
+        for gamma, g in hats.items():
+            alpha = tuple(x + y for x, y in zip(beta, gamma))
+            br = lie_bracket(b, g)
+            if not br.is_zero():
+                corrections[alpha] = corrections.get(alpha, zero) - br.scaled(Fraction(sum(gamma), 2))
+    residuals: dict[MultiIndex, PolyVectorField] = {}
+    for alpha in sorted(set(w.terms) | set(hats) | set(corrections), key=canonical_index_key):
+        lhs = realize(w.terms[alpha]) if alpha in w.terms else zero
+        rhs = hats.get(alpha, zero).scaled(sum(alpha)) + corrections.get(alpha, zero)
         res = lhs - rhs
         if not res.is_zero():
             residuals[alpha] = res

@@ -239,6 +239,44 @@ def test_bump_rejects_conflicting_exponents(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "excluded, message",
+    [
+        ("0..100000000000", "exponent range 0..100000000000 must lie in [1, 64]"),
+        ("3..100000000000", "exponent range 3..100000000000 must lie in [1, 64]"),
+        ("-100000000000..3", "exponent range -100000000000..3 must lie in [1, 64]"),
+        ("2..65", "exponent range 2..65 must lie in [1, 64]"),
+    ],
+)
+def test_bump_exponent_range_is_checked_before_it_is_spelled_out(excluded, message, capsys):
+    import tracemalloc
+
+    # a first run builds the parser and loads numpy's modules, untraced
+    assert main(["bump", "--a", "1", "--a1", "1", "--excluded", "2..3"]) == EXIT_BOUNDED
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["bump", "--a", "1", "--a1", "1", f"--excluded={excluded}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    # a tuple of 10^11 ints would take terabytes
+    assert peak < 2**16, peak
+
+
+def test_bump_exponent_range_within_the_cap_is_spelled_out(capsys):
+    argv = ["bump", "--a", "1.0", "--a1", "1", "--format", "json", "--excluded"]
+    assert main([*argv, "2..4"]) == EXIT_BOUNDED
+    by_range = json.loads(capsys.readouterr().out)
+    assert by_range["excluded_exponents"] == [2, 3, 4]
+    assert main([*argv, "2,3,4"]) == EXIT_BOUNDED
+    assert json.loads(capsys.readouterr().out) == by_range
+
+
 def test_kernel_check_command(tmp_path, capsys, mean_zero_tensor):
     assert main(["kernel-check", "--kernel", kernel_file(tmp_path, mean_zero_tensor)]) == EXIT_BOUNDED
     out = capsys.readouterr().out
@@ -292,7 +330,8 @@ def test_norm_growth_csv(tmp_path, capsys):
     )
     assert code == EXIT_BOUNDED
     lines = out_path.read_text().strip().splitlines()
-    assert lines[1] == "M,L,norm,ratio"
+    assert lines[1] == "M,L,norm,ratio,iterations,converged"
+    assert all(line.endswith(",true") for line in lines[2:])
     ratios = [float(line.split(",")[3]) for line in lines[2:]]
     assert ratios == pytest.approx([1.0, 2.0, 3.0], rel=1e-12)
 
@@ -325,6 +364,34 @@ def test_norm_growth_flags_and_experiment_keys_share_defaults(tmp_path, capsys):
     text = BILLY_SPEC + "\n[experiment]\ncase = billy\nM = 0 1\ngrid_n = 256\n"
     assert main(["norm-growth", "--spec", write(tmp_path, "b.spec", text), "--format", "json"]) == EXIT_BOUNDED
     assert capsys.readouterr().out == from_flags
+
+
+def test_norm_growth_flags_override_the_spec_experiment(tmp_path, capsys):
+    # the spec says n = 256 and M = 0 1; the flags given replace those two values only
+    text = KNOW_SPEC + "\n[experiment]\ncase = know\nL = 10\nM = 0 1\ngrid_n = 256\n"
+    spec = write(tmp_path, "k.spec", text)
+    assert main(["norm-growth", "--spec", spec, "--grid-n", "64", "--M", "0..3", "--format", "json"]) == EXIT_BOUNDED
+    from_spec = json.loads(capsys.readouterr().out)
+    assert from_spec["grid"]["n"] == 64
+    assert [r["M"] for r in from_spec["rows"]] == [0, 1, 2, 3]
+    assert [r["L"] for r in from_spec["rows"]] == [10] * 4
+    argv = ["norm-growth", "--case", "know", "--L", "10", "--grid-n", "64", "--M", "0..3", "--format", "json"]
+    assert main(argv) == EXIT_BOUNDED
+    assert json.loads(capsys.readouterr().out) == from_spec
+    # a flag also overrides the case, and keys the spec leaves out keep their defaults
+    assert main(["norm-growth", "--spec", spec, "--case", "kitty", "--format", "json"]) == EXIT_BOUNDED
+    kitty = json.loads(capsys.readouterr().out)
+    assert kitty["case"] == "kitty" and kitty["grid"]["xmin"] == ExperimentConfig("kitty").grid_xmin
+    assert [r["M"] for r in kitty["rows"]] == [0, 1] and [r["L"] for r in kitty["rows"]] == [None, None]
+
+
+def test_norm_growth_flag_override_is_checked_like_the_spec_value(tmp_path, capsys):
+    text = KNOW_SPEC + "\n[experiment]\ncase = kitty\nM = 0 1\ngrid_n = 64\n"
+    spec = write(tmp_path, "k.spec", text)
+    assert main(["norm-growth", "--spec", spec, "--M", "0..1100"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncation M = 1100 must lie in [0, 1023] (2^M must be a finite float)\n"
 
 
 def test_experiment_section_with_only_a_case_takes_the_defaults():
@@ -403,6 +470,8 @@ def test_norm_growth_with_a_zero_base_norm_exits_one(capsys):
         (["--case", "kitty", "--M=-100000000000..0"], "truncation M = -100000000000 must lie in [0, 1023]"),
         (["--case", "kitty", "--grid-n", "100000000000"], "grid n = 100000000000 is beyond the cap of 262144"),
         (["--case", "billy", "--quad-order", "100000"], "quadrature order 100000 must lie in [1, 128]"),
+        (["--case", "know", "--L", "100000000000", "--M", "0"], "the scale parameter L = 100000000000 must lie in [0, 1074]"),
+        (["--case", "know", "--L", "1075", "--M", "0"], "the scale parameter L = 1075 must lie in [0, 1074]"),
     ],
 )
 def test_norm_growth_caps_exit_one_before_allocating(argv, message, capsys):
@@ -423,6 +492,24 @@ def test_norm_growth_caps_exit_one_before_allocating(argv, message, capsys):
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
     # a grid function of that n, that rule or the scale family up to M = 1024 is far larger
     assert peak < 2**16, peak
+
+
+def test_experiment_level_beyond_the_cap_exits_one(tmp_path, capsys):
+    text = KNOW_SPEC + "\n[experiment]\ncase = know\nM = 0\nL = 100000000000\ngrid_n = 64\n"
+    assert main(["norm-growth", "--spec", write(tmp_path, "L.spec", text)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the scale parameter L = 100000000000 must lie in [0, 1074]")
+    assert captured.err.count("\n") == 1
+
+
+def test_norm_growth_level_at_the_cap_runs(capsys):
+    # 2^-1074 is the least positive float: the cubic terms are kept, if negligible
+    argv = ["norm-growth", "--case", "know", "--L", "1074", "--M", "0 1", "--grid-n", "64", "--format", "json"]
+    assert main(argv) == EXIT_BOUNDED
+    at_cap = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["L"] for r in at_cap] == [1074, 1074]
+    assert all(r["converged"] for r in at_cap)
 
 
 def test_norm_growth_row_order_does_not_change_the_rows(capsys):

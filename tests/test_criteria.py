@@ -34,7 +34,6 @@ from mpradon.criteria import (
 )
 from mpradon.dilations import Degree, ExponentScheme, MultiIndex, degree, is_pure
 from mpradon.symbolic import (
-    BasisVector,
     GammaSpec,
     HEISENBERG_BASIS,
     Polynomial,
@@ -159,8 +158,8 @@ def test_scalar_control_lone_mixed_term():
 
 def test_scalar_control_non_parallel_is_inconclusive():
     terms = {
-        (1, 0): BasisVector((1, 0, 0), HEISENBERG_BASIS),
-        (0, 1): BasisVector((0, 1, 0), HEISENBERG_BASIS),
+        (1, 0): (1, 0, 0),
+        (0, 1): (0, 1, 0),
     }
     w = WExpansion(ExponentScheme.product(2), HEISENBERG_BASIS, terms)
     v = scalar_control_verdict(w)
@@ -397,7 +396,7 @@ def test_pure_closure_adds_commutator():
     xh = xhat_expansion(heis("s", "t", "0"))
     ps = pure_closure_heisenberg(xh)
     assert len(ps.pure) == 2
-    coords = {(e.vec.coords, e.degree) for e in ps.closure}
+    coords = {(e.vec, e.degree) for e in ps.closure}
     assert ((Fraction(0), Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))) in coords
 
 
@@ -417,7 +416,7 @@ def test_pure_closure_cubic_example():
 
 def test_supporting_line_cubic_fails_with_witness():
     ps = pure_closure_heisenberg(xhat_expansion(heis("0", "0", "s^3 + t^3 + s*t")))
-    target = BasisVector((0, 0, 1), HEISENBERG_BASIS)
+    target = (Fraction(0), Fraction(0), Fraction(1))
     ok, witness = supporting_line_condition((1, 1), target, ps)
     assert not ok
     assert witness.normal == (1, 1)
@@ -425,7 +424,7 @@ def test_supporting_line_cubic_fails_with_witness():
 
 def test_supporting_line_square_passes():
     ps = pure_closure_heisenberg(xhat_expansion(heis("0", "0", "s^2 + t^2 + s*t")))
-    target = BasisVector((0, 0, 1), HEISENBERG_BASIS)
+    target = (Fraction(0), Fraction(0), Fraction(1))
     ok, cert = supporting_line_condition((1, 1), target, ps)
     assert ok
     assert all(len(s.members) >= 1 for s in cert.sectors)
@@ -434,7 +433,7 @@ def test_supporting_line_square_passes():
 def test_supporting_line_self_membership():
     xh = xhat_expansion(heis("s", "t", "s*t"))
     ps = pure_closure_heisenberg(xh)
-    target = BasisVector((0, 0, 1), HEISENBERG_BASIS)
+    target = (Fraction(0), Fraction(0), Fraction(1))
     ok, cert = supporting_line_condition((1, 1), target, ps)
     assert ok
 
@@ -442,7 +441,7 @@ def test_supporting_line_self_membership():
 def test_supporting_line_rejects_pure_index():
     ps = pure_closure_heisenberg(xhat_expansion(heis("s", "t", "0")))
     with pytest.raises(ValueError):
-        supporting_line_condition((2, 0), BasisVector((1, 0, 0), HEISENBERG_BASIS), ps)
+        supporting_line_condition((2, 0), (Fraction(1), Fraction(0), Fraction(0)), ps)
 
 
 def test_heisenberg_verdict_bracket_certificate():
@@ -551,6 +550,13 @@ def _fraction_sector_normals(diffs) -> list[tuple[Fraction, Fraction]]:
 # -- the fixed-point closure and full Gauss-Jordan sector test, as the oracle --------
 
 
+def _combination(coefficients, vectors) -> tuple[Fraction, ...]:
+    """sum_j coefficients[j] * vectors[j], coordinatewise in the basis {X, Y, T}."""
+    return tuple(
+        sum((Fraction(c) * v[i] for c, v in zip(coefficients, vectors)), Fraction(0)) for i in range(3)
+    )
+
+
 def _fixed_point_closure(xhat: WExpansion) -> PowerSets:
     """Split Xhat into pure/nonpure and close the pure part under brackets.
 
@@ -562,23 +568,20 @@ def _fixed_point_closure(xhat: WExpansion) -> PowerSets:
         raise ValueError("expansion must carry the Heisenberg basis tag {X, Y, T}")
     pure, nonpure = _split_pure(xhat, "Xhat")
     closure = list(pure)
-    seen = {(e.vec.coords, e.degree) for e in closure}
+    seen = {(e.vec, e.degree) for e in closure}
     frontier = list(closure)
     while frontier:
         fresh: list[ClosureEntry] = []
         for a in closure:
             for b in frontier:
                 for left, right in ((a, b), (b, a)):
-                    # [aX+bY+cT, a'X+b'Y+c'T] = (ab'-a'b)T is zero when both
-                    # products have a zero factor: skip it before building it
-                    (lx, ly, _), (rx, ry, _) = left.vec.coords, right.vec.coords
-                    if not (lx and ry) and not (rx and ly):
+                    (lx, ly, _), (rx, ry, _) = left.vec, right.vec
+                    t = lx * ry - ly * rx
+                    if not t:
                         continue
-                    br = left.vec.bracket(right.vec)
-                    if br.is_zero():
-                        continue
+                    br = (Fraction(0), Fraction(0), t)
                     d = tuple(x + y for x, y in zip(left.degree, right.degree))
-                    key = (br.coords, d)
+                    key = (br, d)
                     if key in seen:
                         continue
                     seen.add(key)
@@ -590,14 +593,14 @@ def _fixed_point_closure(xhat: WExpansion) -> PowerSets:
 
 def _full_sector_test(
     alpha0: MultiIndex,
-    target: BasisVector,
+    target: tuple[Fraction, ...],
     power_sets: PowerSets,
 ) -> tuple[bool, ControlCertificate | Witness]:
     """Is the target spanned by H_pi for every supporting line through deg(alpha0)?"""
     d0 = degree(alpha0, power_sets.scheme)
     if is_pure(d0):
         raise ValueError(f"alpha0={alpha0} has pure degree {d0}; only nonpure indices are tested")
-    if target.is_zero():
+    if not any(target):
         raise ValueError("target field must be nonzero")
     if len(d0) != 2:
         raise ValueError("the supporting-line test needs a two-parameter scheme")
@@ -609,7 +612,7 @@ def _full_sector_test(
     for normal in _fraction_sector_normals(diffs):
         b1, b2 = int(normal[0]), int(normal[1])
         members = [e for e, (x, y) in zip(power_sets.closure, scaled) if b1 * x + b2 * y <= 0]
-        combo = express_in_span([e.vec.coords for e in members], target.coords)
+        combo = express_in_span([e.vec for e in members], target)
         if combo is None:
             return False, Witness(
                 alpha0,
@@ -798,11 +801,10 @@ def test_dense_degree_ten_h1_decides_quickly(tmp_path, capsys):
         d0 = nonpure[alpha0].degree
         for sector in cert["sectors"]:
             b = [Fraction(v) for v in sector["normal"]]
-            total = BasisVector((0, 0, 0), HEISENBERG_BASIS)
-            for coeff, label in zip(sector["coefficients"], sector["members"]):
+            for label in sector["members"]:
                 e = entries[label]
                 assert b[0] * e.degree[0] + b[1] * e.degree[1] <= b[0] * d0[0] + b[1] * d0[1]
-                total = total + e.vec.scaled(Fraction(coeff))
+            total = _combination(sector["coefficients"], [entries[m].vec for m in sector["members"]])
             assert total == xh.terms[alpha0]
     if code == EXIT_UNBOUNDED:
         w = verdict["witness"]
@@ -824,11 +826,11 @@ def _brute_force_all_normals(spec: GammaSpec, grid: int = 1000) -> bool:
             b = (Fraction(j, grid), Fraction(grid - j, grid))
             bound = b[0] * d0[0] + b[1] * d0[1]
             members = [
-                e.vec.coords
+                e.vec
                 for e in ps.closure
                 if b[0] * e.degree[0] + b[1] * e.degree[1] <= bound
             ]
-            if express_in_span(members, entry.vec.coords) is None:
+            if express_in_span(members, entry.vec) is None:
                 return False
     return True
 
@@ -859,11 +861,11 @@ def test_witness_validity_brute_force():
             d0 = degree(w.alpha0, ps.scheme)
             bound = w.normal[0] * d0[0] + w.normal[1] * d0[1]
             members = [
-                e.vec.coords
+                e.vec
                 for e in ps.closure
                 if w.normal[0] * e.degree[0] + w.normal[1] * e.degree[1] <= bound
             ]
-            target = xhat_expansion(spec).terms[w.alpha0].coords
+            target = xhat_expansion(spec).terms[w.alpha0]
             assert express_in_span(members, target) is None
 
 
@@ -876,9 +878,7 @@ def test_certificates_re_verify_exactly():
         for cert in verdict.certificates:
             target = xhat_expansion(spec).terms[cert.alpha0]
             for sector in cert.sectors:
-                total = BasisVector((0, 0, 0), HEISENBERG_BASIS)
-                for coeff, member in zip(sector.coefficients, sector.members):
-                    total = total + labels[member].scaled(coeff)
+                total = _combination(sector.coefficients, [labels[m] for m in sector.members])
                 assert total == target
 
 

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from mpradon.criteria import Outcome, scalar_control_verdict
+from mpradon.dilations import ExponentScheme
 from mpradon.symbolic import (
     HEISENBERG_BASIS,
     LINE_BASIS,
-    BasisVector,
     Polynomial,
+    WExpansion,
 )
+from mpradon.symbolic.fields import field_text, heisenberg_bracket
 from oracles import PolyVectorField, as_poly_field, lie_bracket
 
 X12 = ("x1", "x2")
@@ -87,36 +90,77 @@ def test_jacobi_identity_random():
         assert total.is_zero()
 
 
-def test_basis_vector_heisenberg_structure():
-    x = BasisVector((1, 0, 0), HEISENBERG_BASIS)
-    y = BasisVector((0, 1, 0), HEISENBERG_BASIS)
-    t = BasisVector((0, 0, 1), HEISENBERG_BASIS)
-    assert x.bracket(y) == t
-    assert y.bracket(x) == -t
-    assert x.bracket(t).is_zero() and y.bracket(t).is_zero()
+def _heisenberg_bracket_field(u, v) -> tuple[Fraction, ...]:
+    """[u, v] as coordinates in {X, Y, T}: a multiple of the central T."""
+    return (Fraction(0), Fraction(0), Fraction(heisenberg_bracket(u, v)))
 
 
-def test_basis_bracket_matches_coordinate_realization():
+def test_heisenberg_bracket_structure_constants():
+    x, y, t = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    assert _heisenberg_bracket_field(x, y) == t
+    assert _heisenberg_bracket_field(y, x) == (0, 0, -1)
+    for u in (x, y, t):
+        assert heisenberg_bracket(u, t) == heisenberg_bracket(t, u) == 0
+
+
+def test_heisenberg_bracket_matches_coordinate_realization():
     rng = random.Random(5)
     for _ in range(25):
-        v = BasisVector(tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)), HEISENBERG_BASIS)
-        w = BasisVector(tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)), HEISENBERG_BASIS)
-        direct = as_poly_field(v.bracket(w))
-        realized = lie_bracket(as_poly_field(v), as_poly_field(w))
+        v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+        w = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+        direct = as_poly_field(_heisenberg_bracket_field(v, w), HEISENBERG_BASIS)
+        realized = lie_bracket(as_poly_field(v, HEISENBERG_BASIS), as_poly_field(w, HEISENBERG_BASIS))
         assert direct == realized
 
 
 def test_line_basis_is_abelian():
-    v = BasisVector((Fraction(3),), LINE_BASIS)
-    w = BasisVector((Fraction(-2),), LINE_BASIS)
-    assert v.bracket(w).is_zero()
-    assert lie_bracket(as_poly_field(v), as_poly_field(w)).is_zero()
+    v = as_poly_field((Fraction(3),), LINE_BASIS)
+    w = as_poly_field((Fraction(-2),), LINE_BASIS)
+    assert lie_bracket(v, w).is_zero()
 
 
-def test_parallel_ratio():
-    v = BasisVector((2, 4, 0), HEISENBERG_BASIS)
-    w = BasisVector((1, 2, 0), HEISENBERG_BASIS)
-    assert v.parallel_ratio(w) == 2
-    assert w.parallel_ratio(v) == Fraction(1, 2)
-    u = BasisVector((1, 0, 0), HEISENBERG_BASIS)
-    assert v.parallel_ratio(u) is None
+@pytest.mark.parametrize(
+    "coords, basis, text",
+    [
+        ((1, 0, 0), HEISENBERG_BASIS, "X"),
+        ((-1, 1, 0), HEISENBERG_BASIS, "-X + Y"),
+        ((1, -1, 0), HEISENBERG_BASIS, "X - Y"),
+        ((0, 2, Fraction(-1, 2)), HEISENBERG_BASIS, "2*Y - 1/2*T"),
+        ((Fraction(-3, 4), 0, 1), HEISENBERG_BASIS, "-3/4*X + T"),
+        ((0, 0, 0), HEISENBERG_BASIS, "0"),
+        ((Fraction(-2),), LINE_BASIS, "-2*d/dx"),
+        ((Fraction(-1),), LINE_BASIS, "-d/dx"),
+        ((Fraction(0),), LINE_BASIS, "0"),
+    ],
+)
+def test_field_text(coords, basis, text):
+    assert field_text(tuple(map(Fraction, coords)), basis) == text
+
+
+def _two_field_verdict(v, v0) -> Outcome:
+    """Scalar control on s * v0 + t * v: both degrees are pure, so the
+    verdict is bounded exactly when the scalar reduction applies."""
+    w = WExpansion(ExponentScheme.product(2), HEISENBERG_BASIS, {(1, 0): v0, (0, 1): v})
+    return scalar_control_verdict(w).outcome
+
+
+PARALLEL = [
+    ((2, 4, 0), (1, 2, 0)),
+    ((1, 2, 0), (2, 4, 0)),
+    ((2, 0, 0), (1, 0, 0)),
+    ((0, 0, Fraction(-1, 3)), (0, 0, 5)),
+    ((-1, 1, -1), (2, -2, 2)),
+]
+NOT_PARALLEL = [
+    ((2, 4, 0), (1, 0, 0)),
+    ((0, 1, 0), (1, 0, 0)),
+    ((1, 0, 0), (0, 0, 1)),
+    ((1, 2, 3), (1, 2, 4)),
+]
+
+
+def test_scalar_control_tests_parallelism_by_minors():
+    for v, v0 in PARALLEL:
+        assert _two_field_verdict(v, v0) is Outcome.BOUNDED, (v, v0)
+    for v, v0 in NOT_PARALLEL:
+        assert _two_field_verdict(v, v0) is Outcome.INCONCLUSIVE, (v, v0)

@@ -14,9 +14,11 @@ import pytest
 
 from mpradon.dilations import ExponentScheme
 from mpradon.symbolic import (
+    HEISENBERG_BASIS,
     GammaSpec,
     Polynomial,
     UnsupportedFamily,
+    WExpansion,
     w_expansion,
     xhat_expansion,
 )
@@ -114,7 +116,7 @@ def test_w_translation_paper_example():
     spec = GammaSpec.translation_line(P("-s*t"))
     w = w_expansion(spec)
     assert set(w.terms) == {(1, 1)}
-    assert w.terms[(1, 1)].coords == (Fraction(2),)
+    assert w.terms[(1, 1)] == (Fraction(2),)
 
 
 def test_w_translation_zero():
@@ -124,9 +126,9 @@ def test_w_translation_zero():
 def test_w_translation_hand_value():
     spec = GammaSpec.translation_line(P("s^3 + t^3 + s*t"))
     w = w_expansion(spec)
-    assert w.terms[(3, 0)].coords == (Fraction(-3),)
-    assert w.terms[(0, 3)].coords == (Fraction(-3),)
-    assert w.terms[(1, 1)].coords == (Fraction(-2),)
+    assert w.terms[(3, 0)] == (Fraction(-3),)
+    assert w.terms[(0, 3)] == (Fraction(-3),)
+    assert w.terms[(1, 1)] == (Fraction(-2),)
 
 
 def test_w_translation_rejects_constant_term():
@@ -140,8 +142,8 @@ def test_w_translation_rejects_constant_term():
 def test_w_heisenberg_linear():
     spec = GammaSpec.heisenberg(P("s"), P("t"), ZERO)
     w = w_expansion(spec)
-    assert w.terms[(1, 0)].coords == (1, 0, 0)
-    assert w.terms[(0, 1)].coords == (0, 1, 0)
+    assert w.terms[(1, 0)] == (1, 0, 0)
+    assert w.terms[(0, 1)] == (0, 1, 0)
     assert (1, 1) not in w.terms
 
 
@@ -149,21 +151,21 @@ def test_w_heisenberg_central():
     spec = GammaSpec.heisenberg(ZERO, ZERO, P("s*t"))
     w = w_expansion(spec)
     assert set(w.terms) == {(1, 1)}
-    assert w.terms[(1, 1)].coords == (0, 0, 2)
+    assert w.terms[(1, 1)] == (0, 0, 2)
 
 
 def test_w_heisenberg_bracket_term_vanishes_for_st():
     # P1 Pdot2 - P2 Pdot1 = s*t - t*s = 0, so the T part is just Pdot3 = 2st
     spec = GammaSpec.heisenberg(P("s"), P("t"), P("s*t"))
     w = w_expansion(spec)
-    assert w.terms[(1, 1)].coords == (0, 0, 2)
+    assert w.terms[(1, 1)] == (0, 0, 2)
 
 
 def test_w_heisenberg_nonzero_correction():
     # (P1, P2, P3) = (s, s*t, 0): the step-2 term contributes -1/2 s^2 t T
     spec = GammaSpec.heisenberg(P("s"), P("s*t"), ZERO)
     w = w_expansion(spec)
-    assert w.terms[(2, 1)].coords == (0, 0, Fraction(-1, 2))
+    assert w.terms[(2, 1)] == (0, 0, Fraction(-1, 2))
 
 
 def test_w_heisenberg_matches_group_law_oracle_examples():
@@ -177,7 +179,7 @@ def test_w_heisenberg_matches_group_law_oracle_examples():
         spec = GammaSpec.heisenberg(*(P(q) for q in polys))
         w = w_expansion(spec)
         oracle = heisenberg_w_by_group_law(spec)
-        assert {a: v.coords for a, v in w.terms.items()} == oracle
+        assert dict(w.terms) == oracle
 
 
 def test_w_heisenberg_matches_group_law_oracle_random():
@@ -186,7 +188,7 @@ def test_w_heisenberg_matches_group_law_oracle_random():
         spec = _random_heisenberg(rng)
         w = w_expansion(spec)
         oracle = heisenberg_w_by_group_law(spec)
-        assert {a: v.coords for a, v in w.terms.items()} == oracle
+        assert dict(w.terms) == oracle
 
 
 # -- exponential read-off ----------------------------------------------------
@@ -195,7 +197,7 @@ def test_w_heisenberg_matches_group_law_oracle_random():
 def test_xhat_translation_example():
     spec = GammaSpec.translation_line(P("s*t"))  # gamma = x - s*t
     xh = xhat_expansion(spec)
-    assert xh.terms[(1, 1)].coords == (Fraction(-1),)
+    assert xh.terms[(1, 1)] == (Fraction(-1),)
 
 
 def test_xhat_identity_is_empty():
@@ -205,9 +207,9 @@ def test_xhat_identity_is_empty():
 def test_xhat_heisenberg_read_off():
     spec = GammaSpec.heisenberg(P("s"), P("t"), P("s*t"))
     xh = xhat_expansion(spec)
-    assert xh.terms[(1, 0)].coords == (1, 0, 0)
-    assert xh.terms[(0, 1)].coords == (0, 1, 0)
-    assert xh.terms[(1, 1)].coords == (0, 0, 1)
+    assert xh.terms[(1, 0)] == (1, 0, 0)
+    assert xh.terms[(0, 1)] == (0, 1, 0)
+    assert xh.terms[(1, 1)] == (0, 0, 1)
 
 
 # -- Taylor relation ----------------------------------------------------------
@@ -222,7 +224,7 @@ def test_taylor_relation_translation_exact():
         # and indeed X_alpha = |alpha| Xhat_alpha exactly on the line
         w, xh = w_expansion(spec), xhat_expansion(spec)
         for a, v in w.terms.items():
-            assert v == xh.terms[a].scaled(sum(a))
+            assert v == tuple(sum(a) * c for c in xh.terms[a])
 
 
 def test_taylor_relation_simple_cases():
@@ -236,8 +238,8 @@ def test_taylor_relation_correction_bookkeeping():
     # (s, t, s*t): X_(1,1) = 2 T while Xhat_(1,1) = T and V_(1,1) = 0
     spec = GammaSpec.heisenberg(P("s"), P("t"), P("s*t"))
     assert verify_taylor_relation(spec).passed
-    assert w_expansion(spec).terms[(1, 1)].coords == (0, 0, 2)
-    assert xhat_expansion(spec).terms[(1, 1)].coords == (0, 0, 1)
+    assert w_expansion(spec).terms[(1, 1)] == (0, 0, 2)
+    assert xhat_expansion(spec).terms[(1, 1)] == (0, 0, 1)
 
 
 def test_taylor_relation_random_corpus():
@@ -258,6 +260,18 @@ def test_w_expansion_zero_at_origin():
     # expansions start at |alpha| > 0 by construction
     spec = GammaSpec.heisenberg(P("s"), P("t"), P("s*t"))
     assert all(sum(a) > 0 for a in w_expansion(spec).terms)
+
+
+def test_wexpansion_terms_are_fraction_coordinates_in_its_basis():
+    scheme = ExponentScheme.product(2)
+    w = WExpansion(scheme, HEISENBERG_BASIS, {(1, 0): [1, 0, 2], (0, 1): (0, 0, 0)})
+    assert dict(w.terms) == {(1, 0): (1, 0, 2)}  # the all-zero term is dropped
+    assert all(type(c) is Fraction for c in w.terms[(1, 0)])
+    for coords in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="coordinate count"):
+            WExpansion(scheme, HEISENBERG_BASIS, {(1, 0): coords})
+    with pytest.raises(ValueError, match=r"\|alpha\| > 0"):
+        WExpansion(scheme, HEISENBERG_BASIS, {(0, 0): (1, 0, 0)})
 
 
 def test_wexpansion_support_order():

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,7 +356,7 @@ def test_case_polynomials():
 def test_growth_table_output_formats():
     table = growth_experiment("kitty", [0, 1], grid=Grid1D(n=256), max_iters=50)
     csv_text = table.to_csv()
-    assert "M,L,norm,ratio" in csv_text
+    assert csv_text.splitlines()[1] == "M,L,norm,ratio,iterations,converged"
     assert csv_text.startswith("# case=kitty") or "# case=kitty" in csv_text
     data = table.to_dict()
     assert data["case"] == "kitty"
@@ -397,6 +399,19 @@ def test_unconverged_rows_are_flagged_in_text(monkeypatch, capsys):
     assert cli.main(["norm-growth", "--case", "billy", "--M", "0 1", "--grid-n", "256"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert all(line.endswith("(not converged after 3 iterations)") for line in lines[1:])
+
+
+def test_unconverged_rows_are_flagged_in_csv(monkeypatch, capsys):
+    import functools
+
+    import mpradon.cli as cli
+
+    monkeypatch.setattr(cli, "growth_experiment", functools.partial(growth_experiment, max_iters=3))
+    argv = ["norm-growth", "--case", "billy", "--M", "0 1", "--grid-n", "256", "--format", "csv"]
+    assert cli.main(argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+    assert [r["M"] for r in rows] == ["0", "1"]
+    assert all(r["iterations"] == "3" and r["converged"] == "false" for r in rows)
 
 
 def test_growth_experiment_determinism():
