@@ -30,13 +30,12 @@ is suppressed by --no-timestamp.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import dataclass
 from functools import cache
 
-from . import __version__
+from . import __version__, jsontext
 from .criteria import (
     ControlCertificate,
     Outcome,
@@ -294,7 +293,7 @@ def analyze_gamma(gamma: GammaSpec) -> Verdict:
     """Route to the family-appropriate decision procedure."""
     if gamma.family == HEISENBERG:
         return heisenberg_verdict(gamma)
-    if gamma.scheme == ExponentScheme.product(2):
+    if gamma.scheme.rows == ((1, 0), (0, 1)):  # the product scheme in two parameters
         return real_line_verdict(*gamma.polynomials)
     return scalar_control_verdict(w_expansion(gamma))
 
@@ -365,7 +364,7 @@ def cmd_analyze(args) -> int:
         spec = parse_problem_spec(fh.read())
     report = analyze_report(spec.gamma, timestamp=not args.no_timestamp)
     if args.format == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(jsontext.dumps(report) + "\n", args.out)
     else:
         _emit(_verdict_text(report), args.out)
     return _OUTCOME_EXIT[Outcome(report["verdict"]["outcome"])]
@@ -393,7 +392,7 @@ def cmd_bump(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(result.bump.to_json() + "\n")
     if args.format == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(jsontext.dumps(report) + "\n")
     else:
         lines = [f"moment bump on (0, {args.a}) with {len(result.bump.atoms)} atoms"]
         for c, x, r in result.bump.atoms:
@@ -435,7 +434,7 @@ def cmd_kernel_check(args) -> int:
             {"alpha": list(e.alpha), "M": e.truncation, "constant": e.constant} for e in estimates
         ]
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(jsontext.dumps(payload) + "\n")
     else:
         lines = [
             f"cancellation: {'PASS' if report.passed else 'FAIL'} "

@@ -22,7 +22,10 @@ Three decision procedures, all exact (rational or integer arithmetic):
     sector normal is a coprime integer pair, and each sector is an integer
     test: cleared degrees against the normal, a scan that keeps the first
     members raising the rank (at most 3, the pivots Gauss-Jordan would
-    pick), and Cramer's rule on those members at their pivot rows.
+    pick), and Cramer's rule on those members at their pivot rows.  The
+    sectors are walked in slope order and only the entries on the boundary
+    just crossed change sides, so the scan and the solve are redone only
+    where that can change the kept members.
     Fractions are built only for what a certificate reports (normals and
     coefficients); no rational elimination runs on this path.
 
@@ -167,26 +170,40 @@ def _by_slope(u: tuple[int, int], v: tuple[int, int]) -> int:
     return u[1] * v[0] - v[1] * u[0]
 
 
+def _sector_walk(diffs: Sequence[tuple[int, int]]) -> list[tuple[tuple[int, int], list[int]]]:
+    """The open sectors of [axis, axis] for integer differences, in slope order.
+
+    The sector boundaries are the interior normals perpendicular to a
+    difference of mixed sign, as coprime integer pairs sorted by slope
+    through cross products.  Each sector comes as its representative, the
+    sum of its two boundaries reduced, with the positions of the
+    differences perpendicular to the boundary crossed on entering it (none
+    for the first sector): the only ones whose sign against the normal
+    flips there, each exactly once.
+    """
+    crossings: dict[tuple[int, int], list[int]] = {}
+    for j, (d1, d2) in enumerate(diffs):
+        if (d1 > 0 > d2) or (d1 < 0 < d2):
+            g = gcd(d1, d2) if d1 > 0 else -gcd(d1, d2)
+            crossings.setdefault((-d2 // g, d1 // g), []).append(j)
+    boundary = [(1, 0), *sorted(crossings, key=cmp_to_key(_by_slope)), (0, 1)]
+    walk = []
+    for (u1, u2), (v1, v2) in zip(boundary, boundary[1:]):
+        g = gcd(u1 + v1, u2 + v2)
+        walk.append((((u1 + v1) // g, (u2 + v2) // g), crossings.get((u1, u2), [])))
+    return walk
+
+
 def sector_normals(diffs: Iterable[Degree]) -> list[tuple[Fraction, Fraction]]:
     """One rational representative normal per open sector of [axis, axis].
 
-    The sector boundaries are the interior normals perpendicular to a
-    difference of mixed sign.  The differences are cleared to integers
-    (which moves no normal), each boundary is a coprime integer pair sorted
-    by slope through cross products, and each sector's representative is
-    the sum of its two boundaries, reduced.
+    The differences are cleared to integers, which moves no normal, and
+    ``_sector_walk`` orders the sectors, so the supporting-line sweep and
+    this list agree sector by sector.
     """
     diffs = set(diffs)
     scale = lcm(*(v.denominator for d in diffs for v in d))
-    critical = set()
-    for d1, d2 in diffs:
-        if (d1 > 0 > d2) or (d1 < 0 < d2):
-            critical.add(_coprime(_cleared((-d2, d1) if d1 > 0 else (d2, -d1), scale)))
-    boundary = [(1, 0), *sorted(critical, key=cmp_to_key(_by_slope)), (0, 1)]
-    return [
-        tuple(map(Fraction, _coprime((u1 + v1, u2 + v2))))
-        for (u1, u2), (v1, v2) in zip(boundary, boundary[1:])
-    ]
+    return [tuple(map(Fraction, n)) for n, _ in _sector_walk([_cleared(d, scale) for d in diffs])]
 
 
 # -- Heisenberg criterion ----------------------------------------------
@@ -363,6 +380,17 @@ def supporting_line_condition(
     elimination's pivot rows finds it (or shows there is none) with
     integer determinants; that is the combination, on the same members,
     that Gauss-Jordan returns.  A witness still lists the whole H_pi.
+
+    The sectors are walked in slope order.  Membership is tested once, in
+    the first sector; after that only the entries whose degree difference
+    lies on the boundary just crossed change sides.  The kept members and
+    their combination carry over unless the crossing can change them:
+    a kept member leaves, an entering member comes before the last kept
+    one in closure order (both rescan the members), or fewer than dim(basis)
+    are kept and an entering member raises the rank (the kept members are
+    then extended by the entering ones).  A member that is not kept lies in
+    the span of the kept ones before it, so neither its leaving nor an
+    entry after the last kept member changes the scan otherwise.
     """
     d0 = degree(alpha0, power_sets.scheme)
     if is_pure(d0):
@@ -378,31 +406,43 @@ def supporting_line_condition(
     goal_scale = lcm(*(c.denominator for c in target))
     goal = _cleared(target, goal_scale)
     dim = len(goal)
+    diffs = [(x - x0, y - y0) for x, y in degrees]
+    walk = _sector_walk(diffs)
+    # the sweep starts with no members, and the first sector's members enter it
+    (b1, b2), _ = walk[0]
+    walk[0] = ((b1, b2), [j for j, (dx, dy) in enumerate(diffs) if b1 * dx + b2 * dy <= 0])
+    member = [False] * len(diffs)
+    kept: list[int] = []
+    combo = None  # no members span a nonzero target
     sectors: list[SectorCertificate] = []
-    for normal in sector_normals([(x - x0, y - y0) for x, y in degrees]):
-        b1, b2 = normal[0].numerator, normal[1].numerator
-        bound = b1 * x0 + b2 * y0
-        members = (
-            (j, vectors[j]) for j, (x, y) in enumerate(degrees) if b1 * x + b2 * y <= bound
-        )
-        kept, pivots = _independent_prefix(members, dim)
-        combo = _solve_on_pivots(
-            [vectors[j] for j in kept], [scales[j] for j in kept], pivots, goal, goal_scale
-        )
+    for normal, crossing in walk:
+        entering = [j for j in crossing if not member[j]]
+        for j in crossing:
+            member[j] = not member[j]
+        scan = None
+        if any(j in kept for j in crossing) or (entering and kept and entering[0] < kept[-1]):
+            scan = _independent_prefix(((j, vectors[j]) for j, m in enumerate(member) if m), dim)
+        elif entering and len(kept) < dim:
+            scan = _independent_prefix(((j, vectors[j]) for j in kept + entering), dim)
+        if scan is not None and scan[0] != kept:
+            kept, pivots = scan
+            combo = _solve_on_pivots(
+                [vectors[j] for j in kept], [scales[j] for j in kept], pivots, goal, goal_scale
+            )
+            if combo is not None:
+                members = tuple(closure[kept[j]].label for j in combo)
+                coefficients = tuple(combo.values())
+        fractions = tuple(map(Fraction, normal))
         if combo is None:
-            h_pi = [e.label for e, (x, y) in zip(closure, degrees) if b1 * x + b2 * y <= bound]
+            h_pi = [e.label for e, m in zip(closure, member) if m]
             return False, Witness(
                 alpha0,
                 d0,
-                normal,
-                f"Xhat_{alpha0} is outside span(H_pi) for the line with normal {normal}; "
+                fractions,
+                f"Xhat_{alpha0} is outside span(H_pi) for the line with normal {fractions}; "
                 f"H_pi = {h_pi}",
             )
-        sectors.append(
-            SectorCertificate(
-                normal, tuple(closure[kept[j]].label for j in combo), tuple(combo.values())
-            )
-        )
+        sectors.append(SectorCertificate(fractions, members, coefficients))
     return True, ControlCertificate(alpha0, d0, tuple(sectors))
 
 

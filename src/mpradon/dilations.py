@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf, prod
+from math import inf, lcm, prod
 from typing import Sequence
 
 MultiIndex = tuple[int, ...]
@@ -100,6 +100,12 @@ class ExponentScheme:
         return tuple(i for i, r in enumerate(self.rows) if r[mu] != 0)
 
     @cached_property
+    def _integer_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The rows over one common denominator: (den, rows times den as ints)."""
+        den = lcm(*(v.denominator for row in self.rows for v in row))
+        return den, tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.rows)
+
+    @cached_property
     def _degrees(self) -> dict[MultiIndex, Degree]:
         """``degree``'s results for this scheme, keyed by validated multi-index."""
         return {}
@@ -132,10 +138,11 @@ def degree(alpha: Sequence[int], scheme: ExponentScheme) -> Degree:
     memo = scheme._degrees
     d = memo.get(key)
     if d is None:
-        terms = [(a, row) for a, row in zip(key, scheme.rows) if a]
+        # integer sums over the rows' common denominator, one Fraction per component
+        den, rows = scheme._integer_rows
+        terms = [(a, row) for a, row in zip(key, rows) if a]
         d = memo[key] = tuple(
-            sum((a * row[mu] for a, row in terms if row[mu]), Fraction(0))
-            for mu in range(scheme.n_params)
+            Fraction(sum(a * row[mu] for a, row in terms), den) for mu in range(scheme.n_params)
         )
     return d
 

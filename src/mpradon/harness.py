@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isfinite
 from typing import Iterable, Sequence
 
+from . import jsontext
 from ._numpy import np
 
 from .bumps import TensorBump, moment_bump
@@ -534,7 +534,7 @@ class GrowthTable:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return jsontext.dumps(self.to_dict())
 
     def ratios(self) -> list[float]:
         return [r.ratio for r in self.rows]

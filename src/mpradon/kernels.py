@@ -211,7 +211,7 @@ def verify_cancellation(
         box = entry.support_box()
         radius = max(max(abs(lo), abs(hi)) for lo, hi in box)
         if radius > seq.support_radius + 1e-12:
-            violations.append((k, radius))
+            violations.append((k, float(radius)))  # the box's bounds may be numpy floats
         for mu, inner in enumerate(slices):
             if k[mu] == 0:
                 continue

@@ -25,12 +25,13 @@ def field_text(coords: tuple[Fraction, ...], basis: tuple[str, ...]) -> str:
     """The field as text, e.g. ``X - 1/2*T``; ``0`` for the zero field."""
     parts = []
     for c, name in zip(coords, basis):
-        if c == 0:
+        text = str(c)  # one conversion per coordinate; it also tells 0, 1 and -1
+        if text == "0":
             continue
-        if c == 1:
+        if text == "1":
             parts.append(name)
-        elif c == -1:
+        elif text == "-1":
             parts.append(f"-{name}")
         else:
-            parts.append(f"{c}*{name}")
+            parts.append(f"{text}*{name}")
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"

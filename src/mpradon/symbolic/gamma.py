@@ -115,7 +115,7 @@ class GammaSpec:
     def variables(self) -> tuple[str, ...]:
         return self.polynomials[0].variables
 
-    @property
+    @cached_property
     def _coordinates(self) -> tuple[Polynomial, ...]:
         """The exponential-form coordinates: the polynomials times the family's sign."""
         return tuple(-q for q in self.polynomials) if FAMILIES[self.family].sign < 0 else self.polynomials
@@ -154,7 +154,9 @@ class WExpansion:
             if len(coords) != len(basis):
                 raise ValueError(f"coordinate count {len(coords)} does not match the basis {basis}")
             if any(coords):
-                clean[alpha] = tuple(map(Fraction, coords))
+                if not all(type(c) is Fraction for c in coords):
+                    coords = map(Fraction, coords)
+                clean[alpha] = tuple(coords)
                 check_multi_index(alpha, self.scheme)
         # read-only: a spec hands the same expansion to every caller
         object.__setattr__(self, "terms", MappingProxyType(clean))
@@ -174,9 +176,10 @@ def _poly_coefficient_expansion(
 ) -> WExpansion:
     """sum_alpha t^alpha sum_i c^i_alpha B_i over the given basis."""
     terms: dict[MultiIndex, list[Fraction]] = {}
+    zero = Fraction(0)
     for i, q in enumerate(polys):
         for alpha, c in q.terms.items():
-            terms.setdefault(alpha, [Fraction(0)] * len(basis))[i] = c
+            terms.setdefault(alpha, [zero] * len(basis))[i] = c
     return WExpansion(scheme, basis, terms)
 
 

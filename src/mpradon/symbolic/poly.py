@@ -54,7 +54,7 @@ class Polynomial:
                 raise ValueError(f"bad exponent tuple {exps} for {len(variables)} variables")
             c = _coeff(c)
             if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+                clean[exps] = clean[exps] + c if exps in clean else c
                 if clean[exps] == 0:
                     del clean[exps]
         object.__setattr__(self, "variables", variables)
@@ -67,10 +67,10 @@ class Polynomial:
     def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Polynomial":
         """Wrap terms that are already valid, skipping the constructor's checks.
 
-        For results of arithmetic on valid polynomials: every key is a tuple
-        of len(variables) nonnegative ints and every value a nonzero
-        Fraction.  The caller drops zero coefficients and hands over the
-        dict.
+        For results of arithmetic on valid polynomials and of the parser:
+        every key is a tuple of len(variables) nonnegative ints and every
+        value a nonzero Fraction.  The caller drops zero coefficients and
+        hands over the dict.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "variables", variables)
@@ -123,7 +123,7 @@ class Polynomial:
         self._check_same_vars(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out[e] + c if e in out else c
         return Polynomial._trusted(self.variables, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
@@ -132,7 +132,14 @@ class Polynomial:
         return Polynomial._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else -Fraction(other))
+        if not isinstance(other, Polynomial):
+            return self + -Fraction(other)
+        # self + (-other), without building -other
+        self._check_same_vars(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out[e] - c if e in out else -c
+        return Polynomial._trusted(self.variables, {e: c for e, c in out.items() if c})
 
     def __rsub__(self, other):
         return (-self) + other
@@ -252,15 +259,15 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^]))")
 
 
 def _tokenize(text: str) -> list[str]:
+    """The tokens, in one scan; text that no token starts at is an error."""
     tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"unexpected character at position {pos}: {text[pos:]!r}")
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:  # the skipped text holds a character no token takes
             break
-        tokens.append(m.group(1) or m.group(2) or m.group(3))
+        tokens.append(m.group(m.lastindex))
         pos = m.end()
+    if text[pos:].strip():
+        raise ValueError(f"unexpected character at position {pos}: {text[pos:]!r}")
     return tokens
 
 
@@ -276,7 +283,8 @@ def _parse(text: str, variables: tuple[str, ...]) -> Polynomial:
             if tokens[i] == "-":
                 sign = -sign
             i += 1
-        coeff = Fraction(sign)
+        # the term's coefficient as an integer ratio, made a Fraction once
+        num, den = sign, 1
         exps = [0] * len(variables)
         expect_factor = True
         while i < len(tokens):
@@ -292,17 +300,16 @@ def _parse(text: str, variables: tuple[str, ...]) -> Polynomial:
             if not expect_factor:
                 raise ValueError(f"missing '*' before {tok!r}")
             if tok.isdigit():
-                num = Fraction(int(tok))
+                num *= int(tok)
                 i += 1
                 if i < len(tokens) and tokens[i] == "/":
                     if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
                         raise ValueError("expected denominator after '/'")
-                    den = int(tokens[i + 1])
-                    if den == 0:
+                    d = int(tokens[i + 1])
+                    if d == 0:
                         raise ValueError("zero denominator")
-                    num /= den
+                    den *= d
                     i += 2
-                coeff *= num
             else:
                 if tok not in variables:
                     if tok in ("/", "^"):
@@ -322,9 +329,9 @@ def _parse(text: str, variables: tuple[str, ...]) -> Polynomial:
         # like terms are summed as they come; a sum that cancels is removed,
         # so a term that appears again goes last, as it would under p + q
         exps = tuple(exps)
-        total = terms.get(exps, 0) + coeff
+        total = terms.get(exps, 0) + Fraction(num, den)
         if total:
             terms[exps] = total
         else:
             terms.pop(exps, None)
-    return Polynomial(variables, terms)
+    return Polynomial._trusted(variables, terms)

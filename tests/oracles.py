@@ -12,13 +12,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from mpradon.bumps import MAX_MOMENT, BumpCombination, TensorBump
-from mpradon.dilations import DimensionMismatch, ExponentScheme, MultiIndex, dilation_factors
+from mpradon.criteria import (
+    ControlCertificate,
+    PowerSets,
+    SectorCertificate,
+    Witness,
+    _cleared,
+    _independent_prefix,
+    _solve_on_pivots,
+    sector_normals,
+)
+from mpradon.dilations import (
+    DimensionMismatch,
+    ExponentScheme,
+    MultiIndex,
+    degree,
+    dilation_factors,
+    is_pure,
+)
 from mpradon.kernels import DyadicKernelSeq, KernelEntry, ScaledAtom
 from mpradon.quadrature import integrate_adaptive, tensor_grid
 from mpradon.symbolic import (
@@ -381,3 +398,47 @@ def primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     for n in ints:
         g = gcd(g, n)
     return tuple(Fraction(n // g) for n in ints) if g else tuple(fracs)
+
+
+# -- the supporting-line test one sector at a time -------------------------------
+
+
+def per_sector_condition(
+    alpha0: MultiIndex, target: tuple[Fraction, ...], power_sets: PowerSets
+) -> tuple[bool, ControlCertificate | Witness]:
+    """``criteria.supporting_line_condition`` without the sweep's carry-over.
+
+    Every sector is tested from scratch: a full membership scan of the
+    closure against the sector normal, the independent prefix of the
+    members, and the Cramer solve on it.  The sweep must return an equal
+    certificate or witness.
+    """
+    d0 = degree(alpha0, power_sets.scheme)
+    assert not is_pure(d0) and any(target) and len(d0) == 2
+    closure = power_sets.closure
+    view = power_sets.cleared
+    degrees, vectors, scales = view.degrees, view.vectors, view.vector_scales
+    x0, y0 = _cleared(d0, view.scale)
+    goal_scale = lcm(*(c.denominator for c in target))
+    goal = _cleared(target, goal_scale)
+    sectors = []
+    for normal in sector_normals([(x - x0, y - y0) for x, y in degrees]):
+        b1, b2 = normal[0].numerator, normal[1].numerator
+        bound = b1 * x0 + b2 * y0
+        members = [j for j, (x, y) in enumerate(degrees) if b1 * x + b2 * y <= bound]
+        kept, pivots = _independent_prefix(((j, vectors[j]) for j in members), len(goal))
+        combo = _solve_on_pivots(
+            [vectors[j] for j in kept], [scales[j] for j in kept], pivots, goal, goal_scale
+        )
+        if combo is None:
+            h_pi = [closure[j].label for j in members]
+            return False, Witness(
+                alpha0,
+                d0,
+                normal,
+                f"Xhat_{alpha0} is outside span(H_pi) for the line with normal {normal}; "
+                f"H_pi = {h_pi}",
+            )
+        labels = tuple(closure[kept[j]].label for j in combo)
+        sectors.append(SectorCertificate(normal, labels, tuple(combo.values())))
+    return True, ControlCertificate(alpha0, d0, tuple(sectors))

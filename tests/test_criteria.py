@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
 from typing import Sequence
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,8 @@ from mpradon.symbolic import (
     WExpansion,
     xhat_expansion,
 )
-from oracles import primitive, scalar_polynomial_expansion, substitute_scaled
+import mpradon.criteria as criteria
+from oracles import per_sector_condition, primitive, scalar_polynomial_expansion, substitute_scaled
 
 ST = ("s", "t")
 ZERO = Polynomial.zero(ST)
@@ -811,6 +813,140 @@ def test_dense_degree_ten_h1_decides_quickly(tmp_path, capsys):
         alpha0 = tuple(w["alpha0"])
         ok, _ = _full_sector_test(alpha0, xh.terms[alpha0], oracle)
         assert not ok
+
+
+# -- the sector sweep against the per-sector loop ----------------------------------
+
+
+def _assert_sweep_matches_per_sector_loop(power_sets: PowerSets) -> None:
+    """Every nonpure index, not only up to the first failing one."""
+    for alpha0, entry in power_sets.nonpure:
+        expected = per_sector_condition(alpha0, entry.vec, power_sets)
+        assert supporting_line_condition(alpha0, entry.vec, power_sets) == expected
+
+
+_FIELDS = st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(lambda v: tuple(map(Fraction, v)))
+
+
+@st.composite
+def _trigger_closures(draw):
+    """(trigger, alpha0, target, power sets) built so that the sweep must re-solve.
+
+    Under the product scheme deg(alpha0) = alpha0 = (x0, y0).  A degree
+    (x, y) with x < x0 and y > y0 is a member in the first sector and
+    leaves; one with x > x0 and y < y0 enters; one with x <= x0 and y <= y0
+    is a member in every sector, and one with x >= x0 and y > y0 in none.
+    The target is spanned in the first sector, so the sweep reaches the
+    crossing that triggers:
+
+      * "leave": the first closure entry leaves, and it is kept;
+      * "enter": the first closure entry enters before a kept member;
+      * "rank": parallel members keep fewer than 3, and later entries
+        that enter raise the rank.
+    """
+    trigger = draw(st.sampled_from(("leave", "enter", "rank")))
+    x0, y0 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def ints(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    regions = {
+        "leaves": lambda: (ints(0, x0 - 1), ints(y0 + 1, y0 + 4)),
+        "enters": lambda: (ints(x0 + 1, x0 + 4), ints(0, y0 - 1)),
+        "member": lambda: (ints(0, x0), ints(0, y0)),
+        "outside": lambda: (ints(x0, x0 + 3), ints(y0 + 1, y0 + 3)),
+        "any": lambda: (ints(0, 8), ints(0, 8)),
+    }
+    entries = []
+    if trigger == "leave":
+        entries.append((regions["leaves"](), draw(_FIELDS)))
+        target = entries[0][1]
+    elif trigger == "enter":
+        entries.append((regions["enters"](), draw(_FIELDS)))
+        entries.append((regions["member"](), draw(_FIELDS)))
+        target = entries[1][1]
+    else:
+        target = draw(_FIELDS)
+        for c in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+            entries.append((regions["member"](), tuple(c * v for v in target)))
+        not_parallel = _FIELDS.filter(
+            lambda w: any(w[i] * target[j] != w[j] * target[i] for i in range(3) for j in range(i))
+        )
+        for _ in range(draw(st.integers(1, 3))):
+            entries.append((regions["enters"](), draw(not_parallel)))
+    for _ in range(draw(st.integers(0, 6))):
+        region = "outside" if trigger == "rank" else draw(st.sampled_from(list(regions)))
+        entries.append((regions[region](), draw(_FIELDS)))
+    closure = tuple(
+        ClosureEntry(vec, tuple(map(Fraction, d)), f"e{i}") for i, (d, vec) in enumerate(entries)
+    )
+    alpha0 = (x0, y0)
+    target_entry = ClosureEntry(target, tuple(map(Fraction, alpha0)), "target")
+    power_sets = PowerSets(ExponentScheme.product(2), (), ((alpha0, target_entry),), closure)
+    return trigger, alpha0, target, power_sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trigger_closures())
+def test_sweep_re_solves_at_each_trigger_as_the_per_sector_loop_does(case):
+    trigger, alpha0, target, power_sets = case
+    with patch.object(criteria, "_solve_on_pivots", wraps=criteria._solve_on_pivots) as solve:
+        result = supporting_line_condition(alpha0, target, power_sets)
+    assert result == per_sector_condition(alpha0, target, power_sets)
+    # the first sector's solve and at least the one the trigger forced
+    assert solve.call_count >= 2
+    if trigger != "leave":  # the target stays a member's field in every sector
+        assert result[0]
+
+
+@st.composite
+def _closures(draw):
+    """Arbitrary small closures: degrees and fields drawn freely, repeats allowed."""
+    x0, y0 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    degrees = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(lambda d: tuple(map(Fraction, d)))
+    x_only = _FIELDS.filter(lambda v: v[0]).map(lambda v: (v[0], Fraction(0), Fraction(0)))
+    fields = st.one_of(_FIELDS, x_only)
+    pairs = draw(st.lists(st.tuples(degrees, fields), max_size=12))
+    closure = tuple(ClosureEntry(vec, d, f"e{i}") for i, (d, vec) in enumerate(pairs))
+    target = draw(st.one_of(_FIELDS, st.sampled_from([e.vec for e in closure] or [(Fraction(1),) * 3])))
+    alpha0 = (x0, y0)
+    entry = ClosureEntry(target, tuple(map(Fraction, alpha0)), "target")
+    return PowerSets(ExponentScheme.product(2), (), ((alpha0, entry),), closure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_closures())
+def test_sweep_matches_per_sector_loop_on_arbitrary_closures(power_sets):
+    _assert_sweep_matches_per_sector_loop(power_sets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_h1_specs())
+def test_sweep_matches_per_sector_loop_on_random_h1_specs(spec):
+    _assert_sweep_matches_per_sector_loop(pure_closure_heisenberg(xhat_expansion(spec)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(_EXPONENTS[1:]), st.sampled_from(_EXPONENTS))
+def test_sweep_matches_per_sector_loop_on_scalar_control(rng, e11, e12):
+    # nu = 2 scalar control runs the sweep on the pure set, with one-dimensional fields
+    scheme = ExponentScheme.from_rows([[e11, e12], [0, 1]])
+    w = scalar_polynomial_expansion(_random_poly(rng), scheme)
+    pure, nonpure = _split_pure(w, "X")
+    _assert_sweep_matches_per_sector_loop(PowerSets(scheme, pure, nonpure, pure))
+
+
+@pytest.mark.parametrize("top", range(1, 13))
+def test_sweep_matches_per_sector_loop_on_dense_h1(top):
+    power_sets = pure_closure_heisenberg(xhat_expansion(parse_problem_spec(_dense_h1_text(top)).gamma))
+    with patch.object(criteria, "_solve_on_pivots", wraps=criteria._solve_on_pivots) as solve:
+        _assert_sweep_matches_per_sector_loop(power_sets)
+    sectors = sum(
+        len(per_sector_condition(alpha0, e.vec, power_sets)[1].sectors) for alpha0, e in power_sets.nonpure
+    )
+    # every dense spec is bounded; the sweep solves once per run of sectors
+    if top >= 8:
+        assert solve.call_count * 10 < sectors
 
 
 # -- witness / certificate audits ------------------------------------------------

@@ -200,6 +200,39 @@ def test_degree_additive(alpha, beta):
     assert lhs == tuple(x + y for x, y in zip(*ab))
 
 
+_RATIONAL_ENTRIES = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(0, 12), st.integers(1, 12))
+)
+
+
+@st.composite
+def _schemes_and_indices(draw):
+    n_t, nu = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_RATIONAL_ENTRIES, min_size=nu, max_size=nu), min_size=n_t, max_size=n_t))
+    # a valid scheme needs a nonzero entry in every row and column
+    for i in range(n_t):
+        rows[i][i % nu] = rows[i][i % nu] or Fraction(1, draw(st.integers(1, 5)))
+    for mu in range(nu):
+        rows[mu % n_t][mu] = rows[mu % n_t][mu] or Fraction(draw(st.integers(1, 5)), 3)
+    alphas = draw(st.lists(st.lists(st.integers(0, 9), min_size=n_t, max_size=n_t), max_size=5))
+    return ExponentScheme.from_rows(rows), [tuple(a) for a in alphas]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_schemes_and_indices())
+def test_degree_is_the_fraction_sum_of_the_rows(case):
+    scheme, alphas = case
+    for alpha in alphas:
+        expected = tuple(
+            sum((a * row[mu] for a, row in zip(alpha, scheme.rows)), Fraction(0))
+            for mu in range(scheme.n_params)
+        )
+        d = degree(alpha, scheme)
+        assert d == expected
+        assert all(type(v) is Fraction for v in d)
+        assert degree(alpha, scheme) is d
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=2, max_size=2).filter(lambda a: any(a)))
 def test_pure_nonpure_partition(alpha):

@@ -267,6 +267,12 @@ def test_wexpansion_terms_are_fraction_coordinates_in_its_basis():
     w = WExpansion(scheme, HEISENBERG_BASIS, {(1, 0): [1, 0, 2], (0, 1): (0, 0, 0)})
     assert dict(w.terms) == {(1, 0): (1, 0, 2)}  # the all-zero term is dropped
     assert all(type(c) is Fraction for c in w.terms[(1, 0)])
+    # Fraction coordinates are kept as they are; a mix is converted throughout
+    fractions = [Fraction(1, 2), Fraction(0), Fraction(-3)]
+    w = WExpansion(scheme, HEISENBERG_BASIS, {(1, 0): fractions, (0, 1): [Fraction(1, 2), 1, 0]})
+    assert type(w.terms[(1, 0)]) is tuple and all(a is b for a, b in zip(w.terms[(1, 0)], fractions))
+    assert w.terms[(0, 1)] == (Fraction(1, 2), 1, 0)
+    assert all(type(c) is Fraction for c in w.terms[(0, 1)])
     for coords in ((1, 0), (1, 0, 0, 0)):
         with pytest.raises(ValueError, match="coordinate count"):
             WExpansion(scheme, HEISENBERG_BASIS, {(1, 0): coords})

@@ -825,3 +825,42 @@ def test_fuzzed_kernel_files_exit_cleanly(text, extra):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
     else:
         assert err.getvalue() == "" and out.getvalue().startswith(("cancellation: ", "{"))
+
+
+# entry (0, 0) is dilated by delta = (1, 1e-300), so its support box reaches
+# about 5e299; entry (1, 0)'s slice is sampled, its inner coefficients
+# summing to 0.1 + 0.2 - 0.3 != 0 in floats
+_WIDE_SUPPORT_KERNEL = """[kernel]
+N = 2
+nu = 2
+e = 1 0 ; 0 1
+a = 1.0
+[entry 0,0]
+atom 1.0 @ 1.0 1e-300 : 1.0,0.0,0.25;-1.0,0.25,0.25 | 1.0,0.0,0.25;-1.0,0.25,0.25
+[entry 1,0]
+atom 1.0 @ 2.0 1.0 : 0.1,0.0,0.25;0.2,0.25,0.25;-0.3,0.5,0.25 | 1.0,0.0,0.25
+"""
+
+_WIDE_SUPPORT_TEXT = """cancellation: FAIL (max slice integral 5.785e-16, tol 1.0e-09) (0 of 1 slices exact zero)
+  support violated at k=(0, 0): radius 4.9999999999999995e+299
+"""
+
+
+def test_cancellation_report_numbers_are_python_numbers(tmp_path, capsys):
+    path = tmp_path / "wide.kernel"
+    path.write_text(_WIDE_SUPPORT_KERNEL)
+    report = verify_cancellation(load_kernel_sequence(path))
+    numbers = [report.max_abs, report.tolerance, report.exact_zero_slices]
+    for c in report.checks:
+        numbers += [*c.index, c.mu, c.max_abs]
+    for k, radius in report.support_violations:
+        numbers += [*k, radius]
+    assert all(type(x) in (int, float) for x in numbers), [type(x) for x in numbers]
+    assert report.support_violations == (((0, 0), 4.9999999999999995e299),)
+    # both outputs as they read when the radius was a numpy float
+    assert main(["kernel-check", "--kernel", str(path), "--format", "json"]) == EXIT_UNBOUNDED
+    cancellation = json.loads(capsys.readouterr().out)["cancellation"]
+    assert cancellation["support_violations"] == [{"k": [0, 0], "radius": 4.9999999999999995e299}]
+    assert cancellation["max_abs_slice_integral"] == 5.785164601857024e-16
+    assert main(["kernel-check", "--kernel", str(path)]) == EXIT_UNBOUNDED
+    assert capsys.readouterr().out == _WIDE_SUPPORT_TEXT

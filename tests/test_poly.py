@@ -37,6 +37,34 @@ def test_parse_names_a_misplaced_operator():
             P(bad)
 
 
+# messages as the parser gave them before it tokenized in one scan
+_PARSE_ERRORS = [
+    (" s + $ ", "unexpected character at position 4: ' $ '"),
+    ("s + t $", "unexpected character at position 5: ' $'"),
+    ("s +\n t #", "unexpected character at position 6: ' #'"),
+    ("é", "unexpected character at position 0: 'é'"),
+    ("  ", "empty polynomial text"),
+    (" 1/0 * s", "zero denominator"),
+    ("s + 3/0", "zero denominator"),
+    ("s^", "expected integer exponent after '^'"),
+    ("s^ t ", "expected integer exponent after '^'"),
+    ("s *", "dangling operator at end of term"),
+    ("s * * t", "misplaced '*'"),
+    ("  s\t+ 1/", "expected denominator after '/'"),
+    ("s/2", "missing '*' before '/'"),
+    ("2 s", "missing '*' before 's'"),
+    (" u + s", "unknown variable 'u'; expected one of ['s', 't']"),
+    ("s + ^2", "misplaced '^'"),
+]
+
+
+@pytest.mark.parametrize("text, message", _PARSE_ERRORS)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        P(text)
+    assert str(info.value) == message
+
+
 def test_parse_checks_the_variable_names_first():
     for names in (("s", "s"), ()):
         with pytest.raises(ValueError, match="distinct names"):
@@ -130,6 +158,7 @@ def test_print_parse_round_trip_property(p):
 @given(polynomials(), polynomials())
 def test_ring_axioms_sample(p, q):
     assert p + q == q + p
+    assert p - q == p + (-q) and (p - q) + q == p
     assert p * q == q * p
     assert (p + q).partial(0) == p.partial(0) + q.partial(0)
     assert (p * q).partial(0) == p.partial(0) * q + p * q.partial(0)
@@ -168,4 +197,4 @@ def test_parse_raw_text_raises_only_value_error_and_round_trips(text):
         p = Polynomial.parse(text, ST)
     except ValueError:
         return
-    assert Polynomial.parse(str(p), ST) == p
+    _assert_valid(p)  # the parser hands its terms over unchecked
