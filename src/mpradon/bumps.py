@@ -291,15 +291,6 @@ class TensorBump:
         """Tensor rule built from each factor's atom-aligned 1-D rule."""
         return tensor_rule([f.quadrature_rule(order, panels) for f in self.factors])
 
-    def moment(self, alpha: Sequence[int]) -> float:
-        """int t^alpha * product, via each factor's closed-form 1-D moment."""
-        if len(alpha) != self.dimension:
-            raise ValueError("one exponent per axis required")
-        total = 1.0
-        for f, m in zip(self.factors, alpha):
-            total *= f.moment_closed_form(m)
-        return total
-
 
 def tensor_bump(components: Sequence[BumpCombination]) -> TensorBump:
     return TensorBump(tuple(components))

@@ -45,7 +45,7 @@ from .criteria import (
     real_line_verdict,
     scalar_control_verdict,
 )
-from .dilations import ExponentScheme, degree, is_pure
+from .dilations import ExponentScheme, is_pure
 from .kernels import load_kernel_sequence, sample_product_kernel_bounds, verify_cancellation
 from .harness import CASES, Grid1D, check_truncations, default_experiment_atom, growth_experiment
 from .bumps import MAX_MOMENT, moment_bump
@@ -101,7 +101,10 @@ def _parse_int_list(text: str, check_ends) -> tuple[int, ...]:
     go through ``check_ends`` before the range is spelled out."""
     text = text.strip()
     if ".." in text:
-        lo, hi = map(int, text.split(".."))
+        try:
+            lo, hi = map(int, text.split(".."))
+        except ValueError:
+            raise ValueError(f"range {text!r} must read lo..hi with integer ends") from None
         check_ends((lo, hi))
         return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.replace(",", " ").split())
@@ -232,18 +235,15 @@ def _experiment_config(values: dict) -> ExperimentConfig:
 
 
 def _expansion_payload(exp: WExpansion) -> list[dict]:
-    out = []
-    for alpha in exp.support():
-        d = degree(alpha, exp.scheme)
-        out.append(
-            {
-                "alpha": list(alpha),
-                "degree": [str(v) for v in d],
-                "pure": is_pure(d),
-                "field": field_text(exp.terms[alpha], exp.basis),
-            }
-        )
-    return out
+    return [
+        {
+            "alpha": list(alpha),
+            "degree": [str(v) for v in d],
+            "pure": is_pure(d),
+            "field": field_text(exp.terms[alpha], exp.basis),
+        }
+        for alpha, d in exp.degrees.items()
+    ]
 
 
 def _witness_payload(w: Witness) -> dict:

@@ -106,10 +106,6 @@ class Verdict:
         if self.outcome is Outcome.UNBOUNDED and self.witness is None:
             raise ValueError("unbounded verdicts must carry a witness")
 
-    @property
-    def bounded(self) -> bool:
-        return self.outcome is Outcome.BOUNDED
-
 
 @dataclass(frozen=True)
 class ClosureEntry:
@@ -215,8 +211,7 @@ def _split_pure(
     """Pure entries and (alpha, entry) pairs for the nonpure ones, labelled ``{prefix}_{alpha}``."""
     pure: list[ClosureEntry] = []
     nonpure: list[tuple[MultiIndex, ClosureEntry]] = []
-    for alpha in expansion.support():
-        d = degree(alpha, expansion.scheme)
+    for alpha, d in expansion.degrees.items():
         entry = ClosureEntry(expansion.terms[alpha], d, f"{prefix}_{alpha}")
         if is_pure(d):
             pure.append(entry)

@@ -106,11 +106,6 @@ class ExponentScheme:
         return den, tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.rows)
 
     @cached_property
-    def _degrees(self) -> dict[MultiIndex, Degree]:
-        """``degree``'s results for this scheme, keyed by validated multi-index."""
-        return {}
-
-    @cached_property
     def _factors(self) -> dict[tuple[float, ...], tuple[float, ...]]:
         """``dilation_factors``'s results for this scheme, keyed by validated delta."""
         return {}
@@ -127,24 +122,16 @@ def check_multi_index(alpha: Sequence[int], scheme: ExponentScheme) -> None:
 
 
 def degree(alpha: Sequence[int], scheme: ExponentScheme) -> Degree:
-    """deg(alpha) = sum_i alpha_i e_i, exact.
+    """deg(alpha) = sum_i alpha_i e_i, exact; alpha is validated first.
 
-    Computed once per multi-index and scheme object: the result is kept on
-    the scheme.  The multi-index is validated on every call, before the
-    lookup, so an invalid one never matches a cached valid one.
+    The sums run in integers over the rows' common denominator, and each
+    component becomes one Fraction.  An expansion keeps its terms' degrees
+    (``WExpansion.degrees``), so a report grades each term once.
     """
     check_multi_index(alpha, scheme)
-    key = tuple(alpha)
-    memo = scheme._degrees
-    d = memo.get(key)
-    if d is None:
-        # integer sums over the rows' common denominator, one Fraction per component
-        den, rows = scheme._integer_rows
-        terms = [(a, row) for a, row in zip(key, rows) if a]
-        d = memo[key] = tuple(
-            Fraction(sum(a * row[mu] for a, row in terms), den) for mu in range(scheme.n_params)
-        )
-    return d
+    den, rows = scheme._integer_rows
+    terms = [(a, row) for a, row in zip(alpha, rows) if a]
+    return tuple(Fraction(sum(a * row[mu] for a, row in terms), den) for mu in range(scheme.n_params))
 
 
 def is_pure(d: Sequence[Fraction]) -> bool:
@@ -177,8 +164,8 @@ def _pow(base: float, exp: Fraction) -> float:
 def dilation_factors(delta: Sequence[float], scheme: ExponentScheme) -> tuple[float, ...]:
     """Per-coordinate factors delta^{e_i} = prod_mu delta_mu^{e_i^mu}.
 
-    Computed once per delta and scheme object, like ``degree``: delta is
-    validated on every call, before the lookup.
+    Computed once per delta and scheme object: the result is kept on the
+    scheme.  Delta is validated on every call, before the lookup.
     """
     if len(delta) != scheme.n_params:
         raise DimensionMismatch(

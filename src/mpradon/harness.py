@@ -78,9 +78,6 @@ class Grid1D:
     def h(self) -> float:
         return (self.xmax - self.xmin) / (self.n - 1)
 
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.xmin, self.xmax, self.n)
-
 
 @dataclass(frozen=True)
 class _TapGroup:
@@ -499,13 +496,12 @@ class GrowthTable:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            [
-                f"# case={self.case} grid_n={self.grid.n} window=[{self.grid.xmin},{self.grid.xmax}]"
-                f" quad_order={self.quad_order} norm_method={NORM_METHOD}"
-            ]
+        # the comment line is written as it is: csv.writer would quote it for its commas
+        buf.write(
+            f"# case={self.case} grid_n={self.grid.n} window=[{self.grid.xmin},{self.grid.xmax}]"
+            f" quad_order={self.quad_order} norm_method={NORM_METHOD}\r\n"
         )
+        writer = csv.writer(buf)
         writer.writerow(["M", "L", "norm", "ratio", "iterations", "converged"])
         for r in self.rows:
             level = "" if r.level is None else r.level

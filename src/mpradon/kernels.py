@@ -80,19 +80,6 @@ class KernelEntry:
             dilations.append((np.array(factors, dtype=float), math.prod(factors)))
         self.dilations: tuple[tuple[np.ndarray, float], ...] = tuple(dilations)
 
-    def __call__(self, points) -> np.ndarray:
-        return self.derivative_values(points, (0,) * self.scheme.n_t)
-
-    def derivative_values(self, points, orders: Sequence[int]) -> np.ndarray:
-        if len(orders) != self.scheme.n_t:
-            raise ValueError(f"orders must have {self.scheme.n_t} entries, got {len(orders)}")
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for sa, (factors, jac) in zip(self.atoms, self.dilations):
-            chain = float(np.prod(factors ** np.array(orders, dtype=float)))
-            out += sa.coef * jac * chain * sa.atom.derivative_values(pts * factors, orders)
-        return out
-
     def support_box(self) -> list[tuple[float, float]]:
         if not self.atoms:
             return [(0.0, 0.0)] * self.scheme.n_t
@@ -135,20 +122,17 @@ class DyadicKernelSeq:
     def indices(self) -> list[tuple[int, ...]]:
         return sorted(self.entries)
 
-    def __call__(self, points) -> np.ndarray:
-        """The represented sum  sum_k entry_k^{(2^k)} at the given points."""
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for k in self.indices():
-            out += self.entries[k].scaled(_dyadic_scale(k))(pts)
-        return out
-
 
 def _dyadic_scale(k: tuple[int, ...]) -> list[float]:
     """2^k componentwise; a component beyond 1023 overflows a float."""
     if max(k, default=0) > 1023:
         raise ValueError(f"entry {k}: the scale 2^{max(k)} is beyond float range (2^1023 at most)")
     return [2.0**v for v in k]
+
+
+def _radius(box: Sequence[tuple[float, float]]) -> float:
+    """The largest |bound| of a support box."""
+    return max(max(abs(lo), abs(hi)) for lo, hi in box)
 
 
 @dataclass(frozen=True)
@@ -209,7 +193,7 @@ def verify_cancellation(
     for k in seq.indices():
         entry = seq.entries[k]
         box = entry.support_box()
-        radius = max(max(abs(lo), abs(hi)) for lo, hi in box)
+        radius = _radius(box)
         if radius > seq.support_radius + 1e-12:
             violations.append((k, float(radius)))  # the box's bounds may be numpy floats
         for mu, inner in enumerate(slices):
@@ -265,7 +249,7 @@ def sample_product_kernel_bounds(
     evaluated only at the distinct coordinates of its axis (48 on the
     default grid), once per (axis, factor, dilation factor, order) in the
     call, and gathered to the samples.  The arithmetic per sample is that of
-    ``KernelEntry.derivative_values`` on the scaled entries.
+    ``entry_values`` in tests/oracles.py on the scaled entries.
     """
     if seq.scheme.n_t != 2 or seq.scheme.n_params != 2:
         raise ValueError("product-kernel bounds need the 2-parameter product scheme")
@@ -354,9 +338,7 @@ def regroup_to_dyadic(
         assert all(1.0 <= r < 2.0 for r in residual)
         buckets.setdefault(i, []).append(ScaledAtom(1.0, atom, residual))
     entries = {i: KernelEntry(scheme, atoms) for i, atoms in buckets.items()}
-    radius = max(
-        max(abs(lo), abs(hi)) for e in entries.values() for lo, hi in e.support_box()
-    )
+    radius = max(_radius(e.support_box()) for e in entries.values())
     return DyadicKernelSeq(scheme, radius, entries)
 
 
@@ -402,9 +384,9 @@ def telescope_decompose(
     entries: dict[tuple[int, ...], KernelEntry] = {}
     ranges = [range(m + m_max + 1) for m in m_j]
     for l in iter_product(*ranges):
-        if sum(_positive_part([a - b for a, b in zip(l, m_j)])) > m_max:
-            continue
         source = _positive_part([a - b for a, b in zip(l, m_j)])
+        if sum(source) > m_max:
+            continue
         atom = get_atom(source)
         scaled_atoms = []
         p_caps = [max(m_j[mu] + 1 - l[mu], 0) for mu in range(nu)]
@@ -416,9 +398,7 @@ def telescope_decompose(
             scaled_atoms.append(ScaledAtom(sign, atom, delta))
         if scaled_atoms:
             entries[l] = KernelEntry(scheme, scaled_atoms)
-    radius = max(
-        max(abs(lo), abs(hi)) for e in entries.values() for lo, hi in e.support_box()
-    )
+    radius = max(_radius(e.support_box()) for e in entries.values())
     return DyadicKernelSeq(scheme, radius, entries)
 
 

@@ -37,7 +37,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from ..dilations import ExponentScheme, MultiIndex, check_multi_index
+from ..dilations import Degree, ExponentScheme, MultiIndex, degree
 from .fields import HEISENBERG_BASIS, LINE_BASIS, heisenberg_bracket
 from .poly import Polynomial
 
@@ -138,15 +138,22 @@ class GammaSpec:
 @dataclass(frozen=True)
 class WExpansion:
     """A finite Taylor expansion sum_alpha t^alpha * (constant field), each
-    field a tuple of Fraction coordinates in the expansion's basis."""
+    field a tuple of Fraction coordinates in the expansion's basis.
+
+    ``terms`` iterates in canonical order: by total degree, then lex with the
+    first variable heaviest (so (1,0) precedes (0,1)).  ``degrees`` holds
+    each term's deg(alpha) under the scheme, in the same order.
+    """
 
     scheme: ExponentScheme
     basis: tuple[str, ...]
     terms: Mapping[MultiIndex, tuple[Fraction, ...]] = field(default_factory=dict)
+    degrees: Mapping[MultiIndex, Degree] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = tuple(self.basis)
         clean: dict[MultiIndex, tuple[Fraction, ...]] = {}
+        degrees: dict[MultiIndex, Degree] = {}
         for alpha, coords in self.terms.items():
             alpha = tuple(alpha)
             if sum(alpha) == 0:
@@ -157,18 +164,16 @@ class WExpansion:
                 if not all(type(c) is Fraction for c in coords):
                     coords = map(Fraction, coords)
                 clean[alpha] = tuple(coords)
-                check_multi_index(alpha, self.scheme)
+                degrees[alpha] = degree(alpha, self.scheme)
+        order = sorted(clean, key=canonical_index_key)
         # read-only: a spec hands the same expansion to every caller
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        object.__setattr__(self, "terms", MappingProxyType({a: clean[a] for a in order}))
+        object.__setattr__(self, "degrees", MappingProxyType({a: degrees[a] for a in order}))
         object.__setattr__(self, "basis", basis)
 
     def support(self) -> list[MultiIndex]:
-        """Multi-indices in canonical order: by total degree, then lex with the
-        first variable heaviest (so (1,0) precedes (0,1))."""
-        return sorted(self.terms, key=canonical_index_key)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        """The multi-indices, in canonical order."""
+        return list(self.terms)
 
 
 def _poly_coefficient_expansion(

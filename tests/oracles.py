@@ -36,7 +36,7 @@ from mpradon.dilations import (
     dilation_factors,
     is_pure,
 )
-from mpradon.kernels import DyadicKernelSeq, KernelEntry, ScaledAtom
+from mpradon.kernels import DyadicKernelSeq, KernelEntry, ScaledAtom, _dyadic_scale
 from mpradon.quadrature import integrate_adaptive, tensor_grid
 from mpradon.symbolic import (
     FAMILIES,
@@ -238,6 +238,35 @@ def moment_by_grid(tb: TensorBump, alpha: Sequence[int], order: int = 24, panels
 # -- kernels ---------------------------------------------------------------------
 
 
+def entry_values(entry: KernelEntry, points, orders: Sequence[int] | None = None) -> np.ndarray:
+    """d^orders of the entry (its values when orders is None) at the points.
+
+    Each atom is evaluated at every point as a whole tensor bump, with the
+    chain-rule factor prod_i (delta^{e_i})^{orders_i}; the package's
+    ``sample_product_kernel_bounds`` evaluates each 1-D factor once per
+    distinct coordinate instead.
+    """
+    n_t = entry.scheme.n_t
+    orders = (0,) * n_t if orders is None else orders
+    if len(orders) != n_t:
+        raise ValueError(f"orders must have {n_t} entries, got {len(orders)}")
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros(pts.shape[:-1])
+    for sa, (factors, jac) in zip(entry.atoms, entry.dilations):
+        chain = float(np.prod(factors ** np.array(orders, dtype=float)))
+        out += sa.coef * jac * chain * sa.atom.derivative_values(pts * factors, orders)
+    return out
+
+
+def kernel_sum(seq: DyadicKernelSeq, points) -> np.ndarray:
+    """The represented sum  sum_k entry_k^{(2^k)}  at the points."""
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros(pts.shape[:-1])
+    for k in seq.indices():
+        out += entry_values(seq.entries[k].scaled(_dyadic_scale(k)), pts)
+    return out
+
+
 def cm_norm_sampled(entry: KernelEntry, m: int, per_axis: int = 160) -> float:
     """Sampled C^m norm: sup over derivatives of total order <= m.
 
@@ -247,10 +276,10 @@ def cm_norm_sampled(entry: KernelEntry, m: int, per_axis: int = 160) -> float:
     pts = tensor_grid([np.linspace(lo, hi, per_axis) for lo, hi in entry.support_box()])
     if not pts.size:
         return 0.0
-    worst = float(np.max(np.abs(entry(pts))))
+    worst = float(np.max(np.abs(entry_values(entry, pts))))
     for orders in iter_product(*[range(m + 1)] * entry.scheme.n_t):
         if 0 < sum(orders) <= m:
-            worst = max(worst, float(np.max(np.abs(entry.derivative_values(pts, orders)))))
+            worst = max(worst, float(np.max(np.abs(entry_values(entry, pts, orders)))))
     return worst
 
 
@@ -272,7 +301,7 @@ def dyadic_source_sum(
             delta = tuple(
                 t * 2.0 ** (k * n) for t, n in zip(tilde_tau, direction)
             )
-            out += base.scaled(delta)(pts)
+            out += entry_values(base.scaled(delta), pts)
         return out
 
     return evaluate
@@ -301,7 +330,7 @@ def telescope_source_sum(
                 continue
             delta = tuple(2.0 ** offset[mu] * v[mu] for mu in range(nu))
             entry = KernelEntry(scheme, [ScaledAtom(1.0, get_atom(tuple(offset)), delta)])
-            out += entry(pts)
+            out += entry_values(entry, pts)
         return out
 
     return evaluate

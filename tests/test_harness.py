@@ -46,13 +46,13 @@ def test_grid_validation():
     assert Grid1D(-1.0, 1.0, MAX_GRID_N).n == MAX_GRID_N
     g = Grid1D(-1.0, 1.0, 5)
     assert g.h == pytest.approx(0.5)
-    assert np.allclose(g.nodes(), [-1.0, -0.5, 0.0, 0.5, 1.0])
+    assert np.allclose(np.linspace(g.xmin, g.xmax, g.n), [-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
 def test_zero_kernel_gives_zero(mean_zero_tensor):
     grid = Grid1D(n=256)
     op = DiscretizedOperator(grid, [])
-    f = np.sin(grid.nodes())
+    f = np.sin(np.linspace(grid.xmin, grid.xmax, grid.n))
     assert np.all(op.apply(f) == 0.0)
     assert operator_norm(op).value == 0.0
 
@@ -61,7 +61,7 @@ def test_identity_flow_mean_one_atom(mean_one_bump):
     atom = TensorBump((mean_one_bump, mean_one_bump))
     grid = Grid1D(n=512)
     op = build_operator(Polynomial.zero(ST), [(1.0, 1.0)], grid, atom=atom)
-    x = grid.nodes()
+    x = np.linspace(grid.xmin, grid.xmax, grid.n)
     f = np.exp(-(x**2))
     out = op.apply(f)
     # p = 0: the displacement is identically zero, so T f = (mass of atom) f
@@ -357,7 +357,7 @@ def test_growth_table_output_formats():
     table = growth_experiment("kitty", [0, 1], grid=Grid1D(n=256), max_iters=50)
     csv_text = table.to_csv()
     assert csv_text.splitlines()[1] == "M,L,norm,ratio,iterations,converged"
-    assert csv_text.startswith("# case=kitty") or "# case=kitty" in csv_text
+    assert csv_text.startswith("# case=kitty")
     data = table.to_dict()
     assert data["case"] == "kitty"
     assert [r["M"] for r in data["rows"]] == [0, 1]
@@ -365,6 +365,19 @@ def test_growth_table_output_formats():
     assert data["norm_method"] == NORM_METHOD
     assert f"norm_method={NORM_METHOD}" in csv_text.splitlines()[0]
     assert all(r["converged"] for r in data["rows"])
+
+
+def test_growth_table_csv_reads_back_past_its_comment_line():
+    # the comment line was quoted for its commas ('"# case=...'), so a reader
+    # that drops '#' lines took it for the header
+    table = growth_experiment("kitty", [0, 1, 2], grid=Grid1D(n=256), max_iters=50)
+    lines = table.to_csv().splitlines()
+    assert lines[0].startswith("# ") and sum(line.startswith("#") for line in lines) == 1
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    assert [int(r["M"]) for r in rows] == [0, 1, 2]
+    assert [float(r["norm"]) for r in rows] == [r.norm for r in table.rows]
+    assert [float(r["ratio"]) for r in rows] == [r.ratio for r in table.rows]
+    assert all(r["L"] == "" and r["converged"] == "true" for r in rows)
 
 
 def test_growth_experiment_builds_each_operator_once(monkeypatch):
