@@ -96,7 +96,7 @@ def mollifier_derivative(t, order: int) -> np.ndarray:
     u = t[inside]
     den = u - u * u
     _, power = _derivative_rational(order)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = base_mollifier(u) * np.polyval(_derivative_coeffs(order)[::-1], u)
         vals = vals / den**power
     out[inside] = np.where(np.isfinite(vals), vals, 0.0)
@@ -230,8 +230,17 @@ def moment_bump(a: float, a1: int, excluded: Sequence[int] = ()) -> MomentBump:
     xs = [x1 * c_ratio**j for j in range(k + 1)]
     rs = [r1 * c_ratio**j for j in range(k + 1)]
 
+    def moment(b: BumpCombination, e: int) -> float:
+        try:
+            value = b.moment_closed_form(e)
+        except OverflowError:
+            value = float("inf")
+        if not isfinite(value):
+            raise ValueError(f"support length a = {a!r}: the t^{e} moment is beyond float range")
+        return value
+
     unit = BumpCombination(((1.0, x1, r1),))
-    y = [1.0] + [unit.moment_closed_form(al) for al in exponents[1:]]
+    y = [1.0] + [moment(unit, al) for al in exponents[1:]]
     z = [c_ratio**al for al in exponents]
     matrix = np.array([[y[l] * z[l] ** j for j in range(k + 1)] for l in range(k + 1)])
     rhs = np.zeros(k + 1)
@@ -251,7 +260,7 @@ def moment_bump(a: float, a1: int, excluded: Sequence[int] = ()) -> MomentBump:
     # closed form against the cached base moments; the tests' adaptive
     # quadrature moment is the independent check, and its ~1e-10 error can
     # exceed the 1e-10 mass threshold on its own
-    achieved = {e: bump.moment_closed_form(e) for e in exponents}
+    achieved = {e: moment(bump, e) for e in exponents}
     return MomentBump(bump, int(a1), excluded, achieved, det, det_closed)
 
 

@@ -30,12 +30,13 @@ is suppressed by --no-timestamp.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import dataclass
 from functools import cache
 
-from . import __version__, jsontext
+from . import __version__
 from .criteria import (
     ControlCertificate,
     Outcome,
@@ -120,6 +121,13 @@ def _parse_truncations(text: str) -> tuple[int, ...]:
 def _check_exponent_range(ends: tuple[int, int]) -> None:
     if not all(1 <= e <= MAX_MOMENT for e in ends):
         raise ValueError(f"exponent range {ends[0]}..{ends[1]} must lie in [1, {MAX_MOMENT}]")
+
+
+def _parse_alpha(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"alpha {text!r}: a derivative order is two nonnegative integers") from None
 
 
 _PROBLEM_KEYS = {"family", "variables", *(k for f in FAMILIES.values() for k in f.keys)}
@@ -364,7 +372,7 @@ def cmd_analyze(args) -> int:
         spec = parse_problem_spec(fh.read())
     report = analyze_report(spec.gamma, timestamp=not args.no_timestamp)
     if args.format == "json":
-        _emit(jsontext.dumps(report) + "\n", args.out)
+        _emit(json.dumps(report, sort_keys=True) + "\n", args.out)
     else:
         _emit(_verdict_text(report), args.out)
     return _OUTCOME_EXIT[Outcome(report["verdict"]["outcome"])]
@@ -392,7 +400,7 @@ def cmd_bump(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(result.bump.to_json() + "\n")
     if args.format == "json":
-        sys.stdout.write(jsontext.dumps(report) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     else:
         lines = [f"moment bump on (0, {args.a}) with {len(result.bump.atoms)} atoms"]
         for c, x, r in result.bump.atoms:
@@ -428,13 +436,13 @@ def cmd_kernel_check(args) -> int:
     }
     if args.M is not None:
         truncations = sorted({0, max(args.M // 2, 1), args.M})
-        alphas = [tuple(int(v) for v in a.split(",")) for a in args.alphas.split(";")] if args.alphas else [(0, 0)]
+        alphas = [_parse_alpha(a) for a in args.alphas.split(";")] if args.alphas else [(0, 0)]
         estimates = sample_product_kernel_bounds(seq, truncations, alphas)
         payload["product_bounds"] = [
             {"alpha": list(e.alpha), "M": e.truncation, "constant": e.constant} for e in estimates
         ]
     if args.format == "json":
-        sys.stdout.write(jsontext.dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         lines = [
             f"cancellation: {'PASS' if report.passed else 'FAIL'} "

@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isfinite
 from typing import Iterable, Sequence
 
-from . import jsontext
 from ._numpy import np
 
 from .bumps import TensorBump, moment_bump
@@ -530,7 +530,7 @@ class GrowthTable:
         }
 
     def to_json(self) -> str:
-        return jsontext.dumps(self.to_dict())
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def ratios(self) -> list[float]:
         return [r.ratio for r in self.rows]

@@ -277,30 +277,33 @@ def sample_product_kernel_bounds(
         return vals[inverse]
 
     # one pass over the entries in index order: each is scaled once, evaluated
-    # once per alpha and added to the sum of every truncation that keeps it
+    # once per alpha and added to the sum of every truncation that keeps it;
+    # a value beyond float range is caught at the end as a constant that is not finite
     accs = [[np.zeros(samples.shape[0]) for _ in truncations] for _ in alphas]
-    for k in seq.indices():
-        keep = [t for t, m_cut in enumerate(truncations) if sum(k) <= m_cut]
-        if not keep:
-            continue
-        entry = seq.entries[k].scaled(_dyadic_scale(k))
-        for (a1, a2), alpha_accs in zip(alphas, accs):
-            orders = np.array((a1, a2), dtype=float)
-            vals = np.zeros(samples.shape[0])
-            for sa, (factors, jac) in zip(entry.atoms, entry.dilations):
-                chain = float(np.prod(factors**orders))
-                prod_vals = factor_values(0, sa.atom.factors[0], float(factors[0]), a1)
-                prod_vals = prod_vals * factor_values(1, sa.atom.factors[1], float(factors[1]), a2)
-                vals += sa.coef * jac * chain * prod_vals
-            for t in keep:
-                alpha_accs[t] += vals
     out: list[ProductBoundEstimate] = []
-    for (a1, a2), alpha_accs in zip(alphas, accs):
-        weight = np.abs(samples[:, 0]) ** (1 + a1) * np.abs(samples[:, 1]) ** (1 + a2)
-        out += [
-            ProductBoundEstimate((a1, a2), m_cut, float(np.max(np.abs(acc) * weight)))
-            for m_cut, acc in zip(truncations, alpha_accs)
-        ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in seq.indices():
+            keep = [t for t, m_cut in enumerate(truncations) if sum(k) <= m_cut]
+            if not keep:
+                continue
+            entry = seq.entries[k].scaled(_dyadic_scale(k))
+            for (a1, a2), alpha_accs in zip(alphas, accs):
+                orders = np.array((a1, a2), dtype=float)
+                vals = np.zeros(samples.shape[0])
+                for sa, (factors, jac) in zip(entry.atoms, entry.dilations):
+                    chain = float(np.prod(factors**orders))
+                    prod_vals = factor_values(0, sa.atom.factors[0], float(factors[0]), a1)
+                    prod_vals = prod_vals * factor_values(1, sa.atom.factors[1], float(factors[1]), a2)
+                    vals += sa.coef * jac * chain * prod_vals
+                for t in keep:
+                    alpha_accs[t] += vals
+        for (a1, a2), alpha_accs in zip(alphas, accs):
+            weight = np.abs(samples[:, 0]) ** (1 + a1) * np.abs(samples[:, 1]) ** (1 + a2)
+            for m_cut, acc in zip(truncations, alpha_accs):
+                constant = float(np.max(np.abs(acc) * weight))
+                if not math.isfinite(constant):
+                    raise ValueError(f"alpha {(a1, a2)}, M = {m_cut}: the product-bound constant is beyond float range")
+                out.append(ProductBoundEstimate((a1, a2), m_cut, constant))
     return out
 
 

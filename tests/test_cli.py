@@ -119,6 +119,11 @@ def test_analyze_json_deterministic(tmp_path, capsys):
     assert report["verdict"]["outcome"] == "bounded"
 
 
+def assert_compact_json(out: str) -> None:
+    """A JSON report is one line: the stdlib encoder's compact text, keys sorted."""
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
 # `analyze --no-timestamp` reports pinned byte for byte, with their exit codes.
 # Each <name>.json / <name>.txt in tests/data/golden was written by
 # `mpradon analyze --spec <name>.spec --format json|text --no-timestamp`;
@@ -142,6 +147,8 @@ def test_analyze_reports_match_golden_bytes(name, fmt, suffix, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (GOLDEN / f"{name}{suffix}").read_text()
+    if fmt == "json":
+        assert_compact_json(out)
 
 
 def test_analyze_timestamp_present_by_default():
@@ -635,6 +642,7 @@ def test_numeric_commands_in_a_fresh_interpreter_print_as_in_process(tmp_path, c
         code, out, numpy_modules = run_fresh(argv)
         assert (code, out) == (in_process_code, in_process.out)
         assert numpy_modules != []
+        assert_compact_json(out)
 
 
 def test_warm_started_norm_growth_is_byte_identical_across_fresh_interpreters():
@@ -654,6 +662,17 @@ def test_bump_rejects_nonpositive_or_nonfinite_support(a, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: support length") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("a, a1", [("1e78", "4"), ("1e155", "2")])
+def test_bump_moment_beyond_float_range_is_one_line_error(a, a1, capsys):
+    # both ended in an OverflowError traceback from the closed-form moment
+    assert main(["bump", "--a", a, "--a1", a1]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: support length a = {float(a)!r}: the t^{a1} moment is beyond float range\n"
+    assert main(["bump", "--a", "1e77", "--a1", "4", "--format", "json"]) == EXIT_BOUNDED
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_kernel_check_rejects_negative_truncation(tmp_path, capsys, mean_zero_tensor):

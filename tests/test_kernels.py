@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mpradon.bumps import BumpCombination, TensorBump, moment_bump, tensor_bump
 from mpradon.cli import EXIT_BOUNDED, EXIT_ERROR, EXIT_UNBOUNDED, main
 from mpradon.dilations import ExponentScheme, dilation_factors
+from mpradon.harness import default_experiment_atom
 from mpradon.kernels import (
     CancellationReport,
     DyadicKernelSeq,
@@ -390,17 +391,40 @@ def test_bound_rejects_axis_samples(mean_zero_tensor):
 
 
 @pytest.mark.parametrize(
-    "alphas, alpha", [("-1,0", "(-1, 0)"), ("1", "(1,)"), ("0,0,0", "(0, 0, 0)"), ("0,0;0,-2", "(0, -2)")]
+    "alphas, alpha",
+    [
+        ("-1,0", "(-1, 0)"),
+        ("1", "(1,)"),
+        ("0,0,0", "(0, 0, 0)"),
+        ("0,0;0,-2", "(0, -2)"),
+        ("1,0;", "''"),
+        ("a,0", "'a,0'"),
+    ],
 )
 def test_kernel_check_rejects_derivative_orders_it_cannot_compute(tmp_path, capsys, mean_zero_tensor, alphas, alpha):
     # -1,0 read psi itself as its own derivative of order -1 and exited 0;
-    # 1 and 0,0,0 ended in a bare "not enough/too many values to unpack"
+    # 1 and 0,0,0 ended in a bare "not enough/too many values to unpack";
+    # 1,0; and a,0 in "invalid literal for int() with base 10", naming no alpha
     path = tmp_path / "regroup.kernel"
     save_kernel_sequence(regroup_to_dyadic(mean_zero_tensor, (700.0, 900.0), (1.0, -1.0), 3), path)
     assert main(["kernel-check", "--kernel", str(path), "--M", "40", f"--alphas={alphas}"]) == EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: alpha {alpha}: a derivative order is two nonnegative integers\n"
+
+
+@pytest.mark.parametrize("alpha", [(48, 0), (64, 0)])
+def test_kernel_check_rejects_a_product_bound_beyond_float_range(tmp_path, capsys, alpha):
+    # (48, 0) reported "constant": Infinity and (64, 0) NaN, both with exit 0
+    # and numpy RuntimeWarnings, which the test configuration turns into errors
+    path = tmp_path / "regroup.kernel"
+    save_kernel_sequence(regroup_to_dyadic(default_experiment_atom(), (200.0, 300.0), (1, 1), 3), path)
+    argv = ["kernel-check", "--kernel", str(path), "--M", "40", "--alphas", ",".join(map(str, alpha))]
+    assert main([*argv, "--format", "json"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    # truncations {0, 20, 40}: M = 0 keeps no entry, M = 20 is the first to overflow
+    assert err == f"error: alpha {alpha}, M = 20: the product-bound constant is beyond float range\n"
 
 
 @pytest.mark.parametrize("orders", [(1,), (1, 0, 5)])
