@@ -26,7 +26,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, fsum, isfinite
+from math import comb, fsum, inf, isfinite
+from sys import float_info
 from typing import Sequence
 
 from ._numpy import np
@@ -148,7 +149,16 @@ class BumpCombination:
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         for c, x, r in self.atoms:
-            out += (c / r ** (order + 1)) * mollifier_derivative((t - x) / r, order)
+            try:
+                scale = c / r ** (order + 1)
+            except (OverflowError, ZeroDivisionError):  # r^(order+1) overflows, or underflows to 0
+                scale = inf
+            if not isfinite(scale):
+                raise ValueError(
+                    f"atom radius r = {r!r}: the scale c / r^{order + 1} of the order-{order} derivative"
+                    " is beyond float range"
+                )
+            out += scale * mollifier_derivative((t - x) / r, order)
         return out
 
     def support(self) -> tuple[float, float]:
@@ -230,17 +240,21 @@ def moment_bump(a: float, a1: int, excluded: Sequence[int] = ()) -> MomentBump:
     xs = [x1 * c_ratio**j for j in range(k + 1)]
     rs = [r1 * c_ratio**j for j in range(k + 1)]
 
-    def moment(b: BumpCombination, e: int) -> float:
+    def moment(b: BumpCombination, e: int, positive: bool = False) -> float:
         try:
             value = b.moment_closed_form(e)
         except OverflowError:
-            value = float("inf")
+            value = inf
         if not isfinite(value):
             raise ValueError(f"support length a = {a!r}: the t^{e} moment is beyond float range")
+        if positive and value < float_info.min:
+            raise ValueError(f"support length a = {a!r}: the t^{e} moment underflows below float range")
         return value
 
     unit = BumpCombination(((1.0, x1, r1),))
-    y = [1.0] + [moment(unit, al) for al in exponents[1:]]
+    # the unit atom's moments are positive; one that underflows to 0 makes the
+    # system singular, and a subnormal one overflows the coefficients
+    y = [1.0] + [moment(unit, al, positive=True) for al in exponents[1:]]
     z = [c_ratio**al for al in exponents]
     matrix = np.array([[y[l] * z[l] ** j for j in range(k + 1)] for l in range(k + 1)])
     rhs = np.zeros(k + 1)

@@ -24,7 +24,11 @@ is comparable to n).  It is found by Rayleigh-Ritz for T*T on a subspace
 that starts from sine-windowed plane waves at the peaks of the symbol
 |sum_m w_m e^{-i m theta}| of the combined taps, which lie close to the
 top singular vectors of a banded Toeplitz section, and grows by the
-residuals of the top two Ritz pairs.
+residuals of the top two Ritz pairs, each preconditioned by the circulant
+that the symbol defines (a Davidson expansion): the residual's padded FFT
+is divided by theta (1 + delta) - |symbol|^2, theta the top Ritz value of
+T*T; a step that leaves that value still is followed by one that adds the
+raw residuals, and a second still step ends the expansion.
 
 A growth table builds its terms once, for its largest truncation M; each
 row's operator is the sub-sum of that row's scales.  A row whose terms
@@ -73,6 +77,8 @@ class Grid1D:
             raise ValueError(f"grid n = {self.n} is beyond the cap of {MAX_GRID_N} nodes")
         if self.n < 2 or self.xmax <= self.xmin:
             raise ValueError("grid needs n >= 2 and xmax > xmin")
+        if self.h == 0.0:
+            raise ValueError(f"grid window [{self.xmin}, {self.xmax}] is too narrow: its step h underflows to 0")
 
     @property
     def h(self) -> float:
@@ -95,12 +101,14 @@ def _profile_taps(c: np.ndarray, n: int, quad_values: np.ndarray) -> tuple[int, 
     and floor(c) + 1; one bincount adds the floor shares, then the ceiling
     shares, each in node order.
     """
-    base = np.floor(c).astype(np.int64)
-    lam = c - base
+    floor = np.floor(c)
     # shifts beyond +-n never touch the grid (zero extension), so the
-    # corresponding quadrature nodes are dropped exactly
-    keep = (base >= -n) & (base <= n - 1)
-    base, lam, values = base[keep], lam[keep], quad_values[keep]
+    # corresponding quadrature nodes are dropped exactly; deciding on the
+    # floats keeps displacements beyond the int64 range out of the cast
+    keep = (floor >= -n) & (floor <= n - 1)
+    floor, values = floor[keep], quad_values[keep]
+    lam = c[keep] - floor
+    base = floor.astype(np.int64)
     if base.size == 0:
         return 0, np.zeros(1)
     lo = int(base.min())
@@ -197,7 +205,10 @@ class DiscretizedOperator:
         spans: list[tuple[int, np.ndarray]] = []
         term_groups = []
         for profile in displacement_profiles:
-            lo, taps = _profile_taps(np.asarray(profile, dtype=float) / grid.h, grid.n, quad_values)
+            # a displacement that overflows to inf grid steps lies off the grid and is dropped
+            with np.errstate(over="ignore"):
+                steps = np.asarray(profile, dtype=float) / grid.h
+            lo, taps = _profile_taps(steps, grid.n, quad_values)
             j = index.setdefault((lo, taps.tobytes()), len(index))
             if j == len(spans):
                 spans.append((lo, taps))
@@ -255,11 +266,16 @@ class NormResult:
     vectors: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-NORM_METHOD = "rayleigh-ritz(previous-row-ritz-vectors+windowed-waves@symbol-peaks)"
+NORM_METHOD = (
+    "rayleigh-ritz(previous-row-ritz-vectors+windowed-waves@symbol-peaks"
+    "+symbol-preconditioned-residuals)"
+)
 _PEAK_FRACTION = 0.9  # local maxima of |symbol| this close to the sup seed waves too
 _MAX_PEAKS = 4
-_TOP_PEAK_MODES = 4  # window modes l = 1..4 at the highest peak, l = 1 elsewhere
+_TOP_PEAK_MODES = 2  # window modes l = 1..2 at the highest peak, l = 1 elsewhere
 _WARM_VECTORS = 2 * _TOP_PEAK_MODES  # the +- pair of each window mode
+_SHIFT_MARGIN = 1e-2  # delta: the preconditioner's shift is theta (1 + delta)
+_DENOMINATOR_FLOOR = 1e-3  # epsilon: |d| >= epsilon max |w^|^2 / scale^2
 
 
 def _symbol_start_block(op: DiscretizedOperator) -> np.ndarray:
@@ -268,7 +284,7 @@ def _symbol_start_block(op: DiscretizedOperator) -> np.ndarray:
     Near a peak theta* of the symbol, the top singular vectors of a banded
     Toeplitz section look like sin(pi l (j+1)/(n+1)) e^{+-i theta* j} for
     small l; the cos and sin waves span both signs of the frequency.  The
-    highest peak gets l = 1..4; every other local maximum within 10% of it
+    highest peak gets l = 1..2; every other local maximum within 10% of it
     gets l = 1, because at finite n a flatter, slightly lower peak can win.
     """
     nfft = 4096
@@ -333,17 +349,34 @@ def operator_norm(
 
     The subspace starts from the rows of ``start`` (typically the ``vectors``
     of a nearby operator's result), then ``_symbol_start_block``, and grows
-    by the residuals of the top two Ritz pairs (block Davidson without a
-    preconditioner).  Real taps have a symbol peaking at +-theta*, so the
-    top singular values of the section come in near-degenerate pairs; with
-    only the top residual the top Ritz value can settle on the lower one of
-    a pair and look converged.  Every vector added costs one application of
-    T*T, counted as one iteration, up to min(max_iters, n); the vectors
-    added in one step (the start block, then two residuals) go through T*T
-    as one block, and their inner products with the basis are one matrix
-    product.  Converged means the top Ritz value moved by at most ``tol``
-    relative in the last step, or the subspace became invariant.  The value
-    never exceeds the largest singular value of the finite section (up to
+    by the residuals r of the top two Ritz pairs (block Davidson).  Real
+    taps have a symbol peaking at +-theta*, so the top singular values of
+    the section come in near-degenerate pairs; with only the top residual
+    the top Ritz value can settle on the lower one of a pair and look
+    converged.
+
+    Each residual is preconditioned before it is added, as in Toeplitz
+    solvers with a circulant preconditioner: M^-1 r is the operator's own
+    padded FFT of r divided by d = theta (1 + delta) - |w^|^2 / scale^2,
+    where theta is the top Ritz value and w^ the spectrum of the combined
+    taps, so M approximates theta (1 + delta) - T*T / scale^2 (delta =
+    ``_SHIFT_MARGIN``).  The section's top eigenvalue sits below the
+    symbol's sup, so d changes sign near the peak: |d| is floored at
+    epsilon max |w^|^2 / scale^2 (epsilon = ``_DENOMINATOR_FLOOR``), its
+    sign kept.
+
+    Converged means the top Ritz value moved by at most ``tol`` relative in
+    each of the last two steps, or the subspace became invariant.  A step
+    that leaves the value still is followed by one that adds the raw
+    residuals: preconditioned corrections can fall back into the subspace
+    and stall the value short of the top, while the raw residual of a Ritz
+    pair that is not an eigenpair is a new direction.
+
+    Every vector added costs one application of T*T, counted as one
+    iteration, up to min(max_iters, n); the vectors added in one step (the
+    start block, then two residuals) go through T*T as one block, and their
+    inner products with the basis are one matrix product.  The value never
+    exceeds the largest singular value of the finite section (up to
     rounding): it is a Rayleigh quotient.  The result carries the top
     ``_WARM_VECTORS`` Ritz vectors.
     """
@@ -353,6 +386,10 @@ def operator_norm(
     if scale == 0.0:
         return NormResult(0.0, 0, True, np.zeros((0, n)))
     dim = min(max_iters, n)
+    nfft = op.fft_length
+    # |w^|^2 / scale^2 at the rfft frequencies: the symbol of T*T / scale^2
+    power = np.abs(op._spectrum * (op._count / scale)) ** 2
+    floor = _DENOMINATOR_FLOOR * float(power.max())
     # np.empty leaves the rows unpaged until the subspace grows into them
     basis = np.empty((dim, n))
     images = np.empty((dim, n))  # T*T applied to each basis row
@@ -361,6 +398,7 @@ def operator_norm(
     fresh = _orthonormal_rows(waves if start is None else np.concatenate((start, waves)), basis[:0])
     k = 0
     ritz_prev = None
+    stood_still = False  # the previous step moved the top Ritz value by at most tol
     while True:
         block = fresh[: dim - k]
         r = block.shape[0]
@@ -377,10 +415,16 @@ def operator_norm(
         residuals = top.T @ images[:k] - evals[:-3:-1, None] * (top.T @ basis[:k])
         value = scale * float(np.sqrt(ritz))
         invariant = float(np.linalg.norm(residuals[0])) <= 1e-14 * ritz or k == n
-        converged = invariant or (ritz_prev is not None and abs(ritz - ritz_prev) <= tol * ritz)
+        still = ritz_prev is not None and abs(ritz - ritz_prev) <= tol * ritz
+        converged = invariant or (still and stood_still)
         if converged or k == dim:
             break
-        ritz_prev = ritz
+        ritz_prev, stood_still = ritz, still
+        if not still:
+            # M^-1 r, the symbol preconditioner of the docstring
+            d = ritz * (1.0 + _SHIFT_MARGIN) - power
+            d = np.copysign(np.maximum(np.abs(d), floor), d)
+            residuals = np.fft.irfft(np.fft.rfft(residuals, nfft) / d, nfft)[:, :n]
         fresh = _orthonormal_rows(residuals, basis[:k])
         if not len(fresh):
             converged = True
@@ -571,7 +615,8 @@ def growth_experiment(
     position = {scale: t for t, scale in enumerate(family)}
     terms = build_operator(p, family, grid, atom=atom, quad_order=quad_order)
     profile_norms: dict[tuple[int, bytes], NormResult] = {}
-    results: dict[int, tuple[NormResult, int, DiscretizedOperator]] = {}
+    # a row keeps two ints of its operator, so no row's spectra outlive its norm
+    results: dict[int, tuple[NormResult, int, int, int]] = {}
     warm = None  # the top Ritz vectors of the latest row, the next row's start
     for m in sorted({0, *m_list}):
         op = terms.restricted(position[scale] for scale in scale_family(m))
@@ -585,8 +630,8 @@ def growth_experiment(
                 profile_norms[key] = operator_norm(single, max_iters=max_iters)
             res, count = profile_norms[key], g.count
         warm = res.vectors
-        results[m] = (replace(res, vectors=None), count, op)
-    base, base_count, _ = results[0]
+        results[m] = (replace(res, vectors=None), count, op.band, op.fft_length)
+    base, base_count, _, _ = results[0]
     base_norm = base_count * base.value
     if not base_norm:
         raise ValueError(
@@ -594,7 +639,7 @@ def growth_experiment(
         )
 
     def row(m: int) -> GrowthRow:
-        res, count, op = results[m]
+        res, count, band, fft_length = results[m]
         return GrowthRow(
             m,
             level if case == "know" else None,
@@ -603,8 +648,8 @@ def growth_experiment(
             count * (res.value / base_norm),
             res.iterations,
             res.converged,
-            op.band,
-            op.fft_length,
+            band,
+            fft_length,
         )
 
     return GrowthTable(case, grid, quad_order, tuple(row(m) for m in m_list))

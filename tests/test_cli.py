@@ -467,6 +467,21 @@ def test_norm_growth_with_a_zero_base_norm_exits_one(capsys):
     assert captured.err.startswith("error: the M = 0 norm is 0") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case, xmax", [("billy", "1e-300"), ("kitty", "1e-310")])
+def test_norm_growth_on_a_window_of_far_displacements_prints_one_line(case, xmax, capsys):
+    # at 1e-300 the displacements in grid steps passed the int64 range and the
+    # cast printed a RuntimeWarning; at 1e-310 the division by h overflowed too
+    argv = ["norm-growth", "--case", case, "--M", "0..1", "--grid-n", "64", "--grid-xmin", "0", "--grid-xmax", xmax]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the M = 0 norm is 0 on the grid window [0.0, {xmax}]: no growth ratio is defined\n"
+    # a window whose step h underflows to 0 divided the displacements by zero
+    argv[argv.index(xmax)] = "5e-324"
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: grid window [0.0, 5e-324] is too narrow: its step h underflows to 0\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -672,6 +687,21 @@ def test_bump_moment_beyond_float_range_is_one_line_error(a, a1, capsys):
     assert captured.out == ""
     assert captured.err == f"error: support length a = {float(a)!r}: the t^{a1} moment is beyond float range\n"
     assert main(["bump", "--a", "1e77", "--a1", "4", "--format", "json"]) == EXIT_BOUNDED
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_bump_moment_that_underflows_is_one_line_error(capsys):
+    # the unit atom's t^3 moment read 0.0 and the solve ended in "error: Singular matrix"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bump", "--a", "1e-300", "--a1", "3"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: support length a = 1e-300: the t^3 moment underflows below float range\n"
+        # a subnormal t^3 moment made the coefficients overflow, with a RuntimeWarning
+        assert main(["bump", "--a", "1.5e-103", "--a1", "3"]) == EXIT_ERROR
+        assert capsys.readouterr().err.endswith("the t^3 moment underflows below float range\n")
+        assert main(["bump", "--a", "1e-102", "--a1", "3", "--format", "json"]) == EXIT_BOUNDED
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 

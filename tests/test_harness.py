@@ -175,6 +175,29 @@ def test_warm_started_norm_matches_dense_svd_on_random_section_pairs(drawn):
     assert res.converged or res.iterations == 80
 
 
+@pytest.mark.parametrize(
+    "n, first, more",
+    [
+        # a shift with a tiny second tap: its top singular value is 5-fold
+        (48, [_TapGroup(1, 22, np.array([1.0]))], [_TapGroup(1, 1, np.array([6.10351562e-05]))]),
+        (
+            167,
+            [],
+            [_TapGroup(1, 46, np.array([0.58507035])), _TapGroup(1, 31, np.array([0.58507035])), _TapGroup(1, 31, np.array([-0.58524947]))],
+        ),
+        (232, [], [_TapGroup(1, -145, np.array([1.40129846e-45, -0.48473984, 0.772172243, 0.133815285])), _TapGroup(1, -91, np.array([0.47322539]))]),
+    ],
+)
+def test_norm_does_not_stop_where_the_preconditioned_expansion_stalls(n, first, more):
+    """Sections on which the top Ritz value stood still for a step, or for
+    good under preconditioned steps alone, more than 1e-6 below the top."""
+    op = DiscretizedOperator(Grid1D(n=n), first + more)
+    sv = np.linalg.svd(op.as_matrix(), compute_uv=False)[0]
+    start = operator_norm(DiscretizedOperator(Grid1D(n=n), first)).vectors if first else None
+    for max_iters in (80, n):
+        assert_norm_contract(operator_norm(op, max_iters=max_iters, start=start), op, sv)
+
+
 def test_smooth_fft_length_is_the_least_five_smooth_bound():
     smooth = sorted(
         2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(7) if 2**a * 3**b * 5**c <= 8192
@@ -262,6 +285,17 @@ def test_warm_started_table_rows_match_their_dense_svd(case, level, m_max):
         assert_norm_contract(NormResult(row.norm, row.iterations, row.converged), op, sv)
 
 
+def test_kitty_profile_norm_converges_in_few_applications():
+    """The symbol-preconditioned expansion reaches the dense SVD of kitty's
+    n = 512 profile in at most 20 applications of T*T."""
+    grid = Grid1D(n=512)
+    op = build_operator(case_polynomial("kitty"), dyadic_scales(0), grid)
+    sv = np.linalg.svd(op.as_matrix(), compute_uv=False)[0]
+    res = operator_norm(op)
+    assert res.converged and res.iterations <= 20
+    assert abs(res.value - sv) <= 1e-8 * sv
+
+
 def test_each_row_starts_from_the_previous_rows_ritz_vectors():
     import mpradon.harness as harness
 
@@ -280,7 +314,7 @@ def test_each_row_starts_from_the_previous_rows_ritz_vectors():
     assert len(calls) == 4 and calls[0][0] is None
     for (_, before), (start, _) in zip(calls, calls[1:]):
         assert start is before.vectors
-    assert all(res.vectors.shape == (8, 256) for _, res in calls)
+    assert all(res.vectors.shape == (harness._WARM_VECTORS, 256) for _, res in calls)
     assert [(r.norm, r.iterations) for r in table.rows] == [
         (res.value, res.iterations) for _, res in (calls[3], calls[1], calls[2])
     ]

@@ -427,6 +427,19 @@ def test_kernel_check_rejects_a_product_bound_beyond_float_range(tmp_path, capsy
     assert err == f"error: alpha {alpha}, M = 20: the product-bound constant is beyond float range\n"
 
 
+@pytest.mark.parametrize("radius", [1e-6, 1e6])
+def test_kernel_check_rejects_a_derivative_scale_beyond_float_range(tmp_path, capsys, radius):
+    # r^61 underflowed to 0 (ZeroDivisionError) or overflowed (OverflowError),
+    # both a traceback out of kernel-check
+    factor = f"1.0,0.0,{radius!r};-1.0,{radius / 2!r},{radius!r}"
+    text = f"[kernel]\nN = 2\nnu = 2\ne = 1 0 ; 0 1\na = 4.0\n[entry 1,0]\natom 1.0 @ 1.0 1.0 : {factor} | {factor}\n"
+    code, out, err = _kernel_check(tmp_path, capsys, text, "--M", "4", "--alphas", "60,0")
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: atom radius r = {radius!r}: the scale c / r^61 of the order-60 derivative is beyond float range\n"
+    code, out, err = _kernel_check(tmp_path, capsys, text, "--M", "4", "--alphas", "2,0")
+    assert code != EXIT_ERROR and err == ""
+
+
 @pytest.mark.parametrize("orders", [(1,), (1, 0, 5)])
 def test_derivative_values_reject_orders_of_the_wrong_length(mean_zero_bump, orders):
     # (1,) read the first factor's derivative alone, 549.2 at (0.3, 0.35) where
