@@ -214,6 +214,23 @@ class MomentBump:
     determinant_closed_form: float
 
 
+def checked_moment(b: BumpCombination, e: int, a: float, positive: bool = False) -> float:
+    """The closed-form t^e moment of ``b``, a bump on (0, a).
+
+    ValueError when it is beyond float range, or when ``positive`` and it
+    underflows below the normal floats.
+    """
+    try:
+        value = b.moment_closed_form(e)
+    except OverflowError:
+        value = inf
+    if not isfinite(value):
+        raise ValueError(f"support length a = {a!r}: the t^{e} moment is beyond float range")
+    if positive and value < float_info.min:
+        raise ValueError(f"support length a = {a!r}: the t^{e} moment underflows below float range")
+    return value
+
+
 def moment_bump(a: float, a1: int, excluded: Sequence[int] = ()) -> MomentBump:
     """A bump on (0, a) with mass 0, moment a1 nonzero, excluded moments zero.
 
@@ -240,21 +257,10 @@ def moment_bump(a: float, a1: int, excluded: Sequence[int] = ()) -> MomentBump:
     xs = [x1 * c_ratio**j for j in range(k + 1)]
     rs = [r1 * c_ratio**j for j in range(k + 1)]
 
-    def moment(b: BumpCombination, e: int, positive: bool = False) -> float:
-        try:
-            value = b.moment_closed_form(e)
-        except OverflowError:
-            value = inf
-        if not isfinite(value):
-            raise ValueError(f"support length a = {a!r}: the t^{e} moment is beyond float range")
-        if positive and value < float_info.min:
-            raise ValueError(f"support length a = {a!r}: the t^{e} moment underflows below float range")
-        return value
-
     unit = BumpCombination(((1.0, x1, r1),))
     # the unit atom's moments are positive; one that underflows to 0 makes the
     # system singular, and a subnormal one overflows the coefficients
-    y = [1.0] + [moment(unit, al, positive=True) for al in exponents[1:]]
+    y = [1.0] + [checked_moment(unit, al, a, positive=True) for al in exponents[1:]]
     z = [c_ratio**al for al in exponents]
     matrix = np.array([[y[l] * z[l] ** j for j in range(k + 1)] for l in range(k + 1)])
     rhs = np.zeros(k + 1)
@@ -274,7 +280,7 @@ def moment_bump(a: float, a1: int, excluded: Sequence[int] = ()) -> MomentBump:
     # closed form against the cached base moments; the tests' adaptive
     # quadrature moment is the independent check, and its ~1e-10 error can
     # exceed the 1e-10 mass threshold on its own
-    achieved = {e: moment(bump, e) for e in exponents}
+    achieved = {e: checked_moment(bump, e, a) for e in exponents}
     return MomentBump(bump, int(a1), excluded, achieved, det, det_closed)
 
 

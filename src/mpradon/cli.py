@@ -34,14 +34,13 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 
 from . import __version__
 from .criteria import (
-    ControlCertificate,
     Outcome,
     Verdict,
-    Witness,
     heisenberg_verdict,
     real_line_verdict,
     scalar_control_verdict,
@@ -49,7 +48,7 @@ from .criteria import (
 from .dilations import ExponentScheme, is_pure
 from .kernels import load_kernel_sequence, sample_product_kernel_bounds, verify_cancellation
 from .harness import CASES, Grid1D, check_truncations, default_experiment_atom, growth_experiment
-from .bumps import MAX_MOMENT, moment_bump
+from .bumps import MAX_MOMENT, BumpCombination, checked_moment, moment_bump
 from .symbolic import (
     FAMILIES,
     HEISENBERG,
@@ -98,7 +97,7 @@ class ProblemSpecFile:
 
 
 def _parse_int_list(text: str, check_ends) -> tuple[int, ...]:
-    """Integers as 'lo..hi' or '0 2 4' (commas allowed); a range's two ends
+    """Integers as 'lo..hi' (lo <= hi) or '0 2 4' (commas allowed); a range's two ends
     go through ``check_ends`` before the range is spelled out."""
     text = text.strip()
     if ".." in text:
@@ -106,6 +105,8 @@ def _parse_int_list(text: str, check_ends) -> tuple[int, ...]:
             lo, hi = map(int, text.split(".."))
         except ValueError:
             raise ValueError(f"range {text!r} must read lo..hi with integer ends") from None
+        if lo > hi:
+            raise ValueError(f"range {text!r} is reversed: its low end {lo} exceeds its high end {hi}")
         check_ends((lo, hi))
         return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.replace(",", " ").split())
@@ -254,39 +255,6 @@ def _expansion_payload(exp: WExpansion) -> list[dict]:
     ]
 
 
-def _witness_payload(w: Witness) -> dict:
-    return {
-        "alpha0": None if w.alpha0 is None else list(w.alpha0),
-        "degree": [str(v) for v in w.degree],
-        "normal": [str(v) for v in w.normal],
-        "reason": w.reason,
-    }
-
-
-def _certificate_payload(cert: ControlCertificate) -> dict:
-    return {
-        "alpha0": None if cert.alpha0 is None else list(cert.alpha0),
-        "degree": [str(v) for v in cert.degree],
-        "sectors": [
-            {
-                "normal": [str(v) for v in s.normal],
-                "members": list(s.members),
-                "coefficients": [str(v) for v in s.coefficients],
-            }
-            for s in cert.sectors
-        ],
-    }
-
-
-def _verdict_payload(v: Verdict) -> dict:
-    return {
-        "outcome": v.outcome.value,
-        "witness": None if v.witness is None else _witness_payload(v.witness),
-        "certificates": [_certificate_payload(c) for c in v.certificates],
-        "diagnostics": v.diagnostics,
-    }
-
-
 def _gamma_input_echo(gamma: GammaSpec) -> dict:
     echo: dict = {
         "family": gamma.family,
@@ -307,13 +275,15 @@ def analyze_gamma(gamma: GammaSpec) -> Verdict:
 
 
 def analyze_report(gamma: GammaSpec, timestamp: bool = True) -> dict:
+    """The analyze report; its "verdict" is the ``Verdict`` itself, which
+    ``_json_value`` renders for ``json.dumps``."""
     verdict = analyze_gamma(gamma)
     w = w_expansion(gamma)
     xhat = _expansion_payload(xhat_expansion(gamma))
     report = {
         "tool": {"name": "mpradon", "version": __version__},
         "input": _gamma_input_echo(gamma),
-        "verdict": _verdict_payload(verdict),
+        "verdict": verdict,
         "w_expansion": _expansion_payload(w),
         "xhat_expansion": xhat,
         "pure": [list(t["alpha"]) for t in xhat if t["pure"]],
@@ -324,28 +294,32 @@ def analyze_report(gamma: GammaSpec, timestamp: bool = True) -> dict:
     return report
 
 
+def _json_value(o):
+    """``json.dumps``'s hook: a Fraction as 'p/q', anything else (the verdict
+    dataclasses, which hold only their fields) as its attributes."""
+    return str(o) if isinstance(o, Fraction) else vars(o)
+
+
 def _verdict_text(report: dict) -> str:
     lines = [f"mpradon {report['tool']['version']} analyze"]
     echo = report["input"]
     lines.append(f"problem: {echo['family']}  {FAMILIES[echo['family']].text.format(**echo)}")
     lines.append(f"scheme rows: {'; '.join(echo['scheme_rows'])}")
-    v = report["verdict"]
-    lines.append(f"verdict: {v['outcome'].upper()}")
-    if v["witness"]:
-        w = v["witness"]
-        lines.append(
-            f"  witness: alpha0 = {tuple(w['alpha0'])}, line normal = ({', '.join(w['normal'])})"
-        )
-        lines.append(f"  {w['reason']}")
-    for cert in v["certificates"]:
-        lines.append(f"  certificate for alpha0 = {tuple(cert['alpha0'])}:")
-        for s in cert["sectors"]:
+    v: Verdict = report["verdict"]
+    lines.append(f"verdict: {v.outcome.value.upper()}")
+    if v.witness:
+        w = v.witness
+        lines.append(f"  witness: alpha0 = {w.alpha0}, line normal = ({', '.join(map(str, w.normal))})")
+        lines.append(f"  {w.reason}")
+    for cert in v.certificates:
+        lines.append(f"  certificate for alpha0 = {cert.alpha0}:")
+        for s in cert.sectors:
             combo = " + ".join(
-                f"({c})*{m}" for c, m in zip(s["coefficients"], s["members"])
+                f"({c})*{m}" for c, m in zip(s.coefficients, s.members)
             ) or "(empty: pure index trivially controlled)"
-            lines.append(f"    normal ({', '.join(s['normal'])}): target = {combo}")
-    if v["diagnostics"]:
-        lines.append(f"  note: {v['diagnostics']}")
+            lines.append(f"    normal ({', '.join(map(str, s.normal))}): target = {combo}")
+    if v.diagnostics:
+        lines.append(f"  note: {v.diagnostics}")
     for name in ("W", "Xhat"):
         lines.append(f"{name} expansion:")
         for t in report[f"{name.lower()}_expansion"]:
@@ -372,18 +346,22 @@ def cmd_analyze(args) -> int:
         spec = parse_problem_spec(fh.read())
     report = analyze_report(spec.gamma, timestamp=not args.no_timestamp)
     if args.format == "json":
-        _emit(json.dumps(report, sort_keys=True) + "\n", args.out)
+        _emit(json.dumps(report, sort_keys=True, default=_json_value) + "\n", args.out)
     else:
         _emit(_verdict_text(report), args.out)
-    return _OUTCOME_EXIT[Outcome(report["verdict"]["outcome"])]
+    return _OUTCOME_EXIT[report["verdict"].outcome]
 
 
 def cmd_bump(args) -> int:
     result = moment_bump(args.a, args.a1, _parse_int_list(args.excluded, _check_exponent_range))
+    # each moment m_e is judged against S_e, the t^e moment with every coefficient
+    # made positive, so the verdict does not depend on the unit of length
+    magnitude = BumpCombination(tuple((abs(c), x, r) for c, x, r in result.bump.atoms))
+    ratio = {e: abs(m) / checked_moment(magnitude, e, args.a) for e, m in result.moments.items()}
     ok = (
-        abs(result.moments[0]) < 1e-10
-        and all(abs(result.moments[e]) < 1e-9 for e in result.excluded_exponents)
-        and abs(result.moments[result.target_exponent]) > 1e-6
+        ratio[0] < 1e-10
+        and all(ratio[e] < 1e-9 for e in result.excluded_exponents)
+        and ratio[result.target_exponent] > 1e-6
     )
     report = {
         "tool": {"name": "mpradon", "version": __version__},

@@ -40,6 +40,7 @@ Three decision procedures, all exact (rational or integer arithmetic):
 Verdicts carry machine-checkable data: an Unbounded verdict names the
 violating multi-index and a witnessing normal; a Bounded verdict carries,
 for every nonpure index checked, the spanning subset used in each sector.
+The verdict dataclasses hold only their fields, whose names are the JSON keys.
 """
 
 from __future__ import annotations

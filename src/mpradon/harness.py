@@ -44,7 +44,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite
 from typing import Iterable, Sequence
@@ -598,7 +598,8 @@ def growth_experiment(
     tap profile is count x that profile's operator, so its norm is count x
     the profile's norm, computed once per table and reported with that
     norm's iterations and convergence; the kitty ratios are then exactly
-    M + 1.  The rows are computed in increasing M (M = 0 included), and each
+    M + 1.  The rows are computed in increasing M (M = 0 included, and a
+    zero M = 0 norm is an error before any other row is computed), and each
     other row's norm starts from the top Ritz vectors of the norm computed
     just before it, so a row may differ from that row computed alone by up
     to the stopping tolerance; the order, and so every value, depends only
@@ -615,8 +616,7 @@ def growth_experiment(
     position = {scale: t for t, scale in enumerate(family)}
     terms = build_operator(p, family, grid, atom=atom, quad_order=quad_order)
     profile_norms: dict[tuple[int, bytes], NormResult] = {}
-    # a row keeps two ints of its operator, so no row's spectra outlive its norm
-    results: dict[int, tuple[NormResult, int, int, int]] = {}
+    rows: dict[int, GrowthRow] = {}
     warm = None  # the top Ritz vectors of the latest row, the next row's start
     for m in sorted({0, *m_list}):
         op = terms.restricted(position[scale] for scale in scale_family(m))
@@ -630,17 +630,13 @@ def growth_experiment(
                 profile_norms[key] = operator_norm(single, max_iters=max_iters)
             res, count = profile_norms[key], g.count
         warm = res.vectors
-        results[m] = (replace(res, vectors=None), count, op.band, op.fft_length)
-    base, base_count, _, _ = results[0]
-    base_norm = base_count * base.value
-    if not base_norm:
-        raise ValueError(
-            f"the M = 0 norm is 0 on the grid window [{grid.xmin}, {grid.xmax}]: no growth ratio is defined"
-        )
-
-    def row(m: int) -> GrowthRow:
-        res, count, band, fft_length = results[m]
-        return GrowthRow(
+        if m == 0:
+            base_norm = count * res.value
+            if not base_norm:
+                raise ValueError(
+                    f"the M = 0 norm is 0 on the grid window [{grid.xmin}, {grid.xmax}]: no growth ratio is defined"
+                )
+        rows[m] = GrowthRow(
             m,
             level if case == "know" else None,
             count * res.value,
@@ -648,8 +644,7 @@ def growth_experiment(
             count * (res.value / base_norm),
             res.iterations,
             res.converged,
-            band,
-            fft_length,
+            op.band,
+            op.fft_length,
         )
-
-    return GrowthTable(case, grid, quad_order, tuple(row(m) for m in m_list))
+    return GrowthTable(case, grid, quad_order, tuple(rows[m] for m in m_list))

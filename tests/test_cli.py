@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -6,6 +8,8 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -149,6 +153,41 @@ def test_analyze_reports_match_golden_bytes(name, fmt, suffix, capsys):
     assert out == (GOLDEN / f"{name}{suffix}").read_text()
     if fmt == "json":
         assert_compact_json(out)
+
+
+def _json_oracle(value):
+    """What the report's JSON holds for a value of ``dataclasses.asdict(verdict)``."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {k: _json_oracle(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json_oracle(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
+def _decide_specs(seed: int) -> list[tuple[str, str]]:
+    """(name, spec text) of the benchmark's decide workload for one seed."""
+    path = Path(__file__).parent.parent / "perfbench" / "inputs.py"
+    loader = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = sys.modules[loader.name] = importlib.util.module_from_spec(loader)  # its dataclass looks itself up
+    loader.loader.exec_module(inputs)
+    return [(name, text) for name, _, text, _ in inputs.decide_specs(seed)]
+
+
+def test_analyze_verdict_block_is_the_verdict_dataclass(tmp_path, capsys):
+    # the report renders the Verdict through one json hook; an attribute that
+    # is not a dataclass field, or a field rendered another way, shows here
+    specs = [(p.stem, p.read_text()) for p in sorted(GOLDEN.glob("*.spec"))] + _decide_specs(1)
+    assert len(specs) > 100
+    for name, text in specs:
+        path = write(tmp_path, "v.spec", text)
+        main(["analyze", "--spec", path, "--format", "json", "--no-timestamp"])
+        block = json.loads(capsys.readouterr().out)["verdict"]
+        verdict = cli.analyze_gamma(parse_problem_spec(text).gamma)
+        assert block == _json_oracle(dataclasses.asdict(verdict)), name
 
 
 def test_analyze_timestamp_present_by_default():
@@ -829,6 +868,36 @@ def test_malformed_range_is_one_line_error_naming_it(argv, spec, message, tmp_pa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message} must read lo..hi with integer ends\n"
+
+
+@pytest.mark.parametrize(
+    "argv, spec, prefix",
+    [
+        (["bump", "--a", "0.5", "--a1", "5", "--excluded", "3..1"], None, ""),
+        (["norm-growth", "--case", "kitty", "--M", "3..1"], None, ""),
+        (["analyze"], "3..1", "bad [experiment] value: "),
+        (["norm-growth"], "3..1", "bad [experiment] value: "),
+    ],
+)
+def test_reversed_range_is_one_line_error_naming_it(argv, spec, prefix, tmp_path, capsys):
+    # '--excluded 3..1' excluded nothing and passed; '--M 3..1' ended in
+    # "norm-growth needs at least one truncation M"
+    if spec is not None:
+        text = KNOW_SPEC + f"[experiment]\ncase = kitty\nM = {spec}\n"
+        argv = [*argv, "--spec", write(tmp_path, "r.spec", text)]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {prefix}range '3..1' is reversed: its low end 3 exceeds its high end 1\n"
+
+
+@pytest.mark.parametrize("a", ["1", "1e-10", "1e-20"])
+def test_bump_thresholds_do_not_depend_on_the_unit_of_length(a, capsys):
+    # with absolute thresholds a = 1e-10 failed on its mass, -1.6e88, and
+    # a = 1e-20 on its excluded moments, up to 5.9e166
+    argv = ["bump", "--a", a, "--a1", "10", "--excluded", "1..4", "--format", "json"]
+    assert main(argv) == EXIT_BOUNDED
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 # Spec files from a small alphabet: section headers, known and unknown keys,
