@@ -271,10 +271,13 @@ def moment_bump(a: float, a1: int, excluded: Sequence[int] = ()) -> MomentBump:
     residual = rhs - (matrix.astype(np.longdouble) @ coeffs.astype(np.longdouble)).astype(float)
     coeffs = coeffs + np.linalg.solve(matrix, residual)
 
-    det = float(np.linalg.det(matrix))
-    det_closed = float(np.prod(y)) * float(
-        np.prod([z[lp] - z[l] for l in range(k + 1) for lp in range(l + 1, k + 1)])
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(matrix))
+        det_closed = float(np.prod(y)) * float(
+            np.prod([z[lp] - z[l] for l in range(k + 1) for lp in range(l + 1, k + 1)])
+        )
+    if not (isfinite(det) and isfinite(det_closed)):
+        raise ValueError(f"support length a = {a!r}: the determinant of the moment system is beyond float range")
 
     bump = BumpCombination(tuple((float(cj), xj, rj) for cj, xj, rj in zip(coeffs, xs, rs)))
     # closed form against the cached base moments; the tests' adaptive

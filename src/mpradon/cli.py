@@ -33,7 +33,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 
@@ -233,11 +233,11 @@ def parse_problem_spec(text: str) -> ProblemSpecFile:
     return ProblemSpecFile(gamma, experiment)
 
 
-def _experiment_config(values: dict) -> ExperimentConfig:
-    """The config of the given [experiment] keys; an absent key keeps its default."""
-    return ExperimentConfig(
-        **{field: parse(values[key]) for key, (field, parse) in _EXPERIMENT_KEYS.items() if key in values}
-    )
+def _experiment_config(values: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """``base`` with the given [experiment] keys' values; an absent key keeps its
+    value in ``base``, or its default when there is no ``base``."""
+    fields = {field: parse(values[key]) for key, (field, parse) in _EXPERIMENT_KEYS.items() if key in values}
+    return replace(base, **fields) if base else ExperimentConfig(**fields)
 
 
 # -- report assembly -----------------------------------------------------
@@ -438,18 +438,17 @@ def cmd_kernel_check(args) -> int:
 
 
 def cmd_norm_growth(args) -> int:
-    # the spec's [experiment] values, each overridden by the flag given for it
-    values = {}
+    # the spec's [experiment] config, each value overridden by the flag given for it
+    flags = {k: v for k, v in vars(args).items() if k in _EXPERIMENT_KEYS and v is not None}
+    spec_cfg = None
     if args.spec:
         with open(args.spec) as fh:
-            text = fh.read()
-        if parse_problem_spec(text).experiment is None:
+            spec_cfg = parse_problem_spec(fh.read()).experiment
+        if spec_cfg is None:
             raise SpecFileError(f"{args.spec} has no [experiment] section")
-        values = _split_sections(text)["experiment"]
-    values.update((k, v) for k, v in vars(args).items() if k in _EXPERIMENT_KEYS and v is not None)
-    if "case" not in values:
+    elif "case" not in flags:
         raise SpecFileError("norm-growth needs --case (or --spec with [experiment])")
-    cfg = _experiment_config(values)
+    cfg = _experiment_config(flags, spec_cfg)
     grid = Grid1D(cfg.grid_xmin, cfg.grid_xmax, cfg.grid_n)
     table = growth_experiment(
         cfg.case,

@@ -26,13 +26,18 @@ module provides
 
   * ``telescope_decompose`` -- the alternating-sign telescoping that
     rewrites sum_k bump_k^{(2^k v)} for a general scale vector v bracketed
-    by powers of two, preserving cancellation.
+    by powers of two, preserving cancellation;
+
+  * ``save_kernel_sequence`` / ``load_kernel_sequence`` -- the kernel file,
+    one JSON object: the scheme rows, the support radius ``a``, a table of
+    the distinct tensor atoms, and per entry its index k and its terms
+    [coef, delta, atom index].
 """
 
 from __future__ import annotations
 
+import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Mapping, Sequence
@@ -111,16 +116,19 @@ class DyadicKernelSeq:
 
     def __post_init__(self):
         object.__setattr__(self, "support_radius", float(self.support_radius))
-        clean = {}
-        for k, entry in self.entries.items():
-            k = tuple(int(v) for v in k)
-            if len(k) != self.scheme.n_params or any(v < 0 for v in k):
-                raise ValueError(f"dyadic index {k} must lie in N^{self.scheme.n_params}")
-            clean[k] = entry
-        object.__setattr__(self, "entries", clean)
+        nu = self.scheme.n_params
+        object.__setattr__(self, "entries", {_dyadic_index(k, nu): e for k, e in self.entries.items()})
 
     def indices(self) -> list[tuple[int, ...]]:
         return sorted(self.entries)
+
+
+def _dyadic_index(k: Sequence, nu: int) -> tuple[int, ...]:
+    """k as a tuple, when it has nu nonnegative int components (a float or a bool is not one)."""
+    k = tuple(k)
+    if len(k) != nu or any(type(v) is not int or v < 0 for v in k):
+        raise ValueError(f"dyadic index {k} must lie in N^{nu}")
+    return k
 
 
 def _dyadic_scale(k: tuple[int, ...]) -> list[float]:
@@ -407,150 +415,116 @@ def telescope_decompose(
 
 # -- kernel sequence files ---------------------------------------------
 
+_KEYS = ("a", "atoms", "entries", "scheme_rows")
+
 
 def save_kernel_sequence(seq: DyadicKernelSeq, path) -> None:
-    """Plain-text kernel file; floats use shortest round-trip printing, so
-    reload is bit-exact."""
-    lines = ["[kernel]"]
-    lines.append(f"N = {seq.scheme.n_t}")
-    lines.append(f"nu = {seq.scheme.n_params}")
-    rows = " ; ".join(" ".join(str(v) for v in row) for row in seq.scheme.rows)
-    lines.append(f"e = {rows}")
-    lines.append(f"a = {seq.support_radius!r}")
+    """Write the kernel file: one line of JSON with sorted keys, each distinct
+    atom once.  Floats are written shortest round-trip, so reload is bit-exact."""
+    positions: dict[str, int] = {}  # an atom's triples as text (which tells -0.0 from 0.0) -> its place in atoms
+    atoms, entries = [], []
     for k in seq.indices():
-        lines.append(f"[entry {','.join(str(v) for v in k)}]")
+        terms = []
         for sa in seq.entries[k].atoms:
-            delta = " ".join(repr(d) for d in sa.delta)
-            axes = " | ".join(
-                ";".join(f"{c!r},{x!r},{r!r}" for c, x, r in factor.atoms)
-                for factor in sa.atom.factors
-            )
-            lines.append(f"atom {sa.coef!r} @ {delta} : {axes}")
+            axes = [f.atoms for f in sa.atom.factors]
+            n = positions.setdefault(repr(axes), len(atoms))
+            if n == len(atoms):
+                atoms.append(axes)
+            terms.append([sa.coef, sa.delta, n])
+        entries.append([k, terms])
+    rows = [" ".join(str(v) for v in row) for row in seq.scheme.rows]
+    data = {"a": seq.support_radius, "atoms": atoms, "entries": entries, "scheme_rows": rows}
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-_HEADER_KEYS = ("N", "nu", "e", "a")
+        fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 def load_kernel_sequence(path) -> DyadicKernelSeq:
     """Read a kernel file written by ``save_kernel_sequence``.
 
-    Each distinct axes text (after ``:``) is parsed once per file, and the
-    atom lines that repeat it share one ``TensorBump``; each distinct delta
-    text is parsed once.  A malformed file raises ValueError, naming the
-    file line where it can: a header line that is not ``key = value`` with
-    a known key, a repeated key or ``[entry k]``, an index or an atom line
-    of the wrong arity, a number that is not finite, a support radius
-    ``a <= 0``.
+    The terms that name one atom share one ``TensorBump``.  A malformed file
+    raises ValueError, naming the atom, the entry and the term (counted from
+    0) where it can: text that is not JSON or holds NaN or Infinity, a
+    missing, unknown or repeated key, a value of the wrong JSON type or
+    length, a number beyond float range, a support radius ``a <= 0``, an
+    index that is not in N^nu or repeats, an atom index out of range.
     """
     with open(path) as fh:
-        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
-    if not lines or lines[0][1] != "[kernel]":
-        raise ValueError("kernel file must start with a [kernel] header")
-    header: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
-    pos = 1
-    while pos < len(lines) and not lines[pos][1].startswith("[entry"):
-        n, line = lines[pos]
-        key, eq, value = (part.strip() for part in line.partition("="))
-        with _at_line(n):
-            if not eq or key not in _HEADER_KEYS:
-                raise ValueError(f"expected one of {', '.join(_HEADER_KEYS)} = <value>, got {line!r}")
-            if key in header:
-                raise ValueError(f"repeated header key {key!r} (first on line {header[key][0]})")
-        header[key] = (n, value)
-        pos += 1
-    missing = set(_HEADER_KEYS) - set(header)
-    if missing:
-        raise ValueError(f"kernel header is missing keys: {sorted(missing)}")
-    with _at_line(header["e"][0]):
-        scheme = ExponentScheme.from_rows([row.split() for row in header["e"][1].split(";")])
-    for key, size in (("N", scheme.n_t), ("nu", scheme.n_params)):
-        with _at_line(header[key][0]):
-            if int(header[key][1]) != size:
-                raise ValueError(f"kernel header {key} = {header[key][1]} disagrees with the scheme rows")
-    with _at_line(header["a"][0]):
-        radius = _finite(header["a"][1], "support radius a")
+        text = fh.read()
+    where = "kernel file"
+    try:
+        data = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_object)
+        if not isinstance(data, dict) or sorted(data) != list(_KEYS):
+            got = f", got {sorted(data)}" if isinstance(data, dict) else ""
+            raise ValueError(f"expected an object with the keys {list(_KEYS)}{got}")
+        rows = _list(data["scheme_rows"], "scheme_rows")
+        if not all(isinstance(row, str) for row in rows):
+            raise ValueError('scheme_rows must be a list of strings such as "1 0"')
+        scheme = ExponentScheme.from_rows([row.split() for row in rows])
+        radius = _float(data["a"], "support radius a")
         if radius <= 0:
-            raise ValueError(f"support radius a must be positive, got {header['a'][1]}")
-
-    entries: dict[tuple[int, ...], list[ScaledAtom]] = {}
-    first_line: dict[tuple[int, ...], int] = {}
-    shapes: dict[str, TensorBump] = {}
-    deltas: dict[str, tuple[float, ...]] = {}
-    atoms: list[ScaledAtom] = []
-    n = 0
-    try:
-        for n, line in lines[pos:]:
-            if line.startswith("atom "):
-                coef_part, at, rest = line[len("atom ") :].partition("@")
-                delta_part, colon, axes_part = rest.partition(":")
-                if not (at and colon):
-                    raise ValueError("expected 'atom <coef> @ <delta...> : <axis atoms>'")
-                if delta_part not in deltas:
-                    delta = tuple(_finite(v, "atom delta") for v in delta_part.split())
-                    if len(delta) != scheme.n_params:
-                        raise ValueError(f"atom delta has {len(delta)} values, the scheme expects {scheme.n_params}")
-                    deltas[delta_part] = delta
-                if axes_part not in shapes:
-                    shapes[axes_part] = _tensor_bump(axes_part, scheme.n_t)
-                atoms.append(ScaledAtom(_finite(coef_part, "atom coefficient"), shapes[axes_part], deltas[delta_part]))
-            elif line.startswith("[entry"):
-                k = _entry_index(line, scheme.n_params)
-                if k in entries:
-                    raise ValueError(f"repeated [entry {','.join(map(str, k))}] (first on line {first_line[k]})")
-                atoms = entries[k] = []
-                first_line[k] = n
-            else:
-                raise ValueError(f"unrecognized kernel file line: {line!r}")
-    except ValueError as exc:
-        raise ValueError(f"kernel file line {n}: {exc}") from None
-    return DyadicKernelSeq(
-        scheme, radius, {k: KernelEntry(scheme, entry_atoms) for k, entry_atoms in entries.items()}
-    )
+            raise ValueError(f"support radius a must be positive, got {data['a']!r}")
+        atoms, entry_list = [], _list(data["entries"], "entries")
+        for i, axes in enumerate(_list(data["atoms"], "atoms")):
+            where = f"kernel file atom {i}"
+            axes = _list(axes, "an atom's axes", scheme.n_t)
+            triples = [[_floats(t, 3, "the triple [c, x, r]") for t in _list(axis, "an axis")] for axis in axes]
+            atoms.append(TensorBump(tuple(BumpCombination(tuple(axis)) for axis in triples)))
+        entries: dict[tuple[int, ...], KernelEntry] = {}
+        first: dict[tuple[int, ...], int] = {}  # index -> the entry that holds it
+        for i, entry in enumerate(entry_list):
+            where = f"kernel file entry {i}"
+            index, term_list = _list(entry, "an entry [index, terms]", 2)
+            k = _dyadic_index(_list(index, "the index"), scheme.n_params)
+            if k in entries:
+                raise ValueError(f"repeated index {list(k)} (first at entry {first[k]})")
+            terms = []
+            for j, term in enumerate(_list(term_list, "the terms")):
+                where = f"kernel file entry {i} term {j}"
+                coef, delta, n = _list(term, "a term [coef, delta, atom index]", 3)
+                if type(n) is not int or not 0 <= n < len(atoms):
+                    raise ValueError(f"the atom index must be an integer in [0, {len(atoms)}), got {json.dumps(n)}")
+                terms.append(ScaledAtom(_float(coef, "coef"), atoms[n], _floats(delta, scheme.n_params, "delta")))
+            where = f"kernel file entry {i}"
+            entries[k], first[k] = KernelEntry(scheme, terms), i
+    except (ValueError, RecursionError) as exc:  # json recurses once per level of nesting
+        raise ValueError(f"{where}: {exc}") from None
+    return DyadicKernelSeq(scheme, radius, entries)
 
 
-@contextmanager
-def _at_line(n: int):
-    """Prefix a ValueError raised in the block with the kernel file line."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"kernel file line {n}: {exc}") from None
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
-def _entry_index(line: str, nu: int) -> tuple[int, ...]:
-    if not line.endswith("]"):
-        shape = ",".join(f"k{mu}" for mu in range(1, nu + 1))
-        raise ValueError(f"expected '[entry {shape}]', got {line!r}")
-    try:
-        k = tuple(int(v) for v in line[len("[entry") : -1].split(","))
-    except ValueError:
-        k = ()
-    if len(k) != nu or any(v < 0 for v in k):
-        raise ValueError(f"dyadic index must have {nu} nonnegative integer components, got {line!r}")
-    return k
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are distinct (``json`` keeps the last of a repeated key)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
 
 
-def _tensor_bump(text: str, n_axes: int) -> TensorBump:
-    """The axes text 'c,x,r;... | c,x,r;...' as a tensor bump with n_axes factors."""
-    axes = text.split("|")
-    if len(axes) != n_axes:
-        raise ValueError(f"atom has {len(axes)} axes, the scheme expects {n_axes}")
-    factors = []
-    for axis in axes:
-        triples = []
-        for triple in axis.split(";"):
-            values = triple.split(",")
-            if len(values) != 3:
-                raise ValueError(f"atom triple needs 3 values c,x,r, got {triple.strip()!r}")
-            triples.append(tuple(_finite(v, "atom triple") for v in values))
-        factors.append(BumpCombination(tuple(triples)))
-    return TensorBump(tuple(factors))
-
-
-def _finite(text: str, what: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {text.strip()!r}")
+def _list(value, what: str, length: int | None = None) -> list:
+    """``value`` when it is a JSON array, of ``length`` items when that is given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of length {length}"
+        raise ValueError(f"{what} must be a list{size}, got {json.dumps(value)}")
     return value
+
+
+def _floats(value, length: int, what: str) -> tuple[float, ...]:
+    return tuple(_float(v, f"a value of {what}") for v in _list(value, what, length))
+
+
+def _float(value, what: str) -> float:
+    """A JSON number as a finite float."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is an integer beyond float range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number

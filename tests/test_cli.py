@@ -62,7 +62,7 @@ def write(tmp_path, name, text):
 def kernel_file(tmp_path, tensor):
     from mpradon.kernels import regroup_to_dyadic, save_kernel_sequence
 
-    path = tmp_path / "kernel.txt"
+    path = tmp_path / "kernel.json"
     save_kernel_sequence(regroup_to_dyadic(tensor, (700.0, 900.0), (1.0, -1.0), 3), path)
     return str(path)
 
@@ -350,7 +350,7 @@ def test_kernel_check_detects_violation(tmp_path, capsys, mean_zero_bump, mean_o
             )
         },
     )
-    path = tmp_path / "bad.txt"
+    path = tmp_path / "bad.json"
     save_kernel_sequence(seq, path)
     assert main(["kernel-check", "--kernel", str(path)]) == EXIT_UNBOUNDED
     out = capsys.readouterr().out
@@ -438,6 +438,19 @@ def test_norm_growth_flag_override_is_checked_like_the_spec_value(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: truncation M = 1100 must lie in [0, 1023] (2^M must be a finite float)\n"
+
+
+def test_norm_growth_reads_its_spec_once(tmp_path, capsys, monkeypatch):
+    # the spec was split into sections twice and its [experiment] values parsed twice
+    splits, truncations = [], []
+    split, (field, parse) = cli._split_sections, cli._EXPERIMENT_KEYS["m"]
+    monkeypatch.setattr(cli, "_split_sections", lambda text: splits.append(text) or split(text))
+    monkeypatch.setitem(cli._EXPERIMENT_KEYS, "m", (field, lambda text: truncations.append(text) or parse(text)))
+    spec = write(tmp_path, "k.spec", KNOW_SPEC + "\n[experiment]\ncase = kitty\nM = 0 1\ngrid_n = 64\n")
+    assert main(["norm-growth", "--spec", spec, "--grid-n", "32", "--format", "json"]) == EXIT_BOUNDED
+    table = json.loads(capsys.readouterr().out)
+    assert table["grid"]["n"] == 32 and [r["M"] for r in table["rows"]] == [0, 1]
+    assert len(splits) == 1 and truncations == ["0 1"]
 
 
 def test_experiment_section_with_only_a_case_takes_the_defaults():
@@ -639,16 +652,17 @@ def test_zero_denominator_in_scheme_is_one_line_error(tmp_path, capsys):
 def test_huge_decimal_exponent_in_scheme_text_exits_at_once(tmp_path):
     # Fraction expands '1e99999999' exactly, and the parsers hung on it; each
     # command runs in a child process so that a hang ends at the timeout
-    big = "e = 1e99999999 0 ; 0 1"
-    spec = write(tmp_path, "big.spec", f"[problem]\nfamily = translation_line\np = s + t\n[scheme]\n{big}\n")
-    kernel = write(tmp_path, "big.kernel", f"[kernel]\nN = 2\nnu = 2\n{big}\na = 1.0\n")
+    big = "1e99999999 0 ; 0 1"
+    spec = write(tmp_path, "big.spec", f"[problem]\nfamily = translation_line\np = s + t\n[scheme]\ne = {big}\n")
+    rows = json.dumps(big.split(" ; "))
+    kernel = write(tmp_path, "big.json", f'{{"a": 1.0, "atoms": [], "entries": [], "scheme_rows": {rows}}}')
     timed_main = (
         "import sys, time\nfrom mpradon.cli import main\n"
         "start = time.perf_counter()\ncode = main(sys.argv[1:])\nprint(code, time.perf_counter() - start)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     message = "scheme exponent '1e99999999': the decimal exponent must lie in [-300, 300]"
-    runs = (["analyze", "--spec", spec], "bad scheme: "), (["kernel-check", "--kernel", kernel], "kernel file line 4: ")
+    runs = (["analyze", "--spec", spec], "bad scheme: "), (["kernel-check", "--kernel", kernel], "kernel file: ")
     for argv, prefix in runs:
         cmd = [sys.executable, "-c", timed_main, *argv]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30, env=env)
@@ -727,6 +741,19 @@ def test_bump_moment_beyond_float_range_is_one_line_error(a, a1, capsys):
     assert captured.err == f"error: support length a = {float(a)!r}: the t^{a1} moment is beyond float range\n"
     assert main(["bump", "--a", "1e77", "--a1", "4", "--format", "json"]) == EXIT_BOUNDED
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_bump_determinant_beyond_float_range_is_one_line_error(fmt, capsys):
+    # both determinants overflowed with two numpy RuntimeWarnings, and the
+    # JSON report read "determinant": -Infinity, which is not JSON, with exit 0
+    argv = ["bump", "--a", "1e100", "--a1", "2", "--excluded", "1,3", "--format", fmt]
+    assert main(argv) == EXIT_ERROR
+    message = "support length a = 1e+100: the determinant of the moment system is beyond float range"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    argv[2] = "1e30"  # a determinant near -7.1e176
+    assert main(argv) == EXIT_BOUNDED
+    assert capsys.readouterr().err == ""
 
 
 def test_bump_moment_that_underflows_is_one_line_error(capsys):

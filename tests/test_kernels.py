@@ -164,15 +164,21 @@ REFERENCE_BUMPS = ((0.5, 1, ()), (0.5, 2, ()), (1.0, 1, ()), (1.0, 2, ()), (1.0,
 
 
 @st.composite
-def _kernel_sequences(draw, nus=(1, 2)):
+def _kernel_sequences(draw, nus=(1, 2), several_atoms=False):
     """Regrouped or telescoped sequences, nu in ``nus``, M <= 6; in about half
-    of them one axis carries a unit-mass atom, so its slices cannot cancel."""
+    of them one axis carries a unit-mass atom, so its slices cannot cancel.
+    With ``several_atoms`` a telescoped sequence takes the atom of index k
+    from a cycle of up to three, the others tensors of moment bumps."""
     nu = draw(st.sampled_from(nus))
     factors = [moment_bump(*draw(st.sampled_from(REFERENCE_BUMPS))).bump] * nu
     if draw(st.booleans()):
         x, r = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.05, 1.0))
         factors[draw(st.integers(0, nu - 1))] = BumpCombination(((1.0, x, r),))
     atom, scheme = tensor_bump(factors), ExponentScheme.product(nu)
+    cycle = [atom]
+    if several_atoms:
+        for _ in range(draw(st.integers(0, 2))):
+            cycle.append(tensor_bump([moment_bump(*draw(st.sampled_from(REFERENCE_BUMPS))).bump for _ in range(nu)]))
     m_max = draw(st.integers(0, 6))
     if draw(st.booleans()):
         direction = tuple(draw(st.sampled_from([1.0, 0.5, -0.5, -1.0])) for _ in range(nu))
@@ -185,7 +191,7 @@ def _kernel_sequences(draw, nus=(1, 2)):
         return regroup_to_dyadic(atom, tau, direction, m_max, scheme)
     m_j = tuple(draw(st.integers(0, 3)) for _ in range(nu))
     v = tuple(2.0 ** (m + 1) * draw(st.floats(1.0, 1.999)) for m in m_j)
-    return telescope_decompose(lambda k: atom, m_j, v, m_max, scheme)
+    return telescope_decompose(lambda k: cycle[sum(k) % len(cycle)], m_j, v, m_max, scheme)
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,30 +314,61 @@ def test_exact_zero_needs_a_finite_coefficient_times_jacobian(mean_zero_bump):
     assert verify_cancellation(finite).checks == (SliceCheck((1,), 0, 0.0, exact_zero=True),)
 
 
+# where each field of the first term sits in a kernel file, and the error
+# line for a value beyond float range there
+_NON_FINITE = {
+    "coefficient": (("entries", 0, 1, 0, 0), "kernel file entry 0 term 0: coef must be finite, got inf"),
+    "delta": (("entries", 0, 1, 0, 1, 1), "kernel file entry 0 term 0: a value of delta must be finite, got inf"),
+    "triple": (("atoms", 0, 0, 0, 2), "kernel file atom 0: a value of the triple [c, x, r] must be finite, got inf"),
+    "radius": (("a",), "kernel file: support radius a must be finite, got -inf"),
+}
+
+
+def _with_raw(data: dict, path: tuple, raw: str) -> str:
+    """``data`` as JSON text with the value at ``path`` replaced by the text ``raw``."""
+    data = json.loads(json.dumps(data))
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = "@"
+    return json.dumps(data).replace('"@"', raw)
+
+
 @pytest.mark.parametrize("field", ["coefficient", "delta", "triple", "radius"])
 def test_kernel_file_rejects_non_finite_numbers(tmp_path, capsys, mean_zero_tensor, field):
     seq = regroup_to_dyadic(mean_zero_tensor, (700.0, 900.0), (1.0, -1.0), 3)
-    path = tmp_path / "kernel.txt"
+    path = tmp_path / "kernel.json"
     save_kernel_sequence(seq, path)
-    lines = path.read_text().splitlines()
-    at = next(i for i, ln in enumerate(lines) if ln.startswith("atom "))
-    head, _, axes = lines[at].partition(" : ")
-    coef, _, delta = head[len("atom "):].partition(" @ ")
-    if field == "coefficient":
-        lines[at] = f"atom nan @ {delta} : {axes}"
-    elif field == "delta":
-        lines[at] = f"atom {coef} @ {delta.split()[0]} inf : {axes}"
-    elif field == "triple":
-        c, x, r = axes.split(";")[0].split(",")
-        lines[at] = lines[at].replace(f"{c},{x},{r}", f"{c},{x},nan", 1)
-    else:
-        lines = ["a = -inf" if ln.startswith("a = ") else ln for ln in lines]
-    path.write_text("\n".join(lines) + "\n")
+    where, message = _NON_FINITE[field]
+    # 1e400 is valid JSON, and reads as inf
+    path.write_text(_with_raw(json.loads(path.read_text()), where, "-1e400" if field == "radius" else "1e400"))
     with pytest.raises(ValueError, match="finite"):
         load_kernel_sequence(path)
     assert main(["kernel-check", "--kernel", str(path)]) == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("NaN", "kernel file: NaN is not a JSON number"),
+        ("Infinity", "kernel file: Infinity is not a JSON number"),
+        ("-Infinity", "kernel file: -Infinity is not a JSON number"),
+        ("1" + "0" * 400, "kernel file entry 0 term 0: coef is an integer beyond float range"),
+    ],
+    ids=["nan", "infinity", "minus-infinity", "400-digit-integer"],
+)
+def test_kernel_file_rejects_numbers_beyond_json_or_float_range(tmp_path, capsys, mean_zero_tensor, raw, message):
+    # json reads NaN and Infinity unless told not to, and float() of a
+    # 400-digit integer raises OverflowError
+    path = tmp_path / "kernel.json"
+    save_kernel_sequence(regroup_to_dyadic(mean_zero_tensor, (700.0, 900.0), (1.0, -1.0), 3), path)
+    path.write_text(_with_raw(json.loads(path.read_text()), _NON_FINITE["coefficient"][0], raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kernel-check", "--kernel", str(path), "--format", "json"]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # -- product kernel bounds ------------------------------------------------------
@@ -431,8 +468,8 @@ def test_kernel_check_rejects_a_product_bound_beyond_float_range(tmp_path, capsy
 def test_kernel_check_rejects_a_derivative_scale_beyond_float_range(tmp_path, capsys, radius):
     # r^61 underflowed to 0 (ZeroDivisionError) or overflowed (OverflowError),
     # both a traceback out of kernel-check
-    factor = f"1.0,0.0,{radius!r};-1.0,{radius / 2!r},{radius!r}"
-    text = f"[kernel]\nN = 2\nnu = 2\ne = 1 0 ; 0 1\na = 4.0\n[entry 1,0]\natom 1.0 @ 1.0 1.0 : {factor} | {factor}\n"
+    factor = [[1.0, 0.0, radius], [-1.0, radius / 2, radius]]
+    text = _kernel_text([[[1, 0], [[1.0, [1.0, 1.0], 0]]]], [[factor, factor]], rows=["1 0", "0 1"], a=4.0)
     code, out, err = _kernel_check(tmp_path, capsys, text, "--M", "4", "--alphas", "60,0")
     assert code == EXIT_ERROR and out == ""
     assert err == f"error: atom radius r = {radius!r}: the scale c / r^61 of the order-60 derivative is beyond float range\n"
@@ -625,7 +662,7 @@ def test_telescope_bracketing_precondition(mean_zero_bump):
 
 def test_kernel_file_round_trip(tmp_path, mean_zero_tensor):
     seq = regroup_to_dyadic(mean_zero_tensor, (700.0, 900.0), (1.0, -1.0), 3)
-    path = tmp_path / "kernel.txt"
+    path = tmp_path / "kernel.json"
     save_kernel_sequence(seq, path)
     again = load_kernel_sequence(path)
     assert again.scheme == seq.scheme
@@ -636,29 +673,82 @@ def test_kernel_file_round_trip(tmp_path, mean_zero_tensor):
         assert [(sa.coef, sa.delta) for sa in a.atoms] == [(sa.coef, sa.delta) for sa in b.atoms]
         for sa, sb in zip(a.atoms, b.atoms):
             assert [f.atoms for f in sa.atom.factors] == [f.atoms for f in sb.atom.factors]
+    # one line of JSON with sorted keys, and the one atom of every entry written once
+    text = path.read_text()
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True) + "\n"
+    assert data["scheme_rows"] == ["1 0", "0 1"] and len(data["atoms"]) == 1
     # a second save is byte-identical
-    path2 = tmp_path / "kernel2.txt"
+    path2 = tmp_path / "kernel2.json"
     save_kernel_sequence(again, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _atom_bits(atom: TensorBump) -> tuple:
+    return tuple(tuple(tuple(map(float.hex, t)) for t in f.atoms) for f in atom.factors)
+
+
+def _sequence_bits(seq: DyadicKernelSeq) -> list:
+    """Per entry in index order: each term's coef, delta and atom, bit for bit."""
+    return [
+        (k, [(sa.coef.hex(), tuple(map(float.hex, sa.delta)), _atom_bits(sa.atom)) for sa in seq.entries[k].atoms])
+        for k in seq.indices()
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_kernel_sequences(several_atoms=True))
+def test_kernel_files_reload_bit_exact_with_one_object_per_atom(seq):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = os.path.join(tmp, "kernel.json"), os.path.join(tmp, "again.json")
+        save_kernel_sequence(seq, path)
+        loaded = load_kernel_sequence(path)
+        save_kernel_sequence(loaded, again)
+        with open(path, "rb") as first, open(again, "rb") as second:
+            assert first.read() == second.read()
+    assert loaded.scheme == seq.scheme and loaded.support_radius == seq.support_radius
+    assert _sequence_bits(loaded) == _sequence_bits(seq)
+    # atoms equal in the sequence are one object after the load
+    shared: dict = {}
+    for k in seq.indices():
+        for sa, sb in zip(seq.entries[k].atoms, loaded.entries[k].atoms):
+            assert shared.setdefault(_atom_bits(sa.atom), sb.atom) is sb.atom
+    assert verify_cancellation(loaded) == verify_cancellation(seq)
+    if seq.scheme.n_params == 2:
+        truncations, alphas = [0, 2, 4, 8], [(0, 0), (1, 0)]
+        assert sample_product_kernel_bounds(loaded, truncations, alphas) == sample_product_kernel_bounds(
+            seq, truncations, alphas
+        )
+
+
 def test_kernel_file_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("[kernel]\nN = 2\nnu = 2\n")
-    with pytest.raises(ValueError):
-        load_kernel_sequence(path)
-    path.write_text("not a kernel\n")
-    with pytest.raises(ValueError):
-        load_kernel_sequence(path)
+    path = tmp_path / "bad.json"
+    for text in ("{}", "not a kernel\n", '{"a": 1.0}', ""):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^kernel file: "):
+            load_kernel_sequence(path)
 
 
-_HEADER = "[kernel]\nN = 1\nnu = 1\ne = 1\na = 1.0\n"
-_UNIT = "atom 1.0 @ 1.0 : 1.0,0.125,0.5\n"  # a unit-mass atom, so its slices cannot cancel
-_CANCELLING = "atom 1.0 @ 1.0 : 1.0,0.0,0.25;-1.0,0.25,0.25\n"
+@pytest.mark.parametrize("k", [(1.7,), (True,), (1, 2.0)])
+def test_dyadic_indices_must_be_integers(mean_zero_bump, k):
+    # int() truncated each component, so {(1.7,): a, (1.2,): b} kept only b
+    scheme = ExponentScheme.product(len(k))
+    entry = KernelEntry(scheme, [ScaledAtom(1.0, tensor_bump([mean_zero_bump] * len(k)), (1.0,) * len(k))])
+    with pytest.raises(ValueError, match=re.escape(f"dyadic index {k} must lie in N^{len(k)}")):
+        DyadicKernelSeq(scheme, 1.0, {k: entry})
+    assert DyadicKernelSeq(scheme, 1.0, {(1,) * len(k): entry}).indices() == [(1,) * len(k)]
+
+
+_CANCELLING = [[[1.0, 0.0, 0.25], [-1.0, 0.25, 0.25]]]  # one axis, two atoms of opposite sign: mass 0
+_UNIT = [[[1.0, 0.125, 0.5]]]  # a unit-mass atom, so its slices cannot cancel
+
+
+def _kernel_text(entries, atoms=(_CANCELLING, _UNIT), rows=("1",), a=1.0) -> str:
+    return json.dumps({"a": a, "atoms": list(atoms), "entries": entries, "scheme_rows": list(rows)})
 
 
 def _kernel_check(tmp_path, capsys, text: str, *extra: str):
-    path = tmp_path / "kernel.txt"
+    path = tmp_path / "kernel.json"
     path.write_text(text)
     code = main(["kernel-check", "--kernel", str(path), *extra])
     captured = capsys.readouterr()
@@ -666,104 +756,148 @@ def _kernel_check(tmp_path, capsys, text: str, *extra: str):
 
 
 def test_kernel_check_rejects_a_repeated_entry(tmp_path, capsys):
-    # the cancelling second [entry 1] used to replace the unit-mass first one
-    text = _HEADER + "[entry 1]\n" + _UNIT + "[entry 2]\n" + _CANCELLING + "[entry 1]\n" + _CANCELLING
-    code, out, err = _kernel_check(tmp_path, capsys, text)
+    # a second index [1] would replace the unit-mass first entry with a cancelling one
+    entries = [[[1], [[1.0, [1.0], 1]]], [[2], [[1.0, [1.0], 0]]], [[1], [[1.0, [1.0], 0]]]]
+    code, out, err = _kernel_check(tmp_path, capsys, _kernel_text(entries))
     assert code == EXIT_ERROR and out == ""
-    assert err == "error: kernel file line 10: repeated [entry 1] (first on line 6)\n"
-    fixed = text.replace("[entry 1]\n" + _CANCELLING, "[entry 3]\n" + _CANCELLING)
-    assert _kernel_check(tmp_path, capsys, fixed)[0] == EXIT_UNBOUNDED
+    assert err == "error: kernel file entry 2: repeated index [1] (first at entry 0)\n"
+    entries[2][0] = [3]
+    assert _kernel_check(tmp_path, capsys, _kernel_text(entries))[0] == EXIT_UNBOUNDED
 
 
 @pytest.mark.parametrize("radius", ["-1.0", "0", "-0.0"])
 def test_kernel_check_rejects_a_nonpositive_support_radius(tmp_path, capsys, radius):
-    text = _HEADER.replace("a = 1.0", f"a = {radius}") + "[entry 1]\n" + _CANCELLING
+    text = _kernel_text([[[1], [[1.0, [1.0], 0]]]]).replace('"a": 1.0', f'"a": {radius}')
     code, out, err = _kernel_check(tmp_path, capsys, text)
     assert code == EXIT_ERROR and out == ""
-    assert err == f"error: kernel file line 5: support radius a must be positive, got {radius}\n"
+    assert err == f"error: kernel file: support radius a must be positive, got {radius}\n"
+
+
+_TWO_ENTRIES = json.loads(_kernel_text([[[1], [[1.0, [1.0], 0]]], [[2], [[1.0, [1.0], 0]]]]))
 
 
 @pytest.mark.parametrize(
-    "line, message",
+    "path, raw, message",
     [
-        ("atom 1.0 @ 1.0 : 1.0,0.0", "atom triple needs 3 values c,x,r, got '1.0,0.0'"),
-        ("atom 1.0 @ 1.0 1.0 : 1.0,0.0,0.25", "atom delta has 2 values, the scheme expects 1"),
-        ("atom 1.0 @ 1.0 : 1.0,0.0,0.25 | 1.0,0.0,0.25", "atom has 2 axes, the scheme expects 1"),
-        ("atom 1.0 1.0 : 1.0,0.0,0.25", "expected 'atom <coef> @ <delta...> : <axis atoms>'"),
-        ("atom 1.0 @ 1.0 : 1.0,0.0,-0.25", "atom radii must be positive"),
-        ("[entry 2", "expected '[entry k1]', got '[entry 2'"),
-        ("[entry 2,3]", "dyadic index must have 1 nonnegative integer components, got '[entry 2,3]'"),
-        ("[entry -2]", "dyadic index must have 1 nonnegative integer components, got '[entry -2]'"),
-        ("entry 2", "unrecognized kernel file line: 'entry 2'"),
+        pytest.param(("atoms", 0, 0, 1), "[-1.0, 0.25]",
+                     "atom 0: the triple [c, x, r] must be a list of length 3, got [-1.0, 0.25]", id="triple-arity"),
+        pytest.param(("atoms", 0, 0, 1, 1), '"0.25"',
+                     'atom 0: a value of the triple [c, x, r] must be a number, got "0.25"', id="triple-value"),
+        pytest.param(("atoms", 0, 0, 1, 2), "-0.25", "atom 0: atom radii must be positive", id="triple-radius"),
+        pytest.param(("atoms", 0, 0), "1.0", "atom 0: an axis must be a list, got 1.0", id="axis"),
+        pytest.param(("atoms", 0), "[[], []]", "atom 0: an atom's axes must be a list of length 1, got [[], []]",
+                     id="axes-arity"),
+        pytest.param(("entries", 1), "[[2]]",
+                     "entry 1: an entry [index, terms] must be a list of length 2, got [[2]]", id="entry"),
+        pytest.param(("entries", 1, 0), "2", "entry 1: the index must be a list, got 2", id="index-type"),
+        pytest.param(("entries", 1, 0), "[2, 3]", "entry 1: dyadic index (2, 3) must lie in N^1", id="index-arity"),
+        pytest.param(("entries", 1, 0), "[-2]", "entry 1: dyadic index (-2,) must lie in N^1", id="index-negative"),
+        pytest.param(("entries", 1, 0), "[1.5]", "entry 1: dyadic index (1.5,) must lie in N^1", id="index-float"),
+        pytest.param(("entries", 1, 0), "[true]", "entry 1: dyadic index (True,) must lie in N^1", id="index-bool"),
+        pytest.param(("entries", 1, 1), "{}", "entry 1: the terms must be a list, got {}", id="terms"),
+        pytest.param(("entries", 1, 1, 0), "[1.0, [1.0]]",
+                     "entry 1 term 0: a term [coef, delta, atom index] must be a list of length 3, got [1.0, [1.0]]",
+                     id="term"),
+        pytest.param(("entries", 1, 1, 0, 0), '"1.0"', 'entry 1 term 0: coef must be a number, got "1.0"',
+                     id="coef"),
+        pytest.param(("entries", 1, 1, 0, 1), "[1.0, 1.0]",
+                     "entry 1 term 0: delta must be a list of length 1, got [1.0, 1.0]", id="delta-arity"),
+        pytest.param(("entries", 1, 1, 0, 1), "[0.0]", "entry 1 term 0: atom dilation parameters must be positive",
+                     id="delta-zero"),
+        pytest.param(("entries", 1, 1, 0, 2), "2",
+                     "entry 1 term 0: the atom index must be an integer in [0, 2), got 2", id="atom-index-range"),
+        pytest.param(("entries", 1, 1, 0, 2), "-1",
+                     "entry 1 term 0: the atom index must be an integer in [0, 2), got -1", id="atom-index-negative"),
+        pytest.param(("entries", 1, 1, 0, 2), "0.0",
+                     "entry 1 term 0: the atom index must be an integer in [0, 2), got 0.0", id="atom-index-float"),
+        pytest.param(("entries", 1, 1, 0, 2), "false",
+                     "entry 1 term 0: the atom index must be an integer in [0, 2), got false", id="atom-index-bool"),
     ],
 )
-def test_kernel_file_errors_name_the_line(tmp_path, capsys, line, message):
-    text = _HEADER + "[entry 1]\n" + _CANCELLING + "\n" + line + "\n"
-    code, out, err = _kernel_check(tmp_path, capsys, text)
-    assert code == EXIT_ERROR and out == ""
-    assert err == f"error: kernel file line 9: {message}\n"
-
-
-@pytest.mark.parametrize(
-    "header, message",
-    [
-        ("N 1", "line 2: expected one of N, nu, e, a = <value>, got 'N 1'"),
-        ("N = 2", "line 2: kernel header N = 2 disagrees with the scheme rows"),
-        ("b = 1", "line 2: expected one of N, nu, e, a = <value>, got 'b = 1'"),
-    ],
-)
-def test_kernel_header_errors_name_the_line(tmp_path, capsys, header, message):
-    text = _HEADER.replace("N = 1", header) + "[entry 1]\n" + _CANCELLING
-    code, out, err = _kernel_check(tmp_path, capsys, text)
+def test_kernel_file_errors_name_the_atom_entry_and_term(tmp_path, capsys, path, raw, message):
+    code, out, err = _kernel_check(tmp_path, capsys, _with_raw(_TWO_ENTRIES, path, raw))
     assert code == EXIT_ERROR and out == ""
     assert err == f"error: kernel file {message}\n"
+
+
+_CUT_SHORT = json.dumps(_TWO_ENTRIES)[:-1]
+_CUT_AT = f"line 1 column {len(_CUT_SHORT) + 1} (char {len(_CUT_SHORT)})"
+_KEYS_MESSAGE = "expected an object with the keys ['a', 'atoms', 'entries', 'scheme_rows']"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("[kernel]\nN = 1\n", "Expecting value: line 1 column 2 (char 1)", id="not-json"),
+        pytest.param(_CUT_SHORT, f"Expecting ',' delimiter: {_CUT_AT}", id="cut-short"),
+        pytest.param("[" * 100_000,
+                     "maximum recursion depth exceeded while decoding a JSON array from a unicode string", id="nested"),
+        pytest.param("[]", _KEYS_MESSAGE, id="not-an-object"),
+        pytest.param(json.dumps({k: v for k, v in _TWO_ENTRIES.items() if k != "a"}),
+                     f"{_KEYS_MESSAGE}, got ['atoms', 'entries', 'scheme_rows']", id="missing-key"),
+        pytest.param(json.dumps({**_TWO_ENTRIES, "N": 1}),
+                     f"{_KEYS_MESSAGE}, got ['N', 'a', 'atoms', 'entries', 'scheme_rows']", id="unknown-key"),
+        pytest.param('{"a": 2.0, ' + json.dumps(_TWO_ENTRIES)[1:], "repeated key 'a'", id="repeated-key"),
+        pytest.param(_with_raw(_TWO_ENTRIES, ("a",), '"1.0"'), 'support radius a must be a number, got "1.0"',
+                     id="radius-type"),
+        pytest.param(_with_raw(_TWO_ENTRIES, ("atoms",), "{}"), "atoms must be a list, got {}", id="atoms-type"),
+        pytest.param(_with_raw(_TWO_ENTRIES, ("entries",), "null"), "entries must be a list, got null",
+                     id="entries-type"),
+        pytest.param(_with_raw(_TWO_ENTRIES, ("scheme_rows",), "[[1]]"),
+                     'scheme_rows must be a list of strings such as "1 0"', id="rows-type"),
+        pytest.param(_with_raw(_TWO_ENTRIES, ("scheme_rows",), '["1", "1 0"]'),
+                     "all scheme rows must have the same positive length", id="rows-arity"),
+        pytest.param(_with_raw(_TWO_ENTRIES, ("scheme_rows",), '["1e400"]'),
+                     "scheme exponent '1e400': the decimal exponent must lie in [-300, 300]", id="rows-exponent-cap"),
+    ],
+)
+def test_kernel_file_errors_name_the_key(tmp_path, capsys, text, message):
+    code, out, err = _kernel_check(tmp_path, capsys, text)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: kernel file: {message}\n"
 
 
 def test_kernel_check_rejects_a_dilation_factor_that_overflows(tmp_path, capsys):
     # (1e200)^2 is beyond float range: the factor read inf, and kernel-check
     # exited 2 with a numpy RuntimeWarning and NaN for a cancelling kernel
-    text = "[kernel]\nN = 1\nnu = 1\ne = 2\na = 1.0\n[entry 1]\n" + _CANCELLING.replace("@ 1.0", "@ 1e200")
+    text = _kernel_text([[[1], [[1.0, [1e200], 0]]]], rows=["2"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _kernel_check(tmp_path, capsys, text, "--format", "json")
     assert code == EXIT_ERROR and out == ""
-    assert err == "error: atom delta (1e+200,) overflows a dilation factor to inf\n"
+    assert err == "error: kernel file entry 0: atom delta (1e+200,) overflows a dilation factor to inf\n"
 
 
 def test_kernel_check_rejects_an_overflowing_factor_whose_exponent_is_beyond_float_range(tmp_path, capsys):
     # 2.0^(10^400) overflows
-    text = f"[kernel]\nN = 1\nnu = 1\ne = 1{'0' * 400}\na = 1.0\n[entry 1]\n" + _CANCELLING.replace(
-        "@ 1.0", "@ 2.0"
-    )
+    text = _kernel_text([[[1], [[1.0, [2.0], 0]]]], rows=["1" + "0" * 400])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _kernel_check(tmp_path, capsys, text, "--format", "json")
     assert code == EXIT_ERROR and out == ""
-    assert err == "error: atom delta (2.0,) overflows a dilation factor to inf\n"
+    assert err == "error: kernel file entry 0: atom delta (2.0,) overflows a dilation factor to inf\n"
 
 
 def test_kernel_check_rejects_a_dilation_factor_that_underflows(tmp_path, capsys):
     # (1e-200)^2 underflows to 0: the support box divided by it, with numpy
     # RuntimeWarnings on stderr, and the check reported radius inf
-    text = "[kernel]\nN = 1\nnu = 1\ne = 2\na = 1.0\n[entry 1]\n" + _CANCELLING.replace("@ 1.0", "@ 1e-200")
+    text = _kernel_text([[[1], [[1.0, [1e-200], 0]]]], rows=["2"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _kernel_check(tmp_path, capsys, text)
     assert code == EXIT_ERROR and out == ""
-    assert err == "error: atom delta (1e-200,) underflows a dilation factor to 0\n"
+    assert err == "error: kernel file entry 0: atom delta (1e-200,) underflows a dilation factor to 0\n"
 
 
 def test_kernel_check_rejects_a_factor_whose_exponent_is_beyond_float_range(tmp_path, capsys):
     # 0.5^(10^400) underflows; it read as inf, and kernel-check exited 2 with
     # a numpy RuntimeWarning on stderr and NaN in its JSON
-    text = f"[kernel]\nN = 1\nnu = 1\ne = 1{'0' * 400}\na = 1.0\n[entry 1]\n" + _CANCELLING.replace(
-        "@ 1.0", "@ 0.5"
-    )
+    text = _kernel_text([[[1], [[1.0, [0.5], 0]]]], rows=["1" + "0" * 400])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _kernel_check(tmp_path, capsys, text, "--format", "json")
     assert code == EXIT_ERROR and out == ""
-    assert err == "error: atom delta (0.5,) underflows a dilation factor to 0\n"
+    assert err == "error: kernel file entry 0: atom delta (0.5,) underflows a dilation factor to 0\n"
 
 
 def test_kernel_check_rejects_an_entry_scale_beyond_float_range(tmp_path, capsys, mean_zero_tensor):
@@ -773,7 +907,7 @@ def test_kernel_check_rejects_an_entry_scale_beyond_float_range(tmp_path, capsys
     message = "entry (1100, 1): the scale 2^1100 is beyond float range (2^1023 at most)"
     with pytest.raises(ValueError, match=re.escape(message)):
         kernel_sum(seq, np.zeros((1, 2)))
-    path = tmp_path / "far.kernel"
+    path = tmp_path / "far.json"
     save_kernel_sequence(seq, path)
     assert main(["kernel-check", "--kernel", str(path)]) == EXIT_BOUNDED
     capsys.readouterr()
@@ -785,11 +919,9 @@ def test_kernel_check_rejects_an_entry_scale_beyond_float_range(tmp_path, capsys
 def test_kernel_check_reports_exact_zero_slice_counts(tmp_path, capsys, mean_zero_bump):
     # k = (1, 1): both slices of the first atom are exact zeros; the unit-mass
     # first axis of the second atom leaves slice mu = 1 to the sampled grid
-    text = (
-        "[kernel]\nN = 2\nnu = 2\ne = 1 0 ; 0 1\na = 1.0\n[entry 1,1]\n"
-        "atom 1.0 @ 1.0 1.0 : 1.0,0.0,0.25;-1.0,0.25,0.25 | 1.0,0.0,0.25;-1.0,0.25,0.25\n"
-        "atom 1.0 @ 1.0 1.0 : 1.0,0.125,0.5 | 1.0,0.0,0.25;-1.0,0.25,0.25\n"
-    )
+    atoms = [_CANCELLING * 2, _UNIT + _CANCELLING]
+    terms = [[1.0, [1.0, 1.0], 0], [1.0, [1.0, 1.0], 1]]
+    text = _kernel_text([[[1, 1], terms]], atoms, rows=["1 0", "0 1"])
     code, out, _ = _kernel_check(tmp_path, capsys, text, "--format", "json")
     cancel = json.loads(out)["cancellation"]
     assert code == EXIT_UNBOUNDED
@@ -801,61 +933,64 @@ def test_kernel_check_reports_exact_zero_slice_counts(tmp_path, capsys, mean_zer
 
 # Kernel files from a small alphabet.  Half of the draws are well formed,
 # with coefficients and scales up to 1e308, so that they reach the
-# cancellation and bound checks; the other half carry one fault: a header
-# with a missing, repeated, unknown or bad key, a repeated or malformed
-# [entry line, an atom line of the wrong arity, or a number that is nan,
-# inf, negative or not a number.
+# cancellation and bound checks; the other half carry one fault: any value
+# of the file replaced by one of another JSON type or arity, by NaN or an
+# infinity, or by a number beyond float range; any item or key deleted; an
+# unknown key added; an entry repeated; or the text cut short.
 _SCHEMES = ("1", "1 0 ; 0 1", "1 0 ; 0 1", "2 0 ; 1 1", "1 1/2 ; 0 1", "1 0 ; 0 1 ; 1 1")
-_COEFS = ("1.0", "-1.0", "0.5", "2", "0", "1e308", "-1e308")
-_SCALES = ("1.0", "1.0", "0.5", "3", "1e308", "1e-300")
-_AXES = ("1.0,0.0,0.25;-1.0,0.25,0.25",) * 3 + ("1.0,0.125,0.5", "1e308,0.0,0.5;-1e308,0.5,0.5")
-_BAD_NUMBERS = ("nan", "inf", "-inf", "-1.0", "0", "x", "")
+_COEFS = (1.0, -1.0, 0.5, 2, 0, 1e308, -1e308)
+_SCALES = (1.0, 1.0, 0.5, 3, 1e308, 1e-300)
+_AXES = (_CANCELLING[0],) * 3 + (_UNIT[0], [[1e308, 0.0, 0.5], [-1e308, 0.5, 0.5]])
+_BAD_VALUES = (
+    "null", "true", '"x"', "[]", "{}", "-1.0", "0", "1.5", "3", "NaN", "-Infinity", "1e400", "1" + "0" * 400,
+    "[1.0, 2.0]", "[[1.0, 0.0, 0.25]]",
+)
+
+
+def _json_paths(node, path=()):
+    """The path of every value in a JSON document, the document's own () first."""
+    yield path
+    items = enumerate(node) if isinstance(node, list) else node.items() if isinstance(node, dict) else ()
+    for key, child in items:
+        yield from _json_paths(child, (*path, key))
 
 
 @st.composite
-def _kernel_text(draw):
+def _fuzzed_kernel_text(draw):
     pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
-    fault = pick(("none",) * 4 + ("header", "entry", "atom", "number"))
-    scheme = pick(_SCHEMES)
-    n_t, nu = scheme.count(";") + 1, len(scheme.split(";")[0].split())
-    header = [f"N = {n_t}", f"nu = {nu}", f"e = {scheme}", f"a = {pick(('1.0', '2.5', '1e308'))}"]
-    if fault == "header":
-        at = draw(st.integers(0, 3))
-        header[at] = pick((
-            "", header[at].replace(" = ", " "), "x = 1", header[at] + " 1", header[at].split("=")[0] + "= 3",
-            "e = 1/0 0 ; 0 1", "e = 0 ; 1", "a = -1.0", "a = 0",
-        ))
-        header.append(pick(("", "a = 2.0", "N = 1", "[kernel]")))
-    lines = ["[kernel]", *header]
-    indices = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nu), max_size=4, unique=True))
-    for k in indices:
-        lines.append(f"[entry {','.join(map(str, k))}]")
-        for _ in range(draw(st.integers(0, 3))):
-            delta = " ".join(pick(_SCALES) for _ in range(nu))
-            axes = " | ".join(pick(_AXES) for _ in range(n_t))
-            lines.append(f"atom {pick(_COEFS)} @ {delta} : {axes}")
-    if fault == "entry":
-        k = ",".join(map(str, indices[0])) if indices else "0"
-        at = draw(st.integers(1, len(lines)))
-        lines.insert(at, pick((f"[entry {k}]", f"[entry {k}", "[entry ]", f"[entry -{k}]", f"[entry {k},x]", "entry 1")))
-    elif fault == "atom" and len(lines) > 5:
-        at = draw(st.integers(5, len(lines) - 1))
-        head, _, axes = lines[at].partition(" : ")
-        lines[at] = pick((
-            f"{head} : {axes} | {axes}", f"{head} 1.0 : {axes}", head.replace(" @ ", " ") + " : " + axes,
-            f"{head} : {axes.replace(',0.25;', ';', 1)}", f"{head} : {axes},1.0", f"{head} :", "atom",
-        ))
-    elif fault == "number" and len(lines) > 5:
-        at = draw(st.integers(1, len(lines) - 1))
-        lines[at] = lines[at].replace(pick(("1.0", "0.25", "0.5", "1e308")), pick(_BAD_NUMBERS), 1)
-    return "\n".join(lines) + "\n"
+    fault = pick(("none",) * 5 + ("value", "value", "delete", "key", "repeat", "cut"))
+    rows = pick(_SCHEMES).split(" ; ")
+    n_t, nu = len(rows), len(rows[0].split())
+    atoms = [[pick(_AXES) for _ in range(n_t)] for _ in range(draw(st.integers(1, 3)))]
+    entries = [
+        [list(k), [[pick(_COEFS), [pick(_SCALES) for _ in range(nu)], draw(st.integers(0, len(atoms) - 1))]
+                   for _ in range(draw(st.integers(0, 3)))]]
+        for k in draw(st.lists(st.tuples(*[st.integers(0, 3)] * nu), max_size=4, unique=True))
+    ]
+    data = json.loads(_kernel_text(entries, atoms, rows, pick((1.0, 2.5, 1e308))))
+    paths = list(_json_paths(data))
+    if fault == "value":
+        path = pick(paths)
+        return _with_raw(data, path, pick(_BAD_VALUES)) if path else pick(_BAD_VALUES)
+    if fault == "delete" and len(paths) > 1:
+        *parents, last = pick(paths[1:])
+        target = data
+        for key in parents:
+            target = target[key]
+        del target[last]
+    elif fault == "key":
+        data[pick(("N", "nu", "e", "b"))] = 1
+    elif fault == "repeat" and entries:
+        data["entries"].insert(draw(st.integers(0, len(entries))), pick(data["entries"]))
+    text = json.dumps(data)
+    return text[: draw(st.integers(0, len(text) - 1))] if fault == "cut" else text
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_kernel_text(), st.sampled_from([(), (), ("--M", "2"), ("--format", "json")]))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_fuzzed_kernel_text(), st.sampled_from([(), (), ("--M", "2"), ("--format", "json")]))
 def test_fuzzed_kernel_files_exit_cleanly(text, extra):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "fuzz.kernel")
+        path = os.path.join(tmp, "fuzz.json")
         with open(path, "w") as fh:
             fh.write(text)
         out, err = io.StringIO(), io.StringIO()
@@ -872,16 +1007,11 @@ def test_fuzzed_kernel_files_exit_cleanly(text, extra):
 # entry (0, 0) is dilated by delta = (1, 1e-300), so its support box reaches
 # about 5e299; entry (1, 0)'s slice is sampled, its inner coefficients
 # summing to 0.1 + 0.2 - 0.3 != 0 in floats
-_WIDE_SUPPORT_KERNEL = """[kernel]
-N = 2
-nu = 2
-e = 1 0 ; 0 1
-a = 1.0
-[entry 0,0]
-atom 1.0 @ 1.0 1e-300 : 1.0,0.0,0.25;-1.0,0.25,0.25 | 1.0,0.0,0.25;-1.0,0.25,0.25
-[entry 1,0]
-atom 1.0 @ 2.0 1.0 : 0.1,0.0,0.25;0.2,0.25,0.25;-0.3,0.5,0.25 | 1.0,0.0,0.25
-"""
+_WIDE_SUPPORT_KERNEL = _kernel_text(
+    [[[0, 0], [[1.0, [1.0, 1e-300], 0]]], [[1, 0], [[1.0, [2.0, 1.0], 1]]]],
+    [_CANCELLING * 2, [[[0.1, 0.0, 0.25], [0.2, 0.25, 0.25], [-0.3, 0.5, 0.25]], [[1.0, 0.0, 0.25]]]],
+    rows=["1 0", "0 1"],
+)
 
 _WIDE_SUPPORT_TEXT = """cancellation: FAIL (max slice integral 5.785e-16, tol 1.0e-09) (0 of 1 slices exact zero)
   support violated at k=(0, 0): radius 4.9999999999999995e+299
@@ -889,7 +1019,7 @@ _WIDE_SUPPORT_TEXT = """cancellation: FAIL (max slice integral 5.785e-16, tol 1.
 
 
 def test_cancellation_report_numbers_are_python_numbers(tmp_path, capsys):
-    path = tmp_path / "wide.kernel"
+    path = tmp_path / "wide.json"
     path.write_text(_WIDE_SUPPORT_KERNEL)
     report = verify_cancellation(load_kernel_sequence(path))
     numbers = [report.max_abs, report.tolerance, report.exact_zero_slices]
