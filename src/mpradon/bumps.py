@@ -22,7 +22,6 @@ which keeps the Vandermonde nodes well separated for exponents up to ~12.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -189,17 +188,6 @@ class BumpCombination:
         for c, x, r in self.atoms:
             total += c * sum(comb(m, i) * base_moment(i) * r**i * x ** (m - i) for i in range(m + 1))
         return total
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"atoms": [[repr(c), repr(x), repr(r)] for c, x, r in self.atoms]},
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BumpCombination":
-        data = json.loads(text)
-        return cls(tuple((float(c), float(x), float(r)) for c, x, r in data["atoms"]))
 
 
 @dataclass(frozen=True)

@@ -376,7 +376,7 @@ def cmd_bump(args) -> int:
     }
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(result.bump.to_json() + "\n")
+            fh.write(json.dumps({"atoms": report["atoms"]}, sort_keys=True) + "\n")
     if args.format == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     else:
@@ -394,6 +394,8 @@ def cmd_bump(args) -> int:
 
 
 def cmd_kernel_check(args) -> int:
+    if args.alphas and args.M is None:
+        raise ValueError("kernel-check: --alphas needs --M, the depth the product bounds are sampled to")
     seq = load_kernel_sequence(args.kernel)
     report = verify_cancellation(seq)
     payload: dict = {
@@ -465,9 +467,9 @@ def cmd_norm_growth(args) -> int:
     else:
         lines = [f"case {table.case} (grid n={grid.n}, window [{grid.xmin}, {grid.xmax}])"]
         for r in table.rows:
-            lvl = "" if r.level is None else f" L={r.level}"
+            lvl = "" if r.L is None else f" L={r.L}"
             flag = "" if r.converged else f" (not converged after {r.iterations} iterations)"
-            lines.append(f"  M={r.truncation}{lvl}: norm={r.norm:.6e} ratio={r.ratio:.6f}{flag}")
+            lines.append(f"  M={r.M}{lvl}: norm={r.norm:.6e} ratio={r.ratio:.6f}{flag}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_BOUNDED
 

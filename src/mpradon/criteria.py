@@ -435,7 +435,7 @@ def supporting_line_condition(
                 alpha0,
                 d0,
                 fractions,
-                f"Xhat_{alpha0} is outside span(H_pi) for the line with normal {fractions}; "
+                f"Xhat_{alpha0} is outside span(H_pi) for the line with normal {normal}; "
                 f"H_pi = {h_pi}",
             )
         sectors.append(SectorCertificate(fractions, members, coefficients))
@@ -570,5 +570,5 @@ def scalar_control_verdict(w: WExpansion) -> Verdict:
             certificates=tuple(ControlCertificate(alpha, e.degree, ()) for alpha, e in nonpure),
         )
     alpha0, d0, normal = worst
-    reason = f"degree {d0} lies outside the Newton polyhedron of the pure degrees"
+    reason = f"degree ({', '.join(map(str, d0))}) lies outside the Newton polyhedron of the pure degrees"
     return Verdict(Outcome.UNBOUNDED, witness=Witness(alpha0, d0, normal, reason))

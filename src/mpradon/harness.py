@@ -521,8 +521,8 @@ def square_scales(m: int) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class GrowthRow:
-    truncation: int
-    level: int | None
+    M: int  # the truncation
+    L: int | None  # the know case's scale parameter
     norm: float
     ratio: float
     iterations: int
@@ -548,33 +548,13 @@ class GrowthTable:
         writer = csv.writer(buf)
         writer.writerow(["M", "L", "norm", "ratio", "iterations", "converged"])
         for r in self.rows:
-            level = "" if r.level is None else r.level
-            writer.writerow([r.truncation, level, repr(r.norm), repr(r.ratio), r.iterations, str(r.converged).lower()])
+            level = "" if r.L is None else r.L
+            writer.writerow([r.M, level, repr(r.norm), repr(r.ratio), r.iterations, str(r.converged).lower()])
         return buf.getvalue()
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "grid": {"xmin": self.grid.xmin, "xmax": self.grid.xmax, "n": self.grid.n},
-            "quad_order": self.quad_order,
-            "norm_method": NORM_METHOD,
-            "rows": [
-                {
-                    "M": r.truncation,
-                    "L": r.level,
-                    "norm": r.norm,
-                    "ratio": r.ratio,
-                    "iterations": r.iterations,
-                    "converged": r.converged,
-                    "band": r.band,
-                    "fft_length": r.fft_length,
-                }
-                for r in self.rows
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        # every field name is its JSON key; Grid1D and GrowthRow are written as their fields
+        return json.dumps({**vars(self), "norm_method": NORM_METHOD}, sort_keys=True, default=vars)
 
     def ratios(self) -> list[float]:
         return [r.ratio for r in self.rows]

@@ -465,7 +465,7 @@ def per_sector_condition(
                 alpha0,
                 d0,
                 normal,
-                f"Xhat_{alpha0} is outside span(H_pi) for the line with normal {normal}; "
+                f"Xhat_{alpha0} is outside span(H_pi) for the line with normal ({', '.join(map(str, normal))}); "
                 f"H_pi = {h_pi}",
             )
         labels = tuple(closure[kept[j]].label for j in combo)

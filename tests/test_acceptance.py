@@ -211,7 +211,7 @@ def test_criterion_5_redcomposition_identities():
 def test_criterion_6_kitty_exact_growth():
     start = time.perf_counter()
     table = growth_experiment("kitty", list(range(9)))
-    errors = [abs(r.ratio - (r.truncation + 1)) / (r.truncation + 1) for r in table.rows]
+    errors = [abs(r.ratio - (r.M + 1)) / (r.M + 1) for r in table.rows]
     elapsed = time.perf_counter() - start
     ok = max(errors) <= 1e-12 and elapsed < 30.0
     _report(

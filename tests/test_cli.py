@@ -782,6 +782,16 @@ def test_kernel_check_rejects_negative_truncation(tmp_path, capsys, mean_zero_te
     assert [r["M"] for r in rows] == [0, 1]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_kernel_check_alphas_without_depth_is_one_line_error(tmp_path, capsys, mean_zero_tensor, fmt):
+    # the product bounds are sampled only to a depth --M, so --alphas alone has nothing to name
+    path = kernel_file(tmp_path, mean_zero_tensor)
+    assert main(["kernel-check", "--kernel", path, "--alphas", "1,0", "--format", fmt]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: kernel-check: --alphas needs --M, the depth the product bounds are sampled to\n"
+
+
 # -- one parser per process, one W and one Xhat per spec ---------------------
 
 

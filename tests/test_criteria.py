@@ -620,7 +620,7 @@ def _full_sector_test(
                 alpha0,
                 d0,
                 normal,
-                f"Xhat_{alpha0} is outside span(H_pi) for the line with normal {normal}; "
+                f"Xhat_{alpha0} is outside span(H_pi) for the line with normal ({', '.join(map(str, normal))}); "
                 f"H_pi = {[e.label for e in members]}",
             )
         sectors.append(

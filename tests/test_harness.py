@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ def test_growth_rows_compose_the_operators_built_alone(case, level, m_list):
         assert _same_groups(op, alone)
         assert np.array_equal(op._taps, alone._taps)
     for row in table.rows:
-        alone = build_operator(p, family(row.truncation), grid)
+        alone = build_operator(p, family(row.M), grid)
         assert (row.band, row.fft_length) == (alone.band, alone.fft_length)
 
 
@@ -268,7 +269,7 @@ def test_kitty_ratios_are_exact_and_rows_reuse_one_norm():
     table = growth_experiment("kitty", list(range(9)), grid=Grid1D(n=512))
     assert table.ratios() == [float(m + 1) for m in range(9)]
     assert len({(r.iterations, r.converged) for r in table.rows}) == 1
-    assert all(r.norm == (r.truncation + 1) * table.rows[0].norm for r in table.rows)
+    assert all(r.norm == (r.M + 1) * table.rows[0].norm for r in table.rows)
     without_base = growth_experiment("kitty", [5, 2], grid=Grid1D(n=512))
     assert without_base.ratios() == [6.0, 3.0]
 
@@ -280,7 +281,7 @@ def test_warm_started_table_rows_match_their_dense_svd(case, level, m_max):
     family = square_scales if case == "billy" else dyadic_scales
     for row in table.rows:
         assert row.converged
-        op = build_operator(case_polynomial(case, level), family(row.truncation), grid)
+        op = build_operator(case_polynomial(case, level), family(row.M), grid)
         sv = np.linalg.svd(op.as_matrix(), compute_uv=False)[0]
         assert_norm_contract(NormResult(row.norm, row.iterations, row.converged), op, sv)
 
@@ -310,7 +311,7 @@ def test_each_row_starts_from_the_previous_rows_ritz_vectors():
         mp.setattr(harness, "operator_norm", recording)
         table = growth_experiment("know", [4, 2, 3], level=10, grid=Grid1D(n=256))
     # M = 0 (one profile, started cold), then M = 2, 3, 4
-    assert [r.truncation for r in table.rows] == [4, 2, 3]
+    assert [r.M for r in table.rows] == [4, 2, 3]
     assert len(calls) == 4 and calls[0][0] is None
     for (_, before), (start, _) in zip(calls, calls[1:]):
         assert start is before.vectors
@@ -392,8 +393,10 @@ def test_growth_table_output_formats():
     csv_text = table.to_csv()
     assert csv_text.splitlines()[1] == "M,L,norm,ratio,iterations,converged"
     assert csv_text.startswith("# case=kitty")
-    data = table.to_dict()
+    data = json.loads(table.to_json())
     assert data["case"] == "kitty"
+    assert data["grid"] == vars(table.grid)
+    assert data["rows"] == [vars(row) for row in table.rows]
     assert [r["M"] for r in data["rows"]] == [0, 1]
     assert data["rows"][1]["ratio"] == pytest.approx(2.0, rel=1e-12)
     assert data["norm_method"] == NORM_METHOD
