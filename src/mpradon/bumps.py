@@ -29,7 +29,7 @@ from math import comb, fsum, inf, isfinite
 from sys import float_info
 from typing import Sequence
 
-from ._numpy import np
+import numpy as np
 
 from .quadrature import composite_nodes, integrate_adaptive, tensor_rule
 from .symbolic.poly import Polynomial

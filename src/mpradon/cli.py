@@ -30,6 +30,7 @@ is suppressed by --no-timestamp.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
@@ -45,10 +46,7 @@ from .criteria import (
     real_line_verdict,
     scalar_control_verdict,
 )
-from .dilations import ExponentScheme, is_pure
-from .kernels import load_kernel_sequence, sample_product_kernel_bounds, verify_cancellation
-from .harness import CASES, Grid1D, check_truncations, default_experiment_atom, growth_experiment
-from .bumps import MAX_MOMENT, BumpCombination, checked_moment, moment_bump
+from .dilations import ExponentScheme, check_truncations, is_pure
 from .symbolic import (
     FAMILIES,
     HEISENBERG,
@@ -59,6 +57,32 @@ from .symbolic import (
     xhat_expansion,
 )
 from .symbolic.fields import field_text
+from .symbolic.gamma import CASES
+
+# Names the numeric commands use, by home module: bound by the command or on a first read
+# from outside (PEP 562), so `analyze` never compiles those modules.  perfbench's trace points
+# wrap them here; once those name the home modules, these become local imports.
+_NUMERIC = {
+    "bumps": ("MAX_MOMENT", "BumpCombination", "checked_moment", "moment_bump"),
+    "harness": ("Grid1D", "default_experiment_atom", "growth_experiment"),
+    "kernels": ("load_kernel_sequence", "sample_product_kernel_bounds", "verify_cancellation"),
+}
+
+
+def _bind(module: str) -> None:
+    """Import a numeric module and bind its names here, keeping any bound before."""
+    home = importlib.import_module(f".{module}", __package__)
+    for name in _NUMERIC[module]:
+        globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    for module, names in _NUMERIC.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_BOUNDED = 0
 EXIT_ERROR = 1
@@ -353,6 +377,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bump(args) -> int:
+    _bind("bumps")
     result = moment_bump(args.a, args.a1, _parse_int_list(args.excluded, _check_exponent_range))
     # each moment m_e is judged against S_e, the t^e moment with every coefficient
     # made positive, so the verdict does not depend on the unit of length
@@ -394,8 +419,11 @@ def cmd_bump(args) -> int:
 
 
 def cmd_kernel_check(args) -> int:
+    _bind("kernels")
     if args.alphas and args.M is None:
         raise ValueError("kernel-check: --alphas needs --M, the depth the product bounds are sampled to")
+    if args.M is not None and args.M < 0:
+        raise ValueError(f"kernel-check: --M must be a nonnegative depth, got {args.M}")
     seq = load_kernel_sequence(args.kernel)
     report = verify_cancellation(seq)
     payload: dict = {
@@ -415,7 +443,7 @@ def cmd_kernel_check(args) -> int:
         },
     }
     if args.M is not None:
-        truncations = sorted({0, max(args.M // 2, 1), args.M})
+        truncations = sorted({0, args.M // 2, args.M})
         alphas = [_parse_alpha(a) for a in args.alphas.split(";")] if args.alphas else [(0, 0)]
         estimates = sample_product_kernel_bounds(seq, truncations, alphas)
         payload["product_bounds"] = [
@@ -440,6 +468,7 @@ def cmd_kernel_check(args) -> int:
 
 
 def cmd_norm_growth(args) -> int:
+    _bind("harness")
     # the spec's [experiment] config, each value overridden by the flag given for it
     flags = {k: v for k, v in vars(args).items() if k in _EXPERIMENT_KEYS and v is not None}
     spec_cfg = None

@@ -18,13 +18,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm, prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 MultiIndex = tuple[int, ...]
 Degree = tuple[Fraction, ...]
 
 # largest |n| in a decimal exponent of scheme text ('1e-3'); Fraction expands 10**n exactly
 MAX_DECIMAL_EXPONENT = 300
+# largest k with 2^k a finite float: caps a kernel entry's index and a truncation M
+MAX_TRUNCATION = 1023
+
+
+def check_truncations(m_list: Iterable[int]) -> None:
+    """Raise ValueError unless every truncation M lies in [0, MAX_TRUNCATION]."""
+    for m in m_list:
+        if not 0 <= m <= MAX_TRUNCATION:
+            raise ValueError(f"truncation M = {m} must lie in [0, {MAX_TRUNCATION}] (2^M must be a finite float)")
 
 
 class DimensionMismatch(ValueError):

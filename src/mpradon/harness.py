@@ -45,22 +45,19 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isfinite
 from typing import Iterable, Sequence
 
-from ._numpy import np
+import numpy as np
 
 from .bumps import TensorBump, moment_bump
+from .dilations import check_truncations
+from .symbolic.gamma import case_polynomial
 from .symbolic.poly import Polynomial
 
 
 # a norm holds 2 x 80 grid functions (basis and images), about 335 MB at this n
 MAX_GRID_N = 2**18
-# 2^M must be a finite float, as in kernel-check
-MAX_TRUNCATION = 1023
-# 2^-L must be a nonzero float: 2^-1075 rounds to 0.0
-MAX_LEVEL = 1074
 
 
 @dataclass(frozen=True)
@@ -442,28 +439,6 @@ def default_experiment_atom(a: float = 0.5) -> TensorBump:
     return TensorBump((phi, phi))
 
 
-CASES = ("kitty", "know", "billy")
-
-
-def case_polynomial(case: str, level: int | None = None) -> Polynomial:
-    """The flow polynomial p with gamma_t(x) = x - p(s, t) for each case."""
-    variables = ("s", "t")
-    if case == "kitty":
-        return Polynomial.parse("s*t", variables)
-    if case == "know":
-        if level is None:
-            raise ValueError("the 'know' case needs the scale parameter L")
-        if not 0 <= level <= MAX_LEVEL:
-            raise ValueError(f"the scale parameter L = {level} must lie in [0, {MAX_LEVEL}] (2^-L must be a nonzero float)")
-        eps = Fraction(1, 2**level)
-        return Polynomial(
-            variables, {(3, 0): eps, (0, 3): eps, (1, 1): Fraction(1)}
-        )
-    if case == "billy":
-        return Polynomial.parse("s + s*t", variables)
-    raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-
-
 def build_operator(
     p: Polynomial,
     scales: Sequence[tuple[float, float]],
@@ -491,13 +466,6 @@ def build_operator(
             yield profile
 
     return DiscretizedOperator.from_terms(grid, profiles(), quad_values)
-
-
-def check_truncations(m_list: Iterable[int]) -> None:
-    """Raise ValueError unless every truncation M lies in [0, MAX_TRUNCATION]."""
-    for m in m_list:
-        if not 0 <= m <= MAX_TRUNCATION:
-            raise ValueError(f"truncation M = {m} must lie in [0, {MAX_TRUNCATION}] (2^M must be a finite float)")
 
 
 def dyadic_scales(m: int) -> list[tuple[float, float]]:

@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Mapping, Sequence
 
-from ._numpy import np
+import numpy as np
 
 from .bumps import BumpCombination, TensorBump
-from .dilations import ExponentScheme, dilation_factors
+from .dilations import MAX_TRUNCATION, ExponentScheme, dilation_factors
 from .quadrature import tensor_grid
 
 
@@ -132,9 +132,9 @@ def _dyadic_index(k: Sequence, nu: int) -> tuple[int, ...]:
 
 
 def _dyadic_scale(k: tuple[int, ...]) -> list[float]:
-    """2^k componentwise; a component beyond 1023 overflows a float."""
-    if max(k, default=0) > 1023:
-        raise ValueError(f"entry {k}: the scale 2^{max(k)} is beyond float range (2^1023 at most)")
+    """2^k componentwise; a component beyond MAX_TRUNCATION overflows a float."""
+    if max(k, default=0) > MAX_TRUNCATION:
+        raise ValueError(f"entry {k}: the scale 2^{max(k)} is beyond float range (2^{MAX_TRUNCATION} at most)")
     return [2.0**v for v in k]
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Sequence
 
-from ._numpy import np
+import numpy as np
 
 
 class QuadratureError(RuntimeError):

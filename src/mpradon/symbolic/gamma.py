@@ -201,3 +201,26 @@ def xhat_expansion(spec: GammaSpec) -> WExpansion:
     Computed once per spec object.
     """
     return spec._xhat
+
+
+# -- the model flows x - p(s, t) of the norm-growth experiment ----------------
+
+CASES = ("kitty", "know", "billy")
+MAX_LEVEL = 1074  # 2^-L must be a nonzero float: 2^-1075 rounds to 0.0
+
+
+def case_polynomial(case: str, level: int | None = None) -> Polynomial:
+    """The flow polynomial p with gamma_t(x) = x - p(s, t) for each case."""
+    variables = ("s", "t")
+    if case == "kitty":
+        return Polynomial.parse("s*t", variables)
+    if case == "know":
+        if level is None:
+            raise ValueError("the 'know' case needs the scale parameter L")
+        if not 0 <= level <= MAX_LEVEL:
+            raise ValueError(f"the scale parameter L = {level} must lie in [0, {MAX_LEVEL}] (2^-L must be a nonzero float)")
+        eps = Fraction(1, 2**level)
+        return Polynomial(variables, {(3, 0): eps, (0, 3): eps, (1, 1): Fraction(1)})
+    if case == "billy":
+        return Polynomial.parse("s + s*t", variables)
+    raise ValueError(f"unknown case {case!r}; expected one of {CASES}")

@@ -23,7 +23,6 @@ from mpradon.dilations import ExponentScheme, degree
 from mpradon.harness import (
     Grid1D,
     build_operator,
-    case_polynomial,
     dyadic_scales,
     growth_experiment,
     operator_norm,
@@ -32,6 +31,7 @@ from mpradon.harness import (
 from mpradon.kernels import regroup_to_dyadic, telescope_decompose, verify_cancellation
 from mpradon.quadrature import integrate_adaptive
 from mpradon.symbolic import GammaSpec, Polynomial, w_expansion
+from mpradon.symbolic.gamma import case_polynomial
 from oracles import (
     PolyVectorField,
     dyadic_source_sum,

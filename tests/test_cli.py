@@ -672,28 +672,71 @@ def test_huge_decimal_exponent_in_scheme_text_exits_at_once(tmp_path):
 
 
 # a fresh interpreter runs main(argv), then reports its exit code and the
-# numpy submodules it loaded on stderr
+# numpy and mpradon modules it loaded on stderr
 _FRESH_MAIN = (
     "import json, sys\nfrom mpradon.cli import main\ncode = main(sys.argv[1:])\n"
-    "json.dump([code, sorted(m for m in sys.modules if m.startswith('numpy.'))], sys.stderr)\n"
+    "json.dump([code, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'mpradon'))], sys.stderr)\n"
 )
+NUMERIC_MODULES = {"mpradon.bumps", "mpradon.harness", "mpradon.kernels", "mpradon.quadrature"}
 
 
 def run_fresh(argv) -> tuple[int, str, list[str]]:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     cmd = [sys.executable, "-c", _FRESH_MAIN, *argv]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
-    code, numpy_modules = json.loads(proc.stderr)
-    return code, proc.stdout, numpy_modules
+    code, modules = json.loads(proc.stderr)
+    return code, proc.stdout, modules
 
 
 @pytest.mark.parametrize("fmt, suffix", [("json", ".json"), ("text", ".txt")])
 def test_analyze_in_a_fresh_interpreter_loads_no_numpy(fmt, suffix):
     argv = ["analyze", "--spec", str(GOLDEN / "h1_basic.spec"), "--format", fmt, "--no-timestamp"]
-    code, out, numpy_modules = run_fresh(argv)
+    code, out, modules = run_fresh(argv)
     assert code == GOLDEN_EXITS["h1_basic"]
-    assert numpy_modules == []
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    assert NUMERIC_MODULES.isdisjoint(modules)
     assert out == (GOLDEN / f"h1_basic{suffix}").read_text()
+
+
+# in a fresh interpreter, wrap cli.verify_cancellation before any command runs (the
+# wrapped function taken from cli itself, as perfbench's tracer does, or from its home
+# module), run kernel-check, and report what the seam did on stderr
+_FRESH_SEAM = """
+import json, sys
+import mpradon.cli as cli
+from mpradon import kernels
+real = cli.verify_cancellation if sys.argv[1] == "cli" else kernels.verify_cancellation
+calls = []
+def counting(seq):
+    calls.append(seq)
+    return real(seq)
+cli.verify_cancellation = counting
+code = cli.main(sys.argv[2:])
+import mpradon.harness
+json.dump({
+    "code": code,
+    "calls": len(calls),
+    "real_is_home": real is kernels.verify_cancellation,
+    "growth_is_home": cli.growth_experiment is mpradon.harness.growth_experiment,
+    "unknown_name": hasattr(cli, "no_such_name"),
+}, sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("taken_from", ["cli", "home"])
+def test_numeric_names_bound_on_cli_keep_a_wrapper_set_before_the_first_command(taken_from, tmp_path, mean_zero_tensor):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = ["kernel-check", "--kernel", kernel_file(tmp_path, mean_zero_tensor), "--format", "json"]
+    cmd = [sys.executable, "-c", _FRESH_SEAM, taken_from, *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+    assert json.loads(proc.stderr) == {
+        "code": EXIT_BOUNDED,
+        "calls": 1,
+        "real_is_home": True,
+        "growth_is_home": True,
+        "unknown_name": False,
+    }
+    assert json.loads(proc.stdout)["cancellation"]["passed"] is True
 
 
 def test_numeric_commands_in_a_fresh_interpreter_print_as_in_process(tmp_path, capsys, mean_zero_tensor):
@@ -707,9 +750,9 @@ def test_numeric_commands_in_a_fresh_interpreter_print_as_in_process(tmp_path, c
         in_process_code = main(argv)
         in_process = capsys.readouterr()
         assert in_process.err == ""
-        code, out, numpy_modules = run_fresh(argv)
+        code, out, modules = run_fresh(argv)
         assert (code, out) == (in_process_code, in_process.out)
-        assert numpy_modules != []
+        assert "numpy" in modules
         assert_compact_json(out)
 
 
@@ -772,14 +815,16 @@ def test_bump_moment_that_underflows_is_one_line_error(capsys):
 
 
 def test_kernel_check_rejects_negative_truncation(tmp_path, capsys, mean_zero_tensor):
+    # the error names the flag given, not the truncations derived from it
     path = kernel_file(tmp_path, mean_zero_tensor)
-    assert main(["kernel-check", "--kernel", path, "--M", "-3"]) == EXIT_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: truncations") and captured.err.count("\n") == 1
+    for fmt in ("text", "json"):
+        assert main(["kernel-check", "--kernel", path, "--M", "-3", "--format", fmt]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: kernel-check: --M must be a nonnegative depth, got -3\n"
     assert main(["kernel-check", "--kernel", path, "--M", "0", "--format", "json"]) == EXIT_BOUNDED
     rows = json.loads(capsys.readouterr().out)["product_bounds"]
-    assert [r["M"] for r in rows] == [0, 1]
+    assert [r["M"] for r in rows] == [0]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -790,6 +835,13 @@ def test_kernel_check_alphas_without_depth_is_one_line_error(tmp_path, capsys, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: kernel-check: --alphas needs --M, the depth the product bounds are sampled to\n"
+
+
+@pytest.mark.parametrize("depth, sampled", [(1, [0, 1]), (2, [0, 1, 2]), (3, [0, 1, 3]), (8, [0, 4, 8])])
+def test_kernel_check_samples_product_bounds_at_zero_half_and_full_depth(depth, sampled, tmp_path, capsys, mean_zero_tensor):
+    argv = ["kernel-check", "--kernel", kernel_file(tmp_path, mean_zero_tensor), "--M", str(depth), "--format", "json"]
+    assert main(argv) == EXIT_BOUNDED
+    assert [e["M"] for e in json.loads(capsys.readouterr().out)["product_bounds"]] == sampled
 
 
 # -- one parser per process, one W and one Xhat per spec ---------------------

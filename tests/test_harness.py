@@ -7,17 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpradon.bumps import TensorBump
+from mpradon.dilations import MAX_TRUNCATION, check_truncations
 from mpradon.harness import (
     MAX_GRID_N,
-    MAX_TRUNCATION,
     NORM_METHOD,
     DiscretizedOperator,
     Grid1D,
     NormResult,
     _TapGroup,
     build_operator,
-    case_polynomial,
-    check_truncations,
     dyadic_scales,
     growth_experiment,
     operator_norm,
@@ -26,6 +24,7 @@ from mpradon.harness import (
 )
 from mpradon.quadrature import MAX_QUAD_ORDER, legendre_rule
 from mpradon.symbolic import Polynomial
+from mpradon.symbolic.gamma import case_polynomial
 
 ST = ("s", "t")
 
