@@ -8,8 +8,8 @@ e_i in [0, oo)^nu of rational exponents.  It induces
   * the mass-preserving function dilation
       f^(delta)(t) = delta^{e_1 + ... + e_N} f(delta t).
 
-Every quantity on the criteria path is kept in exact rational arithmetic;
-only the dilation factors (which feed the numerics) work in floats.
+Every quantity on the criteria path is exact (a degree is an integer sum over
+the rows' common denominator); only the dilation factors (numerics) use floats.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 MultiIndex = tuple[int, ...]
@@ -109,10 +110,10 @@ class ExponentScheme:
         return tuple(i for i, r in enumerate(self.rows) if r[mu] != 0)
 
     @cached_property
-    def _integer_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The rows over one common denominator: (den, rows times den as ints)."""
+    def _integer_columns(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The columns e^mu over one common denominator: (den, columns times den as ints)."""
         den = lcm(*(v.denominator for row in self.rows for v in row))
-        return den, tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.rows)
+        return den, tuple(zip(*(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.rows)))
 
     @cached_property
     def _factors(self) -> dict[tuple[float, ...], tuple[float, ...]]:
@@ -133,19 +134,23 @@ def check_multi_index(alpha: Sequence[int], scheme: ExponentScheme) -> None:
 def degree(alpha: Sequence[int], scheme: ExponentScheme) -> Degree:
     """deg(alpha) = sum_i alpha_i e_i, exact; alpha is validated first.
 
-    The sums run in integers over the rows' common denominator, and each
-    component becomes one Fraction.  An expansion keeps its terms' degrees
-    (``WExpansion.degrees``), so a report grades each term once.
-    """
+    A curve spec grades its polynomials' exponents, valid already, once each
+    with ``_grade``, and its expansions keep them (``WExpansion.degrees``)."""
     check_multi_index(alpha, scheme)
-    den, rows = scheme._integer_rows
-    terms = [(a, row) for a, row in zip(alpha, rows) if a]
-    return tuple(Fraction(sum(a * row[mu] for a, row in terms), den) for mu in range(scheme.n_params))
+    return _grade(alpha, scheme)
+
+
+def _grade(alpha: Sequence[int], scheme: ExponentScheme) -> Degree:
+    """deg(alpha) for a valid alpha: integer sums over the rows' common
+    denominator, each component one Fraction (``Fraction(n)`` when that is 1)."""
+    den, columns = scheme._integer_columns
+    sums = [sum(map(mul, alpha, column)) for column in columns]
+    return tuple(map(Fraction, sums)) if den == 1 else tuple(Fraction(n, den) for n in sums)
 
 
 def is_pure(d: Sequence[Fraction]) -> bool:
     """True iff the (nonzero) degree is supported in exactly one parameter."""
-    nonzero = sum(1 for v in d if v != 0)
+    nonzero = len(d) - d.count(0)
     if nonzero == 0:
         raise ValueError("pure/nonpure classification is undefined for the zero degree")
     return nonzero == 1

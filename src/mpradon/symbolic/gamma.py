@@ -20,8 +20,9 @@ Both families are given in exponential form, gamma_t = exp(sum_i q_i(t) B_i)
 with coordinates (q_i) = (-p,) on the line and (P1, P2, P3) on H^1, so the
 exponential expansion gamma ~ exp(sum t^alpha Xhat_alpha) is a direct
 coefficient read-off of the q_i, and W is their scaling derivatives plus
-the step-2 term on T.  ``verify_taylor_relation`` in tests/oracles.py
-checks, exactly, that the two expansions are related by
+the step-2 term on T, summed in one pass on integer numerators.  A spec
+grades each multi-index once for both expansions.  ``verify_taylor_relation``
+in tests/oracles.py checks, exactly, that the two expansions are related by
 X_alpha = |alpha| Xhat_alpha + V_alpha with
 
     V_alpha = -1/2 sum_{beta+gamma=alpha} |gamma| [Xhat_beta, Xhat_gamma],
@@ -34,12 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from ..dilations import Degree, ExponentScheme, MultiIndex, degree
-from .fields import HEISENBERG_BASIS, LINE_BASIS, heisenberg_bracket
-from .poly import Polynomial
+from ..dilations import Degree, ExponentScheme, MultiIndex, _grade, degree
+from .fields import HEISENBERG_BASIS, LINE_BASIS
+from .poly import Polynomial, _coeff
 
 TRANSLATION_LINE = "translation_line"
 HEISENBERG = "heisenberg"
@@ -120,19 +123,41 @@ class GammaSpec:
         """The exponential-form coordinates: the polynomials times the family's sign."""
         return tuple(-q for q in self.polynomials) if FAMILIES[self.family].sign < 0 else self.polynomials
 
+    @cached_property
+    def _grades(self) -> dict[MultiIndex, Degree]:
+        """deg(alpha) of each multi-index of W and Xhat, graded once for both."""
+        return {}
+
     # The expansions are computed on first use and kept on the (immutable)
     # spec, so every caller of w_expansion / xhat_expansion shares one object.
     @cached_property
     def _w(self) -> "WExpansion":
         q = self._coordinates
-        w = [c.scaling_derivative() for c in q]
-        if self.family == HEISENBERG:  # exact step-2 term: -1/2 (P1 Pdot2 - P2 Pdot1) T
-            w[2] = w[2] - heisenberg_bracket(q, w) * Fraction(1, 2)
-        return _poly_coefficient_expansion(w, FAMILIES[self.family].basis, self.scheme)
+        w = [c.scaling_derivative() for c in q[:2]]  # p on the line; P1, P2 on H^1
+        if self.family == HEISENBERG:
+            w.append(_heisenberg_t(*q))
+        return _poly_coefficient_expansion(w, FAMILIES[self.family].basis, self.scheme, self._grades)
 
     @cached_property
     def _xhat(self) -> "WExpansion":
-        return _poly_coefficient_expansion(self._coordinates, FAMILIES[self.family].basis, self.scheme)
+        return _poly_coefficient_expansion(self._coordinates, FAMILIES[self.family].basis, self.scheme, self._grades)
+
+
+def _heisenberg_t(p1: Polynomial, p2: Polynomial, p3: Polynomial) -> Polynomial:
+    """W's T coordinate on H^1, Pdot_3 - 1/2 (P_1 Pdot_2 - P_2 Pdot_1), in one pass:
+    P_1 Pdot_2 - P_2 Pdot_1 = sum a_alpha b_beta (|beta| - |alpha|) t^(alpha + beta),
+    summed with Pdot_3 as integer numerators over one common denominator."""
+    da, db, dc = (lcm(*(c.denominator for c in p.terms.values())) for p in (p1, p2, p3))
+    den = lcm(2 * da * db, dc)
+    out = {g: sum(g) * c.numerator * (den // c.denominator) for g, c in p3.terms.items()}
+    bs = [(beta, sum(beta), c.numerator * (db // c.denominator)) for beta, c in p2.terms.items()]
+    for alpha, c in p1.terms.items():
+        a, k = -c.numerator * (da // c.denominator) * (den // (2 * da * db)), sum(alpha)
+        for beta, kb, b in bs:
+            if kb != k:
+                g = tuple(map(add, alpha, beta))
+                out[g] = out.get(g, 0) + a * b * (kb - k)
+    return Polynomial._trusted(p3.variables, {g: Fraction(n, den) for g, n in out.items() if n})
 
 
 @dataclass(frozen=True)
@@ -160,10 +185,9 @@ class WExpansion:
                 raise ValueError("expansions start at |alpha| > 0")
             if len(coords) != len(basis):
                 raise ValueError(f"coordinate count {len(coords)} does not match the basis {basis}")
+            coords = tuple(coords if all(type(c) is Fraction for c in coords) else map(_coeff, coords))
             if any(coords):
-                if not all(type(c) is Fraction for c in coords):
-                    coords = map(Fraction, coords)
-                clean[alpha] = tuple(coords)
+                clean[alpha] = coords
                 degrees[alpha] = degree(alpha, self.scheme)
         order = sorted(clean, key=canonical_index_key)
         # read-only: a spec hands the same expansion to every caller
@@ -171,21 +195,31 @@ class WExpansion:
         object.__setattr__(self, "degrees", MappingProxyType({a: degrees[a] for a in order}))
         object.__setattr__(self, "basis", basis)
 
+    @classmethod
+    def _trusted(cls, scheme, basis, terms, degrees) -> "WExpansion":
+        """Wrap valid terms in canonical order and their degrees, unchecked, as ``Polynomial._trusted`` does."""
+        w = object.__new__(cls)
+        w.__dict__.update(scheme=scheme, basis=basis, terms=MappingProxyType(terms), degrees=MappingProxyType(degrees))
+        return w
+
     def support(self) -> list[MultiIndex]:
         """The multi-indices, in canonical order."""
         return list(self.terms)
 
 
 def _poly_coefficient_expansion(
-    polys: Sequence[Polynomial], basis: tuple[str, ...], scheme: ExponentScheme
+    polys: Sequence[Polynomial], basis: tuple[str, ...], scheme: ExponentScheme, grades: dict
 ) -> WExpansion:
-    """sum_alpha t^alpha sum_i c^i_alpha B_i over the given basis."""
+    """sum_alpha t^alpha sum_i c^i_alpha B_i over the given basis; ``grades``
+    (the spec's alpha -> deg(alpha)) gains the degrees it lacks."""
     terms: dict[MultiIndex, list[Fraction]] = {}
     zero = Fraction(0)
     for i, q in enumerate(polys):
         for alpha, c in q.terms.items():
             terms.setdefault(alpha, [zero] * len(basis))[i] = c
-    return WExpansion(scheme, basis, terms)
+    order = sorted(sorted(terms, reverse=True), key=sum)  # canonical: |alpha| up, then alpha down
+    degrees = {a: grades.get(a) or grades.setdefault(a, _grade(a, scheme)) for a in order}
+    return WExpansion._trusted(scheme, basis, {a: tuple(terms[a]) for a in order}, degrees)
 
 
 def w_expansion(spec: GammaSpec) -> WExpansion:

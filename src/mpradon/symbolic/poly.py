@@ -8,7 +8,8 @@ deterministic.  The text grammar round-trips exactly:
     3*s^2*t - 1/2*s*t^3
 
 Products need an explicit ``*`` and powers an explicit ``^``; rational
-literals are written ``p/q``.
+literals are written ``p/q``.  The parser and the product work on integer
+numerators over a common denominator and build one Fraction per term.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ def _variables(names: Sequence[str]) -> tuple[str, ...]:
     if len(set(names)) != len(names) or not names:
         raise ValueError("variables must be a nonempty list of distinct names")
     return names
-
-
-def _term_sort_key(exps: Exponents):
-    # graded lex, descending: used via sorted(..., reverse=True)
-    return (sum(exps), exps)
 
 
 class Polynomial:
@@ -109,7 +105,8 @@ class Polynomial:
         return max((sum(e) for e in self.terms), default=0)
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]), reverse=True)
+        # graded lex, descending
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -202,7 +199,8 @@ class Polynomial:
     def scaling_derivative(self) -> "Polynomial":
         """d/d(eps) p(eps * t) at eps = 1, i.e. sum |alpha| c_alpha t^alpha."""
         return Polynomial._trusted(
-            self.variables, {e: c * sum(e) for e, c in self.terms.items() if sum(e) > 0}
+            self.variables,
+            {e: Fraction(c.numerator * sum(e), c.denominator) for e, c in self.terms.items() if sum(e) > 0},
         )
 
     def __call__(self, point: Sequence) -> Fraction | float:
@@ -234,17 +232,17 @@ class Polynomial:
                     factors.append(name)
                 elif a > 1:
                     factors.append(f"{name}^{a}")
-            mag = abs(c)
+            mag = str(c).lstrip("-")  # |c|, without building it
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([mag] + factors)
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if c.numerator > 0 else f"-{body}")
             else:
-                parts.append(f"{'+' if c > 0 else '-'} {body}")
+                parts.append(f"{'+' if c.numerator > 0 else '-'} {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -255,18 +253,19 @@ class Polynomial:
         return _parse(text, _variables(variables))
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^]))")
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9]*|[+\-*/^])")
 
 
 def _tokenize(text: str) -> list[str]:
-    """The tokens, in one scan; text that no token starts at is an error."""
-    tokens, pos = [], 0
-    for m in _TOKEN.finditer(text):
-        if m.start() != pos:  # the skipped text holds a character no token takes
-            break
-        tokens.append(m.group(m.lastindex))
-        pos = m.end()
-    if text[pos:].strip():
+    """The tokens, by one findall; text that no token takes is an error.  Tokens
+    hold no whitespace, so they cover the text iff they spell its non-whitespace."""
+    tokens = _TOKEN.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        pos = 0
+        for m in _TOKEN.finditer(text):  # the first text that no token starts at
+            if m.start() != pos:
+                break
+            pos = m.end()
         raise ValueError(f"unexpected character at position {pos}: {text[pos:]!r}")
     return tokens
 
@@ -329,7 +328,8 @@ def _parse(text: str, variables: tuple[str, ...]) -> Polynomial:
         # like terms are summed as they come; a sum that cancels is removed,
         # so a term that appears again goes last, as it would under p + q
         exps = tuple(exps)
-        total = terms.get(exps, 0) + Fraction(num, den)
+        c = Fraction(num) if den == 1 else Fraction(num, den)
+        total = terms[exps] + c if exps in terms else c
         if total:
             terms[exps] = total
         else:

@@ -9,6 +9,7 @@ between the two is evidence for both.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -40,6 +41,7 @@ from mpradon.kernels import DyadicKernelSeq, KernelEntry, ScaledAtom, _dyadic_sc
 from mpradon.quadrature import integrate_adaptive, tensor_grid
 from mpradon.symbolic import (
     FAMILIES,
+    HEISENBERG,
     HEISENBERG_BASIS,
     LINE_BASIS,
     GammaSpec,
@@ -48,6 +50,7 @@ from mpradon.symbolic import (
     w_expansion,
     xhat_expansion,
 )
+from mpradon.symbolic.fields import heisenberg_bracket
 from mpradon.symbolic.gamma import canonical_index_key
 
 # -- polynomials and vector fields in coordinates --------------------------------
@@ -356,6 +359,89 @@ def gamma_from_input_echo(echo: dict) -> GammaSpec:
     return GammaSpec(echo["family"], scheme, tuple(Polynomial.parse(echo[k], variables) for k in keys))
 
 
+# -- the polynomial text grammar, parsed token by token --------------------------
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^]))")
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens, in one scan; text that no token starts at is an error."""
+    tokens, pos = [], 0
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:  # the skipped text holds a character no token takes
+            break
+        tokens.append(m.group(m.lastindex))
+        pos = m.end()
+    if text[pos:].strip():
+        raise ValueError(f"unexpected character at position {pos}: {text[pos:]!r}")
+    return tokens
+
+
+def parse_polynomial(text: str, variables: tuple[str, ...]) -> Polynomial:
+    """``Polynomial.parse`` by a scan that checks each match's start, then one
+    pass over the tokens; like terms are summed with ``+`` as they come."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ValueError("empty polynomial text")
+    terms: dict[tuple[int, ...], Fraction] = {}
+    i = 0
+    while i < len(tokens):
+        sign = 1
+        while i < len(tokens) and tokens[i] in "+-":
+            if tokens[i] == "-":
+                sign = -sign
+            i += 1
+        num, den = sign, 1
+        exps = [0] * len(variables)
+        expect_factor = True
+        while i < len(tokens):
+            tok = tokens[i]
+            if tok == "*":
+                if expect_factor:
+                    raise ValueError("misplaced '*'")
+                expect_factor = True
+                i += 1
+                continue
+            if tok in "+-":
+                break
+            if not expect_factor:
+                raise ValueError(f"missing '*' before {tok!r}")
+            if tok.isdigit():
+                num *= int(tok)
+                i += 1
+                if i < len(tokens) and tokens[i] == "/":
+                    if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
+                        raise ValueError("expected denominator after '/'")
+                    d = int(tokens[i + 1])
+                    if d == 0:
+                        raise ValueError("zero denominator")
+                    den *= d
+                    i += 2
+            else:
+                if tok not in variables:
+                    if tok in ("/", "^"):
+                        raise ValueError(f"misplaced {tok!r}")
+                    raise ValueError(f"unknown variable {tok!r}; expected one of {list(variables)}")
+                power = 1
+                i += 1
+                if i < len(tokens) and tokens[i] == "^":
+                    if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
+                        raise ValueError("expected integer exponent after '^'")
+                    power = int(tokens[i + 1])
+                    i += 2
+                exps[variables.index(tok)] += power
+            expect_factor = False
+        if expect_factor:
+            raise ValueError("dangling operator at end of term")
+        exps = tuple(exps)
+        total = terms.get(exps, 0) + Fraction(num, den)
+        if total:
+            terms[exps] = total
+        else:
+            terms.pop(exps, None)
+    return Polynomial(variables, terms)
+
+
 # -- curve expansions and sector normals ------------------------------------------
 
 
@@ -372,6 +458,25 @@ def scalar_polynomial_expansion(
     )
     terms = {a: tuple(c * v for v in direction) for a, c in p.terms.items() if sum(a) > 0}
     return WExpansion(scheme, basis, terms)
+
+
+def w_expansion_by_polynomials(spec: GammaSpec) -> WExpansion:
+    """W from ``Polynomial`` arithmetic, through the validating ``WExpansion``.
+
+    The scaling derivatives of the exponential-form coordinates q_i, and on
+    H^1 the step-2 term on T as polynomial products:
+    Pdot_3 - 1/2 (P_1 Pdot_2 - P_2 Pdot_1).
+    """
+    family = FAMILIES[spec.family]
+    q = [q * family.sign for q in spec.polynomials]
+    w = [c.scaling_derivative() for c in q]
+    if spec.family == HEISENBERG:
+        w[2] = w[2] - heisenberg_bracket(q, w) * Fraction(1, 2)
+    terms: dict[MultiIndex, list[Fraction]] = {}
+    for i, p in enumerate(w):
+        for alpha, c in p.terms.items():
+            terms.setdefault(alpha, [Fraction(0)] * len(family.basis))[i] = c
+    return WExpansion(spec.scheme, family.basis, terms)
 
 
 @dataclass(frozen=True)

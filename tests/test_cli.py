@@ -906,8 +906,9 @@ def test_analyze_builds_w_and_xhat_once(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_checks_each_multi_index_once(tmp_path, capsys, monkeypatch):
-    # each expansion grades its terms when it is built; the report reads those
-    # degrees, so only the supporting-line test validates a multi-index again
+    # the spec grades the multi-indices of W and Xhat once, from its polynomials'
+    # valid exponents, without validating them again; the report reads those
+    # degrees, so only the supporting-line test validates a multi-index
     import mpradon.dilations as dilations
 
     calls = []
@@ -916,10 +917,10 @@ def test_analyze_checks_each_multi_index_once(tmp_path, capsys, monkeypatch):
     text = HEIS_SPEC.replace("P3 = s*t", "P3 = s*t + s^2*t^3")
     assert main(["analyze", "--spec", write(tmp_path, "h.spec", text), "--format", "json"]) == EXIT_BOUNDED
     report = json.loads(capsys.readouterr().out)
-    # 4 W terms, 4 Xhat terms, one supporting-line call per nonpure Xhat index
+    # what remains: one supporting-line call per nonpure Xhat index
     assert len(report["w_expansion"]) == len(report["xhat_expansion"]) == 4
     assert report["nonpure"] == [[1, 1], [2, 3]]
-    assert len(calls) == 10
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

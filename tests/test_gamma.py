@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpradon.dilations import ExponentScheme
 from mpradon.symbolic import (
@@ -22,7 +24,7 @@ from mpradon.symbolic import (
     w_expansion,
     xhat_expansion,
 )
-from oracles import verify_taylor_relation
+from oracles import verify_taylor_relation, w_expansion_by_polynomials
 
 ST = ("s", "t")
 
@@ -280,6 +282,16 @@ def test_wexpansion_terms_are_fraction_coordinates_in_its_basis():
         WExpansion(scheme, HEISENBERG_BASIS, {(0, 0): (1, 0, 0)})
 
 
+def test_wexpansion_rejects_float_coordinates_as_polynomial_does():
+    # a float was taken at its binary value (0.1 became 3602879701896397/36028797018963968),
+    # and NaN ended in "cannot convert NaN to integer ratio"
+    scheme = ExponentScheme.product(2)
+    for bad in (0.1, 0.0, float("nan"), float("inf")):
+        for coords in ([bad, 0, 0], (Fraction(1), bad, 0)):
+            with pytest.raises(TypeError, match="^polynomial coefficients must be exact rationals, got float$"):
+                WExpansion(scheme, HEISENBERG_BASIS, {(1, 0): coords})
+
+
 def test_wexpansion_support_order():
     spec = GammaSpec.heisenberg(P("s + s*t"), P("t"), ZERO)
     assert xhat_expansion(spec).support() == [(1, 0), (0, 1), (1, 1)]
@@ -295,3 +307,45 @@ def test_expansions_are_built_once_per_spec_and_read_only():
     with pytest.raises(TypeError):
         w.terms[(5, 5)] = w.terms[(1, 0)]
     assert w == w_expansion(twin)
+
+
+# -- W against the step-2 term as Polynomial products ----------------------------
+
+_COEFFICIENTS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+_EXPONENT_ENTRIES = st.sampled_from([0, 0, 1, 2, Fraction(1, 2), Fraction(3, 4), Fraction(5, 3)])
+
+
+@st.composite
+def _curve_specs(draw):
+    n = draw(st.sampled_from([2, 3]))
+    variables = ("s", "t", "u")[:n]
+    if draw(st.booleans()):
+        scheme = ExponentScheme.product(n)
+    else:
+        nu = draw(st.integers(1, 3))
+        rows = [[draw(_EXPONENT_ENTRIES) for _ in range(nu)] for _ in range(n)]
+        for i in range(max(n, nu)):  # every row and every column gets a nonzero entry
+            if rows[i % n][i % nu] == 0:
+                rows[i % n][i % nu] = 1
+        scheme = ExponentScheme.from_rows(rows)
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+
+    def polynomial():
+        return Polynomial(variables, draw(st.dictionaries(exponents, _COEFFICIENTS, max_size=5)))
+
+    if draw(st.booleans()):
+        return GammaSpec.heisenberg(polynomial(), polynomial(), polynomial(), scheme)
+    return GammaSpec.translation_line(polynomial(), scheme)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_curve_specs())
+def test_w_matches_the_polynomial_product_oracle(spec):
+    # the step-2 term is one integer pass; the oracle multiplies Polynomials and
+    # grades through the validating constructor
+    w, expected = w_expansion(spec), w_expansion_by_polynomials(spec)
+    assert w == expected
+    assert list(w.terms.items()) == list(expected.terms.items())
+    assert list(w.degrees.items()) == list(expected.degrees.items())
+    assert all(type(c) is Fraction for coords in w.terms.values() for c in coords)
+    assert all(type(v) is Fraction for d in w.degrees.values() for v in d)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpradon.symbolic import Polynomial
-from oracles import substitute_scaled
+from oracles import parse_polynomial, substitute_scaled
 
 ST = ("s", "t")
 
@@ -198,3 +198,30 @@ def test_parse_raw_text_raises_only_value_error_and_round_trips(text):
     except ValueError:
         return
     _assert_valid(p)  # the parser hands its terms over unchecked
+
+
+# Text drawn from digits, the variable names (and one that is not), the
+# operators, whitespace and stray characters, run together in any order.
+_ORACLE_CHARACTERS = list("0123456789") + ["s", "t", "u", "s1"] * 3 + list("+-*/^") * 3 + list(" \t\n") + list("$#é.(")
+_ORACLE_TEXT = st.lists(st.sampled_from(_ORACLE_CHARACTERS), max_size=30).map("".join)
+# Sums of well-formed terms, so that like terms meet, add up and cancel.
+_ORACLE_TERM = st.tuples(st.sampled_from(["", "2*", "1/2*", "3/4*", "0*", "-"]), st.sampled_from(["s", "t", "s^2", "s*t", "u^2*s", "1"]))
+_ORACLE_SUM = st.lists(st.tuples(st.sampled_from([" + ", " - ", "-"]), _ORACLE_TERM), min_size=1, max_size=8).map(
+    lambda terms: "".join(op + c + m for op, (c, m) in terms)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_ORACLE_TEXT, _ORACLE_SUM), st.sampled_from([ST, ("s", "t", "u")]))
+def test_parse_matches_the_token_scan_oracle(text, variables):
+    # the parser tokenizes with one findall and a coverage check; the oracle
+    # checks each token's start as it scans
+    try:
+        expected = parse_polynomial(text, variables)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            Polynomial.parse(text, variables)
+        assert str(info.value) == str(exc)
+        return
+    p = Polynomial.parse(text, variables)
+    assert p == expected and list(p.terms.items()) == list(expected.terms.items())
