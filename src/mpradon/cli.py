@@ -267,16 +267,17 @@ def _experiment_config(values: dict, base: ExperimentConfig | None = None) -> Ex
 # -- report assembly -----------------------------------------------------
 
 
-def _expansion_payload(exp: WExpansion) -> list[dict]:
-    return [
-        {
-            "alpha": list(alpha),
-            "degree": [str(v) for v in d],
-            "pure": is_pure(d),
-            "field": field_text(exp.terms[alpha], exp.basis),
-        }
-        for alpha, d in exp.degrees.items()
-    ]
+def _expansion_payload(exp: WExpansion, graded: dict) -> list[dict]:
+    """The expansion's terms; ``graded`` maps a multi-index to its degree
+    text and purity, rendered on first use and shared by a report's W and
+    Xhat, which hold one degree per multi-index."""
+    payload = []
+    for alpha, d in exp.degrees.items():
+        text, pure = graded.get(alpha) or graded.setdefault(alpha, ([str(v) for v in d], is_pure(d)))
+        payload.append(
+            {"alpha": list(alpha), "degree": text, "pure": pure, "field": field_text(exp.terms[alpha], exp.basis)}
+        )
+    return payload
 
 
 def _gamma_input_echo(gamma: GammaSpec) -> dict:
@@ -302,13 +303,14 @@ def analyze_report(gamma: GammaSpec, timestamp: bool = True) -> dict:
     """The analyze report; its "verdict" is the ``Verdict`` itself, which
     ``_json_value`` renders for ``json.dumps``."""
     verdict = analyze_gamma(gamma)
-    w = w_expansion(gamma)
-    xhat = _expansion_payload(xhat_expansion(gamma))
+    graded: dict = {}
+    xhat = _expansion_payload(xhat_expansion(gamma), graded)
+    w = _expansion_payload(w_expansion(gamma), graded)
     report = {
         "tool": {"name": "mpradon", "version": __version__},
         "input": _gamma_input_echo(gamma),
         "verdict": verdict,
-        "w_expansion": _expansion_payload(w),
+        "w_expansion": w,
         "xhat_expansion": xhat,
         "pure": [list(t["alpha"]) for t in xhat if t["pure"]],
         "nonpure": [list(t["alpha"]) for t in xhat if not t["pure"]],

@@ -21,12 +21,14 @@ the linear convolution, to one grid function or a block of them at once.
 The operator norm is the largest singular value of this finite section
 (not the sup of its symbol, which can sit percents higher when the band
 is comparable to n).  It is found by Rayleigh-Ritz for T*T on a subspace
-that starts from sine-windowed plane waves at the peaks of the symbol
-|sum_m w_m e^{-i m theta}| of the combined taps, which lie close to the
-top singular vectors of a banded Toeplitz section, and grows by the
-residuals of the top two Ritz pairs, each preconditioned by the circulant
-that the symbol defines (a Davidson expansion): the residual's padded FFT
-is divided by theta (1 + delta) - |symbol|^2, theta the top Ritz value of
+V, done on the images T V: the projected matrix is their Gram matrix, and
+the residuals of the top two Ritz pairs take one application of the
+adjoint per step.  The subspace starts from sine-windowed plane waves at
+the peaks of the symbol |sum_m w_m e^{-i m theta}| of the combined taps,
+which lie close to the top singular vectors of a banded Toeplitz section,
+and grows by those residuals, each preconditioned by the circulant that
+the symbol defines (a Davidson expansion): the residual's padded FFT is
+divided by theta (1 + delta) - |symbol|^2, theta the top Ritz value of
 T*T; a step that leaves that value still is followed by one that adds the
 raw residuals, and a second still step ends the expansion.
 
@@ -52,6 +54,7 @@ import numpy as np
 
 from .bumps import TensorBump, moment_bump
 from .dilations import check_truncations
+from .quadrature import tensor_rule
 from .symbolic.gamma import case_polynomial
 from .symbolic.poly import Polynomial
 
@@ -96,25 +99,31 @@ def _profile_taps(c: np.ndarray, n: int, quad_values: np.ndarray) -> tuple[int, 
 
     Linear interpolation splits each node's value between the shifts floor(c)
     and floor(c) + 1; one bincount adds the floor shares, then the ceiling
-    shares, each in node order.
+    shares, each in node order.  c is overwritten.
     """
     floor = np.floor(c)
+    lo, hi = (floor.min(), floor.max()) if floor.size else (np.nan, np.nan)
     # shifts beyond +-n never touch the grid (zero extension), so the
     # corresponding quadrature nodes are dropped exactly; deciding on the
-    # floats keeps displacements beyond the int64 range out of the cast
-    keep = (floor >= -n) & (floor <= n - 1)
-    floor, values = floor[keep], quad_values[keep]
-    lam = c[keep] - floor
-    base = floor.astype(np.int64)
-    if base.size == 0:
-        return 0, np.zeros(1)
-    lo = int(base.min())
-    offsets = base - lo
-    return lo, np.bincount(
-        np.concatenate((offsets, offsets + 1)),
-        weights=np.concatenate((values * (1.0 - lam), values * lam)),
-        minlength=int(base.max()) - lo + 2,
-    )
+    # floats keeps displacements beyond the int64 range (or NaN) out of the cast
+    if not (lo >= -n and hi <= n - 1):
+        keep = (floor >= -n) & (floor <= n - 1)
+        c, floor, quad_values = c[keep], floor[keep], quad_values[keep]
+        if not floor.size:
+            return 0, np.zeros(1)
+        lo, hi = floor.min(), floor.max()
+    m = floor.size
+    # bins: the offsets floor - lo, then the same plus one (exact in floats, |floor| <= n)
+    bins = np.empty(2 * m, dtype=np.int64)
+    np.subtract(floor, lo, out=bins[:m], casting="unsafe")
+    np.add(bins[:m], 1, out=bins[m:])
+    # weights: values (1 - lam), then values lam, with lam = c - floor
+    shares = np.empty(2 * m)
+    lam = np.subtract(c, floor, out=c)
+    np.subtract(1.0, lam, out=shares[:m])
+    np.multiply(quad_values, lam, out=shares[m:])
+    shares[:m] *= quad_values
+    return int(lo), np.bincount(bins, weights=shares)
 
 
 def smooth_fft_length(m: int) -> int:
@@ -344,13 +353,20 @@ def operator_norm(
 ) -> NormResult:
     """Largest singular value by Rayleigh-Ritz for T*T on a growing subspace.
 
+    The subspace V (orthonormal rows) keeps its images T V / scale, one
+    application of T per basis vector; the projected matrix of T*T /
+    scale^2 is their Gram matrix, whose top eigenvalue theta is the squared
+    top singular value of T V / scale.  The residuals r = T*T x / scale^2
+    - theta x of the top two Ritz pairs (theta, x) take one application of
+    the adjoint to a two-row block per step: T* applied to the images
+    combined with x's coefficients, minus theta x.
+
     The subspace starts from the rows of ``start`` (typically the ``vectors``
     of a nearby operator's result), then ``_symbol_start_block``, and grows
-    by the residuals r of the top two Ritz pairs (block Davidson).  Real
-    taps have a symbol peaking at +-theta*, so the top singular values of
-    the section come in near-degenerate pairs; with only the top residual
-    the top Ritz value can settle on the lower one of a pair and look
-    converged.
+    by those two residuals (block Davidson).  Real taps have a symbol
+    peaking at +-theta*, so the top singular values of the section come in
+    near-degenerate pairs; with only the top residual the top Ritz value
+    can settle on the lower one of a pair and look converged.
 
     Each residual is preconditioned before it is added, as in Toeplitz
     solvers with a circulant preconditioner: M^-1 r is the operator's own
@@ -363,19 +379,20 @@ def operator_norm(
     sign kept.
 
     Converged means the top Ritz value moved by at most ``tol`` relative in
-    each of the last two steps, or the subspace became invariant.  A step
-    that leaves the value still is followed by one that adds the raw
-    residuals: preconditioned corrections can fall back into the subspace
-    and stall the value short of the top, while the raw residual of a Ritz
-    pair that is not an eigenpair is a new direction.
+    each of the last two steps, or the subspace became invariant; a step
+    that ends on the first test computes no residuals.  A step that leaves
+    the value still is followed by one that adds the raw residuals:
+    preconditioned corrections can fall back into the subspace and stall
+    the value short of the top, while the raw residual of a Ritz pair that
+    is not an eigenpair is a new direction.
 
-    Every vector added costs one application of T*T, counted as one
-    iteration, up to min(max_iters, n); the vectors added in one step (the
-    start block, then two residuals) go through T*T as one block, and their
-    inner products with the basis are one matrix product.  The value never
-    exceeds the largest singular value of the finite section (up to
-    rounding): it is a Rayleigh quotient.  The result carries the top
-    ``_WARM_VECTORS`` Ritz vectors.
+    ``iterations`` counts the basis vectors, that is the applications of T,
+    up to min(max_iters, n); the vectors added in one step (the start
+    block, then two residuals) go through T as one block, and their images'
+    inner products with the earlier images are one matrix product.  The
+    value never exceeds the largest singular value of the finite section
+    (up to rounding): it is a Rayleigh quotient.  The result carries the
+    top ``_WARM_VECTORS`` Ritz vectors.
     """
     n = op.grid.n
     # ||T|| <= sum |w_m|; working with T / scale keeps T*T clear of underflow
@@ -389,8 +406,8 @@ def operator_norm(
     floor = _DENOMINATOR_FLOOR * float(power.max())
     # np.empty leaves the rows unpaged until the subspace grows into them
     basis = np.empty((dim, n))
-    images = np.empty((dim, n))  # T*T applied to each basis row
-    projected = np.zeros((dim, dim))
+    images = np.empty((dim, n))  # T / scale applied to each basis row
+    projected = np.zeros((dim, dim))  # the Gram matrix of the images
     waves = _symbol_start_block(op)
     fresh = _orthonormal_rows(waves if start is None else np.concatenate((start, waves)), basis[:0])
     k = 0
@@ -400,20 +417,23 @@ def operator_norm(
         block = fresh[: dim - k]
         r = block.shape[0]
         basis[k : k + r] = block
-        images[k : k + r] = op.apply_adjoint(op.apply(block) / scale) / scale
-        products = basis[: k + r] @ images[k : k + r].T
+        images[k : k + r] = op.apply(block) / scale
+        products = images[: k + r] @ images[k : k + r].T
         projected[: k + r, k : k + r] = products
         projected[k : k + r, : k + r] = products.T
         k += r
-        # the lower triangle pairs each earlier basis row with the later image
+        # the lower triangle pairs each earlier image with the later one
         evals, evecs = np.linalg.eigh(projected[:k, :k], UPLO="L")
         ritz = max(float(evals[-1]), 0.0)
         top = evecs[:, :-3:-1]
-        residuals = top.T @ images[:k] - evals[:-3:-1, None] * (top.T @ basis[:k])
         value = scale * float(np.sqrt(ritz))
-        invariant = float(np.linalg.norm(residuals[0])) <= 1e-14 * ritz or k == n
         still = ritz_prev is not None and abs(ritz - ritz_prev) <= tol * ritz
-        converged = invariant or (still and stood_still)
+        if (still and stood_still) or k == n:
+            converged = True
+            break
+        # T*T x / scale^2 - theta x for the top two Ritz pairs (theta, x)
+        residuals = op.apply_adjoint(top.T @ images[:k]) / scale - evals[:-3:-1, None] * (top.T @ basis[:k])
+        converged = float(np.linalg.norm(residuals[0])) <= 1e-14 * ritz  # an invariant subspace
         if converged or k == dim:
             break
         ritz_prev, stood_still = ritz, still
@@ -450,20 +470,22 @@ def build_operator(
     atom = atom or default_experiment_atom()
     if atom.dimension != 2 or p.nvars != 2:
         raise ValueError("experiment operators are built over two t-variables")
-    points, weights = atom.quadrature_rule(quad_order)
+    axes = [f.quadrature_rule(quad_order) for f in atom.factors]
+    # atom.quadrature_rule(quad_order): nodes (x1[i], x2[j]) at row i * x2.size + j
+    points, weights = tensor_rule(axes)
     quad_values = weights * atom(points)
-    terms = [float(c) for c, _ in p.float_terms()]
-    exps = [e for _, e in p.float_terms()]
+    x1, x2 = (x for x, _ in axes)
+    terms = p.float_terms()
 
     def profiles():
-        # one term's profile at a time: only its taps outlive it
+        # one term's profile at a time: only its taps outlive it; each monomial
+        # is coef * u1^e1 * u2^e2 per node, an outer product over the two axes
         for d1, d2 in scales:
-            u1 = points[:, 0] / d1
-            u2 = points[:, 1] / d2
-            profile = np.zeros(points.shape[0])
-            for coef, (e1, e2) in zip(terms, exps):
-                profile += coef * u1**e1 * u2**e2
-            yield profile
+            u1, u2 = x1 / d1, x2 / d2
+            profile = np.zeros((x1.size, x2.size))
+            for coef, (e1, e2) in terms:
+                profile += np.multiply.outer(coef * u1**e1, u2**e2)
+            yield profile.reshape(-1)
 
     return DiscretizedOperator.from_terms(grid, profiles(), quad_values)
 

@@ -186,9 +186,11 @@ class WExpansion:
             if len(coords) != len(basis):
                 raise ValueError(f"coordinate count {len(coords)} does not match the basis {basis}")
             coords = tuple(coords if all(type(c) is Fraction for c in coords) else map(_coeff, coords))
+            # every key is validated, also one whose zero field is dropped
+            deg = degree(alpha, self.scheme)
             if any(coords):
                 clean[alpha] = coords
-                degrees[alpha] = degree(alpha, self.scheme)
+                degrees[alpha] = deg
         order = sorted(clean, key=canonical_index_key)
         # read-only: a spec hands the same expansion to every caller
         object.__setattr__(self, "terms", MappingProxyType({a: clean[a] for a in order}))

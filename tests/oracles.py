@@ -348,6 +348,57 @@ def scaled_sequence(seq: DyadicKernelSeq, delta: Sequence[float]) -> DyadicKerne
     )
 
 
+# -- operator taps, node by node -------------------------------------------------
+
+
+def profile_taps(c: np.ndarray, n: int, quad_values: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, taps) of one term whose displacements are c grid steps at the nodes:
+    the off-grid nodes dropped by a mask, then one bincount of the
+    concatenated floor and ceiling shares."""
+    floor = np.floor(c)
+    keep = (floor >= -n) & (floor <= n - 1)
+    floor, values = floor[keep], quad_values[keep]
+    lam = c[keep] - floor
+    base = floor.astype(np.int64)
+    if base.size == 0:
+        return 0, np.zeros(1)
+    lo = int(base.min())
+    offsets = base - lo
+    return lo, np.bincount(
+        np.concatenate((offsets, offsets + 1)),
+        weights=np.concatenate((values * (1.0 - lam), values * lam)),
+        minlength=int(base.max()) - lo + 2,
+    )
+
+
+def term_taps_by_nodes(
+    p: Polynomial, scales: Sequence[tuple[float, float]], grid, atom: TensorBump, quad_order: int
+) -> tuple[list[int], list[tuple[int, int, bytes]]]:
+    """``build_operator``'s grouping from profiles evaluated at every point of
+    the tensor rule: each term's group index, and each group's (count, lo,
+    taps bytes) in order of first appearance."""
+    points, weights = atom.quadrature_rule(quad_order)
+    quad_values = weights * atom(points)
+    groups: dict[tuple[int, bytes], int] = {}
+    counts: list[int] = []
+    term_groups = []
+    for d1, d2 in scales:
+        u1 = points[:, 0] / d1
+        u2 = points[:, 1] / d2
+        profile = np.zeros(points.shape[0])
+        for coef, (e1, e2) in p.float_terms():
+            profile += coef * u1**e1 * u2**e2
+        with np.errstate(over="ignore"):
+            steps = profile / grid.h
+        lo, taps = profile_taps(steps, grid.n, quad_values)
+        j = groups.setdefault((lo, taps.tobytes()), len(groups))
+        if j == len(counts):
+            counts.append(0)
+        counts[j] += 1
+        term_groups.append(j)
+    return term_groups, [(c, lo, taps) for c, (lo, taps) in zip(counts, groups)]
+
+
 # -- reports ---------------------------------------------------------------------
 
 

@@ -893,7 +893,7 @@ def test_analyze_builds_w_and_xhat_once(tmp_path, capsys, monkeypatch):
         gamma_module, "_poly_coefficient_expansion", lambda *args: built.append(expand(*args)) or built[-1]
     )
     monkeypatch.setattr(criteria, "pure_closure_heisenberg", lambda xhat: closed.append(xhat) or close(xhat))
-    monkeypatch.setattr(cli, "_expansion_payload", lambda exp: printed.append(exp) or payload(exp))
+    monkeypatch.setattr(cli, "_expansion_payload", lambda exp, graded: printed.append(exp) or payload(exp, graded))
 
     text = HEIS_SPEC.replace("P3 = s*t", "P3 = s*t + s^2*t^3")
     assert main(["analyze", "--spec", write(tmp_path, "h.spec", text), "--format", "json"]) == EXIT_BOUNDED

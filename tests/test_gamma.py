@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpradon.dilations import ExponentScheme
+from mpradon.dilations import DimensionMismatch, ExponentScheme
 from mpradon.symbolic import (
     HEISENBERG_BASIS,
     GammaSpec,
@@ -290,6 +290,23 @@ def test_wexpansion_rejects_float_coordinates_as_polynomial_does():
         for coords in ([bad, 0, 0], (Fraction(1), bad, 0)):
             with pytest.raises(TypeError, match="^polynomial coefficients must be exact rationals, got float$"):
                 WExpansion(scheme, HEISENBERG_BASIS, {(1, 0): coords})
+
+
+def test_wexpansion_checks_the_multi_index_of_a_zero_field():
+    # a key whose field was zero was dropped unchecked, so these returned an empty expansion
+    scheme = ExponentScheme.product(2)
+    zero = (0, 0, 0)
+    with pytest.raises(DimensionMismatch, match="multi-index has 3 components, scheme expects 2"):
+        WExpansion(scheme, HEISENBERG_BASIS, {(1, 0, 0): zero, (-1, 2): zero})
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        WExpansion(scheme, HEISENBERG_BASIS, {(-1, 2): zero})
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        WExpansion(scheme, HEISENBERG_BASIS, {(1, 0): (1, 0, 0), (-1, 2): zero})
+    # the same keys with a nonzero field raise the same errors
+    with pytest.raises(DimensionMismatch, match="multi-index has 3 components, scheme expects 2"):
+        WExpansion(scheme, HEISENBERG_BASIS, {(1, 0, 0): (1, 0, 0)})
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        WExpansion(scheme, HEISENBERG_BASIS, {(-1, 2): (1, 0, 0)})
 
 
 def test_wexpansion_support_order():

@@ -1,5 +1,6 @@
 import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mpradon.harness import (
     NormResult,
     _TapGroup,
     build_operator,
+    default_experiment_atom,
     dyadic_scales,
     growth_experiment,
     operator_norm,
@@ -25,6 +27,7 @@ from mpradon.harness import (
 from mpradon.quadrature import MAX_QUAD_ORDER, legendre_rule
 from mpradon.symbolic import Polynomial
 from mpradon.symbolic.gamma import case_polynomial
+from oracles import profile_taps, term_taps_by_nodes
 
 ST = ("s", "t")
 
@@ -121,9 +124,10 @@ def test_operator_norm_against_dense_svd(mean_zero_tensor):
 @st.composite
 def banded_group_lists(draw, extra: int = 0):
     """A grid size and random tap groups whose combined band spans at most
-    n/2: 1-3 groups, then ``extra`` more."""
+    n - 1, so up to the band ~ n regime of know's late rows: 1-3 groups,
+    then ``extra`` more."""
     n = draw(st.integers(2, 256))
-    span = max(1, n // 2)
+    span = max(1, n - 1)
     shift = draw(st.integers(-n, n))
     groups = []
     for _ in range(draw(st.integers(1, 3)) + extra):
@@ -287,7 +291,7 @@ def test_warm_started_table_rows_match_their_dense_svd(case, level, m_max):
 
 def test_kitty_profile_norm_converges_in_few_applications():
     """The symbol-preconditioned expansion reaches the dense SVD of kitty's
-    n = 512 profile in at most 20 applications of T*T."""
+    n = 512 profile in at most 20 applications of T."""
     grid = Grid1D(n=512)
     op = build_operator(case_polynomial("kitty"), dyadic_scales(0), grid)
     sv = np.linalg.svd(op.as_matrix(), compute_uv=False)[0]
@@ -345,6 +349,85 @@ def test_terms_with_identical_taps_collapse():
     op = DiscretizedOperator.from_terms(grid, [np.array([0.25, 100.0]), np.array([0.25, 200.0])], quad_values)
     assert [(g.count, g.lo, g.taps.tolist()) for g in op.groups] == [(2, 0, [0.75, 0.25])]
     assert op.term_groups == (0, 0)
+
+
+EXPERIMENT_ATOM = default_experiment_atom()
+
+
+@st.composite
+def two_variable_polynomials(draw):
+    """Up to four monomials s^e1 t^e2 (e1, e2 <= 3) with small rational
+    coefficients, and half the time a constant: small, or up to 1e300 in
+    size, which shifts every node off the grid."""
+    exps = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4, unique=True))
+    small = st.fractions(-20, 20, max_denominator=16)
+    terms = {e: draw(small.filter(bool)) for e in exps}
+    huge = st.builds(lambda sign, k: sign * Fraction(10) ** k, st.sampled_from([1, -1]), st.integers(0, 300))
+    constant = draw(st.sampled_from([None, None, small, huge]))
+    if constant is not None:
+        terms[(0, 0)] = draw(constant)
+    return Polynomial(ST, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    two_variable_polynomials(),
+    st.lists(
+        st.tuples(st.floats(2.0**-8, 2.0**8), st.floats(2.0**-8, 2.0**8))
+        | st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(lambda k: (2.0 ** k[0], 2.0 ** k[1])),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(2, 300),
+    st.sampled_from([2, 5, 24]),
+    st.data(),
+)
+def test_build_taps_match_the_node_by_node_oracle(p, scales, n, quad_order, data):
+    """Every term's taps, bit for bit, and the grouping, as evaluating the
+    profile at every node of the tensor rule and binning it by a mask gives."""
+    # the atom lives on (0, 0.5)^2, so no displacement exceeds reach
+    reach = sum(
+        abs(float(c)) * max((0.5 / d1) ** e1 * (0.5 / d2) ** e2 for d1, d2 in scales) for (e1, e2), c in p.terms.items()
+    )
+    # a window a little narrower or wider than the reach drops a term's
+    # farthest nodes or none; one 1e-300 wide sends displacements of a few
+    # units to inf grid steps, on either side
+    width = data.draw(
+        st.floats(0.05, 2.0).map(lambda f: f * reach).filter(lambda w: 1e-300 < w < 1e300)
+        | st.integers(-300, 1).map(lambda e: 10.0**e)
+    )
+    grid = Grid1D(0.0, width, n)
+    op = build_operator(p, scales, grid, atom=EXPERIMENT_ATOM, quad_order=quad_order)
+    term_groups, groups = term_taps_by_nodes(p, scales, grid, EXPERIMENT_ATOM, quad_order)
+    assert list(op.term_groups) == term_groups
+    assert [(g.count, g.lo, g.taps.tobytes()) for g in op.groups] == groups
+
+
+@st.composite
+def edge_profiles(draw):
+    """A grid size n and 1-4 profiles of the same 1-6 nodes, in grid steps
+    near -n - 1, -n, n - 1 and n, or +-inf or NaN."""
+    n = draw(st.integers(2, 40))
+    nodes = draw(st.integers(1, 6))
+    near_edges = st.builds(lambda k, frac: k + frac, st.integers(-n - 2, n + 1), st.sampled_from([0.0, 0.25, 0.5]))
+    steps = near_edges | st.sampled_from([np.inf, -np.inf, np.nan])
+    profiles = draw(st.lists(st.lists(steps, min_size=nodes, max_size=nodes), min_size=1, max_size=4))
+    return n, [np.array(c) for c in profiles]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_profiles())
+def test_taps_match_the_oracle_at_the_grid_edges(drawn):
+    """A node is dropped exactly when the floor of its displacement lies
+    outside [-n, n - 1]; the taps equal the oracle's bit for bit."""
+    n, profiles = drawn
+    grid = Grid1D(0.0, n - 1.0, n)  # h = 1: the profiles are in grid steps
+    quad_values = np.random.default_rng(n).normal(size=profiles[0].size)
+    op = DiscretizedOperator.from_terms(grid, profiles, quad_values)
+    expected = [profile_taps(c, n, quad_values) for c in profiles]
+    assert [(op.groups[j].lo, op.groups[j].taps.tobytes()) for j in op.term_groups] == [
+        (lo, taps.tobytes()) for lo, taps in expected
+    ]
 
 
 def test_kitty_terms_collapse_to_one_group(mean_zero_tensor):
